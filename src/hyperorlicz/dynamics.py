@@ -44,7 +44,7 @@ from .operators import (
     shifted_weight_product,
     weight_product,
 )
-from .orlicz import YoungFunction, l1_embedding_check, luxemburg_norm
+from .orlicz import YoungFunction, luxemburg_norm
 
 TREND_SLACK = 1e-12
 RATIO_TARGET_SLACK = 1e-9
@@ -309,9 +309,7 @@ def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     """Necessary condition along a general sequence: the pulled-back weighted
     indicator must vanish in sup norm on sublevel subsets that exhaust E."""
     e = _require_set(model, e_set)
-    emb = l1_embedding_check(model, phi)
-    if not emb.holds:
-        raise PreconditionFailed("l1-embedding", "the probe needs the embedding")
+    # The finite window gives the L^1 embedding, so it needs no check here.
     good, _ = _qualifying_indices(model, eta, e, horizon, both_signs=False)
     if not good:
         raise PreconditionFailed(
@@ -347,9 +345,7 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     forward weighted-indicator integrals plus reciprocal-product integrals,
     both over E itself.  The combined partial sums must vanish."""
     e = _require_set(model, e_set)
-    emb = l1_embedding_check(model, phi)
-    if not emb.holds:
-        raise PreconditionFailed("l1-embedding", "the probe needs the embedding")
+    # The finite window gives the L^1 embedding, so it needs no check here.
     strong = strongly_aperiodic_check(model, eta, e, horizon, rs_bound)
     if not strong.holds_at_horizon:
         raise PreconditionFailed(

@@ -1,10 +1,9 @@
 """Finitely supported real functions on a windowed hypergroup model.
 
-Translation is defined through the convolution table: the translate of f by y
-at x is the integral of f against delta_x * delta_y.  Exact atoms are used
-even when a pair's support leaves the window; what must stay inside the
-window is the support of the *result*, and a translate whose true support
-would stick out raises WindowOverflow.
+The translate of f by y at x is the integral of f against delta_x * delta_y.
+Exact atoms are used even when a pair's support leaves the window; what must
+stay inside the window is the support of the *result*, and a translate whose
+true support would stick out raises WindowOverflow.
 """
 from __future__ import annotations
 
@@ -90,7 +89,11 @@ def indicator(labels: Iterable[int]) -> SparseFunction:
 
 
 def translate(model: HypergroupModel, f: SparseFunction, y: int) -> SparseFunction:
-    """Translate of f by the window point y through the convolution table."""
+    """Translate of f by the window point y through the point convolutions.
+
+    Only the preimages of supp f are visited.  Each output point sums its
+    terms in increasing u, the order of a scan over the whole carrier.
+    """
     model._require_in_window(y)
     if f.is_zero():
         return ZERO_FUNCTION
@@ -99,15 +102,12 @@ def translate(model: HypergroupModel, f: SparseFunction, y: int) -> SparseFuncti
             f"translate by {y} has support outside the window for "
             f"support {f.support()}")
     out: dict[int, float] = {}
-    for x in model.carrier:
-        mu = model.raw_convolve_points(x, y)
-        s = 0.0
-        for u, fv in f.values:
-            m = mu.value_at(u)
+    pair = model._pair
+    for u, fv in f.values:
+        for x in model.preimage(u, y):
+            m = pair(x, y)[0].get(u, 0.0)
             if m != 0.0:
-                s += fv * m
-        if s != 0.0:
-            out[x] = s
+                out[x] = out.get(x, 0.0) + fv * m
     return SparseFunction.from_dict(out)
 
 

@@ -1,11 +1,18 @@
-"""Discrete hypergroup models backed by finite sparse convolution tables.
+"""Discrete hypergroup models whose convolutions are computed on demand.
 
-A model holds the convolution of point masses for every pair of labels inside
-a truncation window, the involution, the identity, the derived right-invariant
-measure, and the center.  Exact results whose support leaves the window raise
-:class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever truncated
-silently.  Models are immutable after construction and all operations are
-pure, so instances can be shared freely between threads.
+A model holds a truncation window, the involution, the identity, the derived
+right-invariant measure, and the center.  The convolution of two point
+masses comes from the family's closed form the first time a pair is asked
+for, and is kept in a per-model memo together with whether its support fits
+the window.  Each family also has a preimage rule, the labels x for which
+delta_x * delta_y has an atom at u, so a translate visits only the points it
+needs instead of the whole carrier.  Exact results whose support leaves the
+window raise :class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever
+truncated silently.
+
+All operations are pure.  The memo only ever adds entries equal to what any
+caller would compute, so instances can be shared between threads: a race
+costs at most a repeated computation of the same value.
 
 Carrier conventions: families on the nonnegative integers use the labels
 ``0..window``; the integer-group family uses ``-window..window``; a
@@ -16,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     EPS_PROB,
@@ -77,26 +84,32 @@ class SparseMeasure:
             raise ValueError("measures cannot carry negative mass")
         return SparseMeasure(tuple((x, c * m) for x, m in self.atoms))
 
-    def pushforward(self, fn: Callable[[int], int]) -> "SparseMeasure":
-        return SparseMeasure.from_dict({fn(x): m for x, m in self.atoms}, self.probability)
-
 
 def point_mass(label: int) -> SparseMeasure:
     return SparseMeasure(((label, 1.0),), probability=True)
 
 
-def measures_max_deviation(mu: SparseMeasure, nu: SparseMeasure) -> float:
-    """Largest per-atom difference between two measures."""
-    labels = set(mu.support()) | set(nu.support())
-    if not labels:
-        return 0.0
-    return max(abs(mu.value_at(x) - nu.value_at(x)) for x in labels)
+def _is_point_mass(atoms: Mapping[int, float], label: int, tol: float = TOL_ATOM) -> bool:
+    if abs(atoms.get(label, 0.0) - 1.0) > tol:
+        return False
+    return all(m <= tol for x, m in atoms.items() if x != label)
 
 
 def is_point_mass_at(mu: SparseMeasure, label: int, tol: float = TOL_ATOM) -> bool:
-    if abs(mu.value_at(label) - 1.0) > tol:
-        return False
-    return all(m <= tol for x, m in mu.atoms if x != label)
+    return _is_point_mass(mu._lookup, label, tol)
+
+
+def _max_deviation(a: Mapping[int, float], b: Mapping[int, float]) -> float:
+    """Largest per-label difference between two atom maps."""
+    dev = 0.0
+    for u, m in a.items():
+        d = abs(m - b.get(u, 0.0))
+        if d > dev:
+            dev = d
+    for u, m in b.items():
+        if u not in a and abs(m) > dev:
+            dev = abs(m)
+    return dev
 
 
 @dataclass(frozen=True)
@@ -126,6 +139,13 @@ class _Family:
         raise NotImplementedError
 
     def raw_convolve(self, x: int, y: int) -> dict[int, float]:
+        raise NotImplementedError
+
+    def preimage(self, u: int, y: int, window: int) -> Iterable[int]:
+        """Carrier labels x where (delta_x * delta_y)({u}) may be nonzero.
+
+        A superset is allowed (the caller reads the atom), a missing label
+        is not."""
         raise NotImplementedError
 
     def identity_atom_exact(self, x: int):
@@ -173,6 +193,15 @@ class _DunklRamirez(_Family):
             out[r] = top
         return out
 
+    def preimage(self, u, y, window):
+        # Above y only the point max at x = u reaches u; at u = y every
+        # x <= y does; below y only the diagonal x = y spreads down to u.
+        if u > y:
+            return (u,) if u <= window else ()
+        if u == y:
+            return range(0, y + 1)
+        return (y,)
+
     def identity_atom_exact(self, x):
         if x == 0:
             return Fraction(1)
@@ -201,6 +230,10 @@ class _SU2(_Family):
         den = float((m + 1) * (n + 1))
         return {k: (k + 1) / den for k in range(abs(m - n), m + n + 1, 2)}
 
+    def preimage(self, u, y, window):
+        # |x - y| <= u <= x + y with x + y - u even
+        return range(abs(u - y), min(u + y, window) + 1, 2)
+
     def identity_atom_exact(self, x):
         return Fraction(1, (x + 1) * (x + 1))
 
@@ -224,6 +257,9 @@ class _IntegerGroup(_Family):
     def raw_convolve(self, x, y):
         return {x + y: 1.0}
 
+    def preimage(self, u, y, window):
+        return (u - y,) if -window <= u - y <= window else ()
+
     def identity_atom_exact(self, x):
         return Fraction(1)
 
@@ -232,23 +268,42 @@ class _IntegerGroup(_Family):
 
 
 class _TableFamily(_Family):
-    """Finite hypergroup given by an explicit table; the carrier is the whole space."""
+    """Finite hypergroup given by an explicit table; the carrier is the whole space.
+
+    Masses are converted and checked at load, and an inverse index from
+    (u, y) to the labels x whose row (x, y) has an atom at u gives the
+    preimage rule.
+    """
 
     def __init__(self, conv, involution_map, identity, name="table"):
         self.name = name
         self.params = {}
-        self._conv = conv
         self._inv = involution_map
         self._identity = identity
-        labels = sorted(involution_map)
-        self._carrier = tuple(labels)
-        self.signed = any(x < 0 for x in labels)
+        self._carrier = tuple(sorted(involution_map))
+        self._conv: dict[tuple[int, int], dict[int, float]] = {}
+        self._preimages: dict[tuple[int, int], list[int]] = {}
+        for x in self._carrier:
+            for y in self._carrier:
+                row = {}
+                for u, m in conv[(x, y)].items():
+                    if m == 0.0:
+                        continue
+                    u, m = int(u), float(m)
+                    if not (m > 0.0) or not math.isfinite(m):
+                        raise ValueError("atom masses must be finite and strictly positive")
+                    row[u] = m
+                    self._preimages.setdefault((u, y), []).append(x)
+                self._conv[(x, y)] = row
 
     def involution(self, x):
         return self._inv[x]
 
     def raw_convolve(self, x, y):
-        return dict(self._conv[(x, y)])
+        return self._conv[(x, y)]
+
+    def preimage(self, u, y, window):
+        return self._preimages.get((u, y), ())
 
     def identity_atom_exact(self, x):
         v = self._conv[(x, self._inv[x])].get(self._identity, 0.0)
@@ -265,37 +320,32 @@ class _TableFamily(_Family):
 
 
 class HypergroupModel:
-    """Windowed model of a discrete hypergroup with an eagerly built table.
+    """Windowed model of a discrete hypergroup with on-demand convolutions.
 
-    The table stores the exact convolution of every pair of window points.
-    Pairs whose support leaves the window are kept (the exact atoms are still
-    needed for translation and for the invariant measure) but flagged, and
-    :meth:`convolve_points` refuses to return them.
+    The exact convolution of a pair of window points is computed from the
+    family's closed form when first asked for and memoised.  Pairs whose
+    support leaves the window are kept (the exact atoms are still needed for
+    translation and for the weight factors) but flagged, and
+    :meth:`convolve_points` refuses to return them.  Construction computes
+    only the invariant measure and the center, O(|carrier|) convolutions.
+    The memo only ever adds entries equal to what any caller would compute,
+    so a model can be shared between threads.
     """
 
-    def __init__(self, family: _Family, window: int):
+    def __init__(self, family: _Family, window: int, identity: int = 0):
         if window < 1:
             raise ValueError("window bound must be at least 1")
         self.family = family.name
         self.params = dict(family.params)
         self.window = int(window)
-        self.identity = getattr(family, "_identity", 0)
+        self.identity = identity
         self._fam = family
         self.carrier: tuple[int, ...] = family.carrier(window)
-        cset = set(self.carrier)
-        if self.identity not in cset:
+        self._labels = frozenset(self.carrier)
+        if self.identity not in self._labels:
             raise ValueError("identity label missing from carrier")
-
-        table: dict[tuple[int, int], SparseMeasure] = {}
-        fits: dict[tuple[int, int], bool] = {}
-        for x in self.carrier:
-            for y in self.carrier:
-                raw = family.raw_convolve(x, y)
-                mu = SparseMeasure.from_dict(raw)
-                table[(x, y)] = mu
-                fits[(x, y)] = all(u in cset for u in mu.support())
-        self._table = table
-        self._fits = fits
+        # (x, y) -> (atoms of delta_x * delta_y in label order, support fits)
+        self._pairs: dict[tuple[int, int], tuple[dict[int, float], bool]] = {}
 
         # Right-invariant measure normalised at the identity: the reciprocal
         # of the identity atom of delta_x * delta_{x^-}, computed in exact
@@ -309,8 +359,8 @@ class HypergroupModel:
 
         members = tuple(
             x for x in self.carrier
-            if is_point_mass_at(table[(x, self.involution(x))], self.identity)
-            and is_point_mass_at(table[(self.involution(x), x)], self.identity)
+            if _is_point_mass(self._pair(x, self.involution(x))[0], self.identity)
+            and _is_point_mass(self._pair(self.involution(x), x)[0], self.identity)
         )
         self._center = CenterReport(members=members, horizon=self.window)
 
@@ -320,20 +370,11 @@ class HypergroupModel:
         return self._fam.involution(x)
 
     def in_window(self, label: int) -> bool:
-        return (self.carrier[0] <= label <= self.carrier[-1]) and (
-            label in self._haar_keys)
-
-    @property
-    def _haar_keys(self):
-        k = getattr(self, "_haar_keyset", None)
-        if k is None:
-            k = set(self.carrier)
-            self._haar_keyset = k
-        return k
+        return label in self._labels
 
     def _require_in_window(self, *labels: int) -> None:
         for x in labels:
-            if x not in self._haar_keys:
+            if x not in self._labels:
                 raise ValueError(f"label {x} lies outside the truncation window")
 
     def haar_weight(self, x: int) -> float:
@@ -342,28 +383,48 @@ class HypergroupModel:
 
     # -- convolution -------------------------------------------------------
 
+    def _pair(self, x: int, y: int) -> tuple[dict[int, float], bool]:
+        """Memoised (atoms, fits) of delta_x * delta_y: the exact nonzero
+        atoms in label order, and whether they all lie in the window."""
+        entry = self._pairs.get((x, y))
+        if entry is None:
+            raw = self._fam.raw_convolve(x, y)
+            atoms = {u: m for u, m in sorted(raw.items()) if m != 0.0}
+            labels = self._labels
+            entry = (atoms, all(u in labels for u in atoms))
+            self._pairs[(x, y)] = entry
+        return entry
+
+    def preimage(self, u: int, y: int) -> Iterable[int]:
+        """Window labels x where (delta_x * delta_y)({u}) may be nonzero."""
+        return self._fam.preimage(u, y, self.window)
+
     def raw_convolve_points(self, x: int, y: int) -> SparseMeasure:
         """Exact convolution of two point masses, support possibly off-window."""
         self._require_in_window(x, y)
-        return self._table[(x, y)]
+        return SparseMeasure(tuple(self._pair(x, y)[0].items()))
 
     def convolve_points(self, x: int, y: int) -> SparseMeasure:
         self._require_in_window(x, y)
-        if not self._fits[(x, y)]:
+        atoms, fits = self._pair(x, y)
+        if not fits:
             raise WindowOverflow(
                 f"support of point convolution ({x},{y}) leaves the window "
                 f"[{self.carrier[0]},{self.carrier[-1]}]")
-        mu = self._table[(x, y)]
-        return SparseMeasure(mu.atoms, probability=abs(mu.mass() - 1.0) <= EPS_PROB)
+        return SparseMeasure(tuple(atoms.items()),
+                             probability=abs(sum(atoms.values()) - 1.0) <= EPS_PROB)
 
     def convolve_measures(self, mu: SparseMeasure, nu: SparseMeasure) -> SparseMeasure:
         acc: dict[int, float] = {}
+        labels = self._labels
         for x, mx in mu.atoms:
             for y, my in nu.atoms:
-                if not self._fits.get((x, y), False):
+                atoms, fits = (self._pair(x, y) if x in labels and y in labels
+                               else ({}, False))
+                if not fits:
                     raise WindowOverflow(
                         f"measure convolution needs off-window pair ({x},{y})")
-                for u, w in self._table[(x, y)].atoms:
+                for u, w in atoms.items():
                     acc[u] = acc.get(u, 0.0) + mx * my * w
         return SparseMeasure.from_dict(acc, probability=mu.probability and nu.probability)
 
@@ -373,10 +434,11 @@ class HypergroupModel:
         for x in sorted(set(a)):
             for y in sorted(set(b)):
                 self._require_in_window(x, y)
-                if not self._fits[(x, y)]:
+                atoms, fits = self._pair(x, y)
+                if not fits:
                     raise WindowOverflow(
                         f"set convolution needs off-window support at pair ({x},{y})")
-                out.update(self._table[(x, y)].support())
+                out.update(atoms)
         return frozenset(out)
 
     # -- center ------------------------------------------------------------
@@ -389,25 +451,14 @@ class HypergroupModel:
         if z not in self._center.members:
             raise NotCentral(f"label {z} is not in the center")
         self._require_in_window(x)
-        supp = self._table[(x, z)].support()
+        supp = tuple(self._pair(x, z)[0])
         if len(supp) != 1:
             raise NotCentral(
                 f"convolution with center label {z} is not a point mass at ({x},{z})")
         p = supp[0]
-        if p not in self._haar_keys:
+        if p not in self._labels:
             raise WindowOverflow(f"point product {x}*{z} leaves the window")
         return p
-
-    def power_center_point(self, z: int, n: int) -> int:
-        """n-fold product of a central point with itself (n >= 0)."""
-        if n < 0:
-            raise ValueError("power index must be nonnegative")
-        if z not in self._center.members:
-            raise NotCentral(f"label {z} is not in the center")
-        cur = self.identity
-        for _ in range(n):
-            cur = self.point_product(cur, z)
-        return cur
 
     def translate_reach_ok(self, f_support: Iterable[int], y: int) -> bool:
         return self._fam.translate_reach_ok(tuple(f_support), y, self.window)
@@ -418,67 +469,86 @@ class HypergroupModel:
         """Check the defining axioms on all labels within ``triple_bound``.
 
         Probability masses, the identity law, the support-identity equivalence
-        and the adjoint law are checked on the exact (untruncated) table.
+        and the adjoint law are checked on the exact (untruncated) atoms.
         Associativity is checked on triples whose intermediate supports stay
         inside the window; out-of-window triples are skipped.
         """
         out: list[AxiomViolation] = []
         e = self.identity
+        inv = self.involution
+        pair = self._pair
         pts = [x for x in self.carrier if abs(x) <= triple_bound]
 
         for x in pts:
-            xi = self.involution(x)
-            if xi not in self._haar_keys or self.involution(xi) != x:
+            xi = inv(x)
+            if xi not in self._labels or inv(xi) != x:
                 out.append(AxiomViolation("involution", (x,),
                                           f"involution of {x} does not fold back"))
 
         for x in pts:
             for y in pts:
-                mu = self._table[(x, y)]
-                dm = abs(mu.mass() - 1.0)
+                dm = abs(sum(pair(x, y)[0].values()) - 1.0)
                 if dm > EPS_PROB:
                     out.append(AxiomViolation(
                         "probability-mass", (x, y), f"mass deviates by {dm:.3e}"))
 
         for x in pts:
-            for (mu, tag) in ((self._table[(x, e)], "right"),
-                              (self._table[(e, x)], "left")):
-                if not is_point_mass_at(mu, x):
+            for (atoms, tag) in ((pair(x, e)[0], "right"), (pair(e, x)[0], "left")):
+                if not _is_point_mass(atoms, x):
                     out.append(AxiomViolation(
                         "identity", (x,), f"{tag} identity law fails at {x}"))
 
         for x in pts:
             for y in pts:
-                has_e = self._table[(x, y)].value_at(e) > TOL_ATOM
-                if has_e != (x == self.involution(y)):
+                has_e = pair(x, y)[0].get(e, 0.0) > TOL_ATOM
+                if has_e != (x == inv(y)):
                     out.append(AxiomViolation(
                         "support-identity", (x, y),
                         "identity atom present iff x equals the involution of y"))
 
         for x in pts:
             for y in pts:
-                lhs = self._table[(x, y)].pushforward(self.involution)
-                rhs = self._table[(self.involution(y), self.involution(x))]
-                dev = measures_max_deviation(lhs, rhs)
+                lhs = {inv(u): m for u, m in pair(x, y)[0].items()}
+                dev = _max_deviation(lhs, pair(inv(y), inv(x))[0])
                 if dev > TOL_ATOM:
                     out.append(AxiomViolation(
                         "adjoint", (x, y), f"adjoint law deviates by {dev:.3e}"))
 
+        # (delta_x * delta_y) * delta_z against delta_x * (delta_y * delta_z),
+        # summed in plain dicts; the point masses contribute exact unit
+        # factors.  Each pair's fit is read from its atoms before they are
+        # added, and a triple is skipped at the first pair that either side
+        # needs outside the window.
+        get = self._pairs.get
+        fitting_yz = {y: [(z, pair(y, z)[0]) for z in pts if pair(y, z)[1]]
+                      for y in pts}
         for x in pts:
             for y in pts:
-                for z in pts:
-                    try:
-                        left = self.convolve_measures(
-                            self.convolve_points(x, y), point_mass(z))
-                        right = self.convolve_measures(
-                            point_mass(x), self.convolve_points(y, z))
-                    except WindowOverflow:
-                        continue
-                    dev = measures_max_deviation(left, right)
-                    if dev > TOL_ASSOC:
-                        out.append(AxiomViolation(
-                            "associativity", (x, y, z),
-                            f"triple product deviates by {dev:.3e}"))
+                xy, fits = pair(x, y)
+                if not fits:
+                    continue
+                for z, yz in fitting_yz[y]:
+                    left: dict[int, float] = {}
+                    for u, mx in xy.items():
+                        atoms, fits = get((u, z)) or pair(u, z)
+                        if not fits:
+                            break
+                        for t, w in atoms.items():
+                            left[t] = left.get(t, 0.0) + mx * w
+                    else:
+                        right: dict[int, float] = {}
+                        for v, my in yz.items():
+                            atoms, fits = get((x, v)) or pair(x, v)
+                            if not fits:
+                                break
+                            for t, w in atoms.items():
+                                right[t] = right.get(t, 0.0) + my * w
+                        else:
+                            dev = _max_deviation(left, right)
+                            if dev > TOL_ASSOC:
+                                out.append(AxiomViolation(
+                                    "associativity", (x, y, z),
+                                    f"triple product deviates by {dev:.3e}"))
         return out
 
 
@@ -514,12 +584,9 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
         for y in labels:
             if (x, y) not in conv:
                 raise ValueError(f"table is missing the pair ({x},{y})")
-    fam = _TableFamily({k: dict(v) for k, v in conv.items()},
-                       dict(involution_map), identity)
+    fam = _TableFamily(conv, dict(involution_map), identity)
     window = max(abs(x) for x in labels) if labels else 1
-    fam._identity = identity
-    model = HypergroupModel(fam, max(window, 1))
-    model.identity = identity
+    model = HypergroupModel(fam, max(window, 1), identity)
     if validate:
         bound = triple_bound if triple_bound is not None else max(abs(x) for x in labels)
         violations = model.verify_axioms(bound)

@@ -9,7 +9,10 @@ factors (indices 0..n).  The exclusive convention is the default everywhere.
 
 Weight factors at a point x are translated values, i.e. integrals of the
 weight against delta_x convolved with the reflected sequence point; closed
-weight forms evaluate at any label, never falling back to zero.
+weight forms evaluate at any label, never falling back to zero.  Each
+factor is computed once per (weight, model, point, sequence point) and then
+reused by every product that needs it; products still multiply right to left,
+so the float bits match a fresh computation.
 """
 from __future__ import annotations
 
@@ -83,6 +86,12 @@ class Weight:
             object.__setattr__(self, "_lookup_cache", d)
         return d
 
+    def _factors(self, model) -> dict[tuple[int, int], float]:
+        """Memo of translated weight factors on ``model``, keyed by
+        (x, sequence point); it only ever gains entries equal to what
+        :func:`translated_weight` returns."""
+        return self.__dict__.setdefault("_factor_cache", {}).setdefault(model, {})
+
     def sup_over(self, labels) -> float:
         vals = [self(x) for x in labels]
         if self.form == "table":
@@ -138,9 +147,11 @@ class CenterPowers(EtaSequence):
         self._neg = [model.identity]          # powers of the involution of z
 
     def __call__(self, n: int) -> int:
-        cache, base = (self._pos, self.z) if n >= 0 else (self._neg,
-                                                          self.model.involution(self.z))
+        cache = self._pos if n >= 0 else self._neg
         k = abs(n)
+        if k < len(cache):
+            return cache[k]
+        base = self.z if n >= 0 else self.model.involution(self.z)
         while len(cache) <= k:
             cache.append(self.model.point_product(cache[-1], base))
         return cache[k]
@@ -178,22 +189,33 @@ def eta_from_table(model: HypergroupModel, entries: Mapping[int, int]) -> TableE
 
 def translated_weight(model: HypergroupModel, w: Weight, x: int, y: int) -> float:
     """Integral of the weight against delta_x * delta_y using exact atoms."""
-    mu = model.raw_convolve_points(x, y)
+    model._require_in_window(x, y)
     s = 0.0
-    for u, m in mu.atoms:
+    for u, m in model._pair(x, y)[0].items():
         s += w(u) * m
     return s
+
+
+def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
+             count: int, acc: float) -> float:
+    """Multiply the translated weight factors at x for indices count-1 down
+    to 0 onto acc, innermost first.  Each factor is computed once per
+    (model, x, sequence point) and then read from the weight's memo."""
+    memo = w._factors(model)
+    for j in range(count - 1, -1, -1):
+        y = eta(-j)
+        factor = memo.get((x, y))
+        if factor is None:
+            factor = memo[(x, y)] = translated_weight(model, w, x, y)
+        acc = factor * acc
+    return acc
 
 
 def weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
                    x: int, n: int,
                    convention: ProductConvention = DEFAULT_CONVENTION) -> float:
     """Running product of translated weight values at x (the step-n cocycle)."""
-    count = convention.factors(n)
-    acc = 1.0
-    for j in range(count - 1, -1, -1):
-        acc = translated_weight(model, w, x, eta(-j)) * acc
-    return acc
+    return _cocycle(model, w, eta, x, convention.factors(n), 1.0)
 
 
 def shifted_weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
@@ -217,14 +239,8 @@ def apply_weighted_translation(model: HypergroupModel, f: SparseFunction, w: Wei
     """
     t = translate(model, f, eta(-n))
     count = convention.factors(n)
-    out: dict[int, float] = {}
-    for x, tv in t.values:
-        val = tv
-        for j in range(count - 1, -1, -1):
-            val = translated_weight(model, w, x, eta(-j)) * val
-        if val != 0.0:
-            out[x] = val
-    return SparseFunction.from_dict(out)
+    return SparseFunction.from_dict(
+        {x: _cocycle(model, w, eta, x, count, tv) for x, tv in t.values})
 
 
 def apply_single_step(model: HypergroupModel, f: SparseFunction, a: int,

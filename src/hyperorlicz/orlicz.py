@@ -431,9 +431,3 @@ def l1_embedding_check(model: HypergroupModel, phi: YoungFunction) -> L1Embeddin
                              derivative_status=status, via_finite_window=via_window,
                              constant_estimate=best)
 
-
-def complementary_increasing_on(phi: YoungFunction, grid=(0.25, 0.5, 1.0, 2.0, 4.0)) -> bool:
-    """Informational spot check that the complementary function increases."""
-    vals = [complementary_eval(phi, y) for y in grid]
-    return all(b >= a for a, b in zip(vals, vals[1:])) and any(
-        b > a for a, b in zip(vals, vals[1:]))

@@ -129,6 +129,13 @@ def _int_labels(mapping, path) -> dict[int, float]:
     return out
 
 
+def _int_label(value, path) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: labels must be integers, got {value!r}") from exc
+
+
 def _build_model(section, path) -> HypergroupModel:
     family = _need(section, "family", path, str)
     window = _need(section, "window", path, int)
@@ -151,7 +158,9 @@ def _build_model(section, path) -> HypergroupModel:
                    path)
         identity = section.get("identity", 0)
         involution_raw = _need(section, "involution", path, dict)
-        involution = {int(k): int(v) for k, v in involution_raw.items()}
+        involution = {_int_label(k, f"{path}.involution"):
+                      _int_label(v, f"{path}.involution.{k}")
+                      for k, v in involution_raw.items()}
         rows = _need(section, "table", path, list)
         conv = {}
         for i, row in enumerate(rows):
@@ -159,7 +168,8 @@ def _build_model(section, path) -> HypergroupModel:
                     and isinstance(row[2], dict)):
                 raise ScenarioError(
                     f"{path}.table[{i}]: expected [x, y, {{label: mass}}]")
-            conv[(int(row[0]), int(row[1]))] = _int_labels(
+            conv[(_int_label(row[0], f"{path}.table[{i}][0]"),
+                  _int_label(row[1], f"{path}.table[{i}][1]"))] = _int_labels(
                 row[2], f"{path}.table[{i}]")
         try:
             return table_hypergroup(conv, involution, identity=identity)
@@ -257,6 +267,15 @@ def _build_run(section, path) -> RunSettings:
     return settings
 
 
+def _section_map(data, key) -> dict:
+    """An optional top-level section that maps names to entries."""
+    section = data.get(key) or {}
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{key}: expected a mapping of names, "
+                            f"got {type(section).__name__}")
+    return section
+
+
 def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario: top level must be a mapping")
@@ -284,16 +303,16 @@ def parse_scenario(data: dict) -> Scenario:
                 raise ScenarioError(
                     f"eta: index {n} leaves the window (label {point})")
     sets: dict[str, tuple[int, ...]] = {}
-    for name, labels in (data.get("sets") or {}).items():
+    for name, labels in _section_map(data, "sets").items():
         if not isinstance(labels, list) or not labels:
             raise ScenarioError(f"sets.{name}: must be a nonempty label list")
-        vals = tuple(sorted({int(v) for v in labels}))
+        vals = tuple(sorted({_int_label(v, f"sets.{name}") for v in labels}))
         for v in vals:
             if not model.in_window(v):
                 raise ScenarioError(f"sets.{name}: label {v} outside the window")
         sets[str(name)] = vals
     functions: dict[str, SparseFunction] = {}
-    for name, mapping in (data.get("functions") or {}).items():
+    for name, mapping in _section_map(data, "functions").items():
         if not isinstance(mapping, dict):
             raise ScenarioError(f"functions.{name}: must be a label-value map")
         values = _int_labels(mapping, f"functions.{name}")

@@ -1,5 +1,5 @@
-"""Shared fixtures.  Models are session-scoped because construction builds
-the full convolution table eagerly; tests must not mutate them."""
+"""Shared fixtures.  Models are session-scoped so their convolution memos
+fill once across the suite; tests must not mutate them."""
 import time
 
 import pytest

@@ -1,0 +1,399 @@
+"""Differential tests of the on-demand convolution core.
+
+``EagerReference`` keeps the earlier core as the oracle: every pair of the
+carrier convolved up front into a validated SparseMeasure, fit read from the
+full support, translation scanning the whole carrier, weight factors
+recomputed for every product, and associativity checked by allocating
+measures and catching WindowOverflow.  The lazy core must agree with it bit
+for bit (``==`` on floats), including which calls raise.
+"""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hyperorlicz as hz
+from hyperorlicz import hypergroups
+from hyperorlicz.errors import EPS_PROB, TOL_ASSOC, TOL_ATOM, WindowOverflow
+from hyperorlicz.functions import SparseFunction
+from hyperorlicz.hypergroups import (
+    AxiomViolation,
+    SparseMeasure,
+    is_point_mass_at,
+    point_mass,
+)
+from hyperorlicz.operators import ProductConvention, translated_weight
+
+
+def _max_deviation(mu, nu):
+    labels = set(mu.support()) | set(nu.support())
+    if not labels:
+        return 0.0
+    return max(abs(mu.value_at(x) - nu.value_at(x)) for x in labels)
+
+
+class EagerReference:
+    """The eager-table core, run on the same family as a lazy model."""
+
+    def __init__(self, model, raw=None):
+        raw = raw or model._fam.raw_convolve
+        self.model = model
+        self.cset = set(model.carrier)
+        self.table = {}
+        self.fits = {}
+        for x in model.carrier:
+            for y in model.carrier:
+                mu = SparseMeasure.from_dict(raw(x, y))
+                self.table[(x, y)] = mu
+                self.fits[(x, y)] = all(u in self.cset for u in mu.support())
+
+    def center_members(self):
+        m, e = self.model, self.model.identity
+        return tuple(x for x in m.carrier
+                     if is_point_mass_at(self.table[(x, m.involution(x))], e)
+                     and is_point_mass_at(self.table[(m.involution(x), x)], e))
+
+    def convolve_points(self, x, y):
+        if not self.fits[(x, y)]:
+            raise WindowOverflow("reference")
+        mu = self.table[(x, y)]
+        return SparseMeasure(mu.atoms, probability=abs(mu.mass() - 1.0) <= EPS_PROB)
+
+    def convolve_measures(self, mu, nu):
+        acc = {}
+        for x, mx in mu.atoms:
+            for y, my in nu.atoms:
+                if not self.fits.get((x, y), False):
+                    raise WindowOverflow("reference")
+                for u, w in self.table[(x, y)].atoms:
+                    acc[u] = acc.get(u, 0.0) + mx * my * w
+        return SparseMeasure.from_dict(acc, probability=mu.probability and nu.probability)
+
+    def set_convolve(self, a, b):
+        out = set()
+        for x in sorted(set(a)):
+            for y in sorted(set(b)):
+                if not self.fits[(x, y)]:
+                    raise WindowOverflow("reference")
+                out.update(self.table[(x, y)].support())
+        return frozenset(out)
+
+    def translate(self, f, y):
+        if f.is_zero():
+            return hz.ZERO_FUNCTION
+        if not self.model.translate_reach_ok(f.support(), y):
+            raise WindowOverflow("reference")
+        out = {}
+        for x in self.model.carrier:
+            mu = self.table[(x, y)]
+            s = 0.0
+            for u, fv in f.values:
+                m = mu.value_at(u)
+                if m != 0.0:
+                    s += fv * m
+            if s != 0.0:
+                out[x] = s
+        return SparseFunction.from_dict(out)
+
+    def translated_weight(self, w, x, y):
+        s = 0.0
+        for u, m in self.table[(x, y)].atoms:
+            s += w(u) * m
+        return s
+
+    def weight_product(self, w, eta, x, n, convention):
+        acc = 1.0
+        for j in range(convention.factors(n) - 1, -1, -1):
+            acc = self.translated_weight(w, x, eta(-j)) * acc
+        return acc
+
+    def apply_weighted_translation(self, f, w, eta, n, convention):
+        t = self.translate(f, eta(-n))
+        out = {}
+        for x, tv in t.values:
+            val = tv
+            for j in range(convention.factors(n) - 1, -1, -1):
+                val = self.translated_weight(w, x, eta(-j)) * val
+            if val != 0.0:
+                out[x] = val
+        return SparseFunction.from_dict(out)
+
+    def verify_axioms(self, triple_bound):
+        m, out, e = self.model, [], self.model.identity
+        pts = [x for x in m.carrier if abs(x) <= triple_bound]
+        for x in pts:
+            xi = m.involution(x)
+            if xi not in self.cset or m.involution(xi) != x:
+                out.append(AxiomViolation("involution", (x,),
+                                          f"involution of {x} does not fold back"))
+        for x in pts:
+            for y in pts:
+                dm = abs(self.table[(x, y)].mass() - 1.0)
+                if dm > EPS_PROB:
+                    out.append(AxiomViolation(
+                        "probability-mass", (x, y), f"mass deviates by {dm:.3e}"))
+        for x in pts:
+            for mu, tag in ((self.table[(x, e)], "right"), (self.table[(e, x)], "left")):
+                if not is_point_mass_at(mu, x):
+                    out.append(AxiomViolation(
+                        "identity", (x,), f"{tag} identity law fails at {x}"))
+        for x in pts:
+            for y in pts:
+                has_e = self.table[(x, y)].value_at(e) > TOL_ATOM
+                if has_e != (x == m.involution(y)):
+                    out.append(AxiomViolation(
+                        "support-identity", (x, y),
+                        "identity atom present iff x equals the involution of y"))
+        for x in pts:
+            for y in pts:
+                lhs = SparseMeasure.from_dict(
+                    {m.involution(u): v for u, v in self.table[(x, y)].atoms})
+                rhs = self.table[(m.involution(y), m.involution(x))]
+                dev = _max_deviation(lhs, rhs)
+                if dev > TOL_ATOM:
+                    out.append(AxiomViolation(
+                        "adjoint", (x, y), f"adjoint law deviates by {dev:.3e}"))
+        for x in pts:
+            for y in pts:
+                for z in pts:
+                    try:
+                        left = self.convolve_measures(
+                            self.convolve_points(x, y), point_mass(z))
+                        right = self.convolve_measures(
+                            point_mass(x), self.convolve_points(y, z))
+                    except WindowOverflow:
+                        continue
+                    dev = _max_deviation(left, right)
+                    if dev > TOL_ASSOC:
+                        out.append(AxiomViolation(
+                            "associativity", (x, y, z),
+                            f"triple product deviates by {dev:.3e}"))
+        return out
+
+
+def outcome(fn, *args):
+    """A call's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (WindowOverflow, ValueError) as exc:
+        return type(exc)
+
+
+# -- strategies ---------------------------------------------------------------
+
+
+@st.composite
+def cyclic_table(draw, size=None):
+    n = size or draw(st.integers(2, 7))
+    labels = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n, unique=True))
+    conv = {(labels[i], labels[j]): {labels[(i + j) % n]: 1.0}
+            for i in range(n) for j in range(n)}
+    involution = {labels[i]: labels[-i % n] for i in range(n)}
+    return conv, involution, labels[0]
+
+
+@st.composite
+def spread_table(draw):
+    """The Dunkl-Ramirez family on {0..n} is closed, so it is a finite table."""
+    a = draw(st.sampled_from((0.25, 0.3, 0.5)))
+    n = draw(st.integers(1, 7))
+    fam = hypergroups._DunklRamirez(a)
+    conv = {(x, y): fam.raw_convolve(x, y) for x in range(n + 1) for y in range(n + 1)}
+    return conv, {x: x for x in range(n + 1)}, 0
+
+
+@st.composite
+def models(draw):
+    kind = draw(st.sampled_from(("integers", "su2", "dunkl_ramirez", "table")))
+    window = draw(st.integers(1, 16))
+    if kind == "integers":
+        model = hz.integer_group(window)
+    elif kind == "su2":
+        model = hz.su2(window)
+    elif kind == "dunkl_ramirez":
+        model = hz.dunkl_ramirez(draw(st.sampled_from((0.1, 0.3, 0.5))), window)
+    else:
+        conv, involution, identity = draw(st.one_of(cyclic_table(), spread_table()))
+        model = hz.table_hypergroup(conv, involution, identity=identity)
+        return model, EagerReference(model, raw=lambda x, y: conv[(x, y)])
+    return model, EagerReference(model)
+
+
+class _SkewedIntegers(hypergroups._IntegerGroup):
+    """The integers with some point convolutions split over two neighbours:
+    a broken model on a window, where a triple's sides can leave it."""
+
+    def __init__(self, skewed):
+        super().__init__()
+        self.skewed = skewed
+
+    def raw_convolve(self, x, y):
+        if (x, y) in self.skewed:
+            return {x + y - 1: 0.5, x + y + 1: 0.5}
+        return {x + y: 1.0}
+
+
+@st.composite
+def skewed_integers(draw):
+    window = draw(st.integers(2, 8))
+    labels = st.integers(-window, window)
+    skewed = draw(st.sets(st.tuples(labels, labels), min_size=1, max_size=6))
+    model = hypergroups.HypergroupModel(_SkewedIntegers(skewed), window)
+    return model, EagerReference(model)
+
+
+@st.composite
+def broken_tables(draw):
+    """A cyclic table with some rows replaced by a two-atom split of unit
+    mass; rows (x, x^-) keep the identity so the invariant measure exists.
+    Every row keeps mass one, which the allocating reference loop needs."""
+    conv, involution, identity = draw(cyclic_table(size=draw(st.integers(3, 6))))
+    labels = sorted(involution)
+    pairs = [(x, y) for x in labels for y in labels if y != involution[x]]
+    for x, y in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4,
+                              unique=True)):
+        p, q = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2,
+                             unique=True))
+        conv[(x, y)] = {p: 0.25, q: 0.75}
+    model = hz.table_hypergroup(conv, involution, identity=identity, validate=False)
+    return model, EagerReference(model, raw=lambda x, y: conv[(x, y)])
+
+
+# Values with long mantissas, so a changed summation order shows in the bits.
+VALUES = st.one_of(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                   st.integers(-10**6, 10**6).map(lambda k: k / 997.0))
+POSITIVE = st.floats(0.125, 8.0)
+
+
+def functions(draw, model):
+    lo, hi = model.carrier[0] - 2, model.carrier[-1] + 2
+    return SparseFunction.from_dict(draw(st.dictionaries(
+        st.integers(lo, hi), VALUES, max_size=5)))
+
+
+@st.composite
+def weights(draw):
+    form = draw(st.sampled_from(("constant", "step", "table", "geometric")))
+    if form == "constant":
+        return hz.constant_weight(draw(POSITIVE))
+    if form == "step":
+        return hz.step_weight(draw(st.integers(-4, 4)), draw(POSITIVE), draw(POSITIVE))
+    if form == "table":
+        return hz.table_weight(draw(st.dictionaries(st.integers(-18, 18), POSITIVE,
+                                                    max_size=8)),
+                               default=draw(POSITIVE))
+    return hz.geometric_weight(draw(POSITIVE), draw(st.floats(0.5, 2.0)))
+
+
+def sequences(draw, model):
+    central = [z for z in model.center_elements().members if z != model.identity]
+    if central and draw(st.booleans()):
+        return hz.center_powers(model, draw(st.sampled_from(central)))
+    points = st.sampled_from(model.carrier)
+    return hz.eta_from_table(model, {k: draw(points) for k in range(1, 9)})
+
+
+# -- tests ----------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_translate_matches_full_carrier_scan(data):
+    model, ref = data.draw(models())
+    for _ in range(4):
+        f = functions(data.draw, model)
+        # Drawing y from supp f reaches the diagonal preimages of the
+        # spread family.
+        y = data.draw(st.sampled_from(model.carrier
+                                      + tuple(u for u in f.support() if model.in_window(u))))
+        got = outcome(hz.translate, model, f, y)
+        want = outcome(ref.translate, f, y)
+        assert got == want
+        if isinstance(got, SparseFunction):
+            assert got.values == want.values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_convolutions_and_center_match_eager_table(data):
+    model, ref = data.draw(models())
+    assert model.center_elements().members == ref.center_members()
+    for x in model.carrier:
+        for y in model.carrier:
+            got = outcome(model.convolve_points, x, y)
+            want = outcome(ref.convolve_points, x, y)
+            assert got == want
+            assert model.raw_convolve_points(x, y) == ref.table[(x, y)]
+    labels = st.lists(st.sampled_from(model.carrier), max_size=4)
+    for _ in range(4):
+        a, b = data.draw(labels), data.draw(labels)
+        assert outcome(model.set_convolve, a, b) == outcome(ref.set_convolve, a, b)
+        mu = SparseMeasure.from_dict({x: 1.0 / len(a) for x in a}) if a else point_mass(
+            model.identity)
+        nu = SparseMeasure.from_dict({y: 0.5 for y in b})
+        assert (outcome(model.convolve_measures, mu, nu)
+                == outcome(ref.convolve_measures, mu, nu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weight_factors_match_fresh_products(data):
+    model, ref = data.draw(models())
+    w = data.draw(weights())
+    eta = sequences(data.draw, model)
+    points = st.sampled_from(model.carrier)
+    for _ in range(6):
+        x, y = data.draw(points), data.draw(points)
+        n = data.draw(st.integers(0, 8))
+        convention = data.draw(st.sampled_from(tuple(ProductConvention)))
+        assert translated_weight(model, w, x, y) == ref.translated_weight(w, x, y)
+        assert (outcome(hz.weight_product, model, w, eta, x, n, convention)
+                == outcome(ref.weight_product, w, eta, x, n, convention))
+        f = functions(data.draw, model)
+        got = outcome(hz.apply_weighted_translation, model, f, w, eta, n, convention)
+        want = outcome(ref.apply_weighted_translation, f, w, eta, n, convention)
+        assert got == want
+        if isinstance(got, SparseFunction):
+            assert got.values == want.values
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_verify_axioms_matches_allocating_loop(data):
+    model, ref = data.draw(models())
+    bound = data.draw(st.integers(0, model.window))
+    assert model.verify_axioms(bound) == ref.verify_axioms(bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(broken_tables(), skewed_integers()))
+def test_broken_model_violations_match(pair):
+    model, ref = pair
+    got = model.verify_axioms(model.window)
+    assert got == ref.verify_axioms(model.window)
+
+
+def test_mixed_masses_are_reported_not_raised():
+    # delta_1 * delta_1 carries half the mass, so (delta_0 * delta_1) * delta_1
+    # is not a probability measure; the check lists that instead of failing.
+    conv = {(0, 0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 0): {1: 1.0},
+            (1, 1): {0: 0.25, 1: 0.25}}
+    model = hz.table_hypergroup(conv, {0: 0, 1: 1}, validate=False)
+    axioms = {v.axiom for v in model.verify_axioms(1)}
+    assert "probability-mass" in axioms
+    with pytest.raises(ValueError, match="probability-mass"):
+        hz.table_hypergroup(conv, {0: 0, 1: 1})
+
+
+def test_build_makes_linear_convolutions(monkeypatch):
+    calls = []
+    original = hypergroups._IntegerGroup.raw_convolve
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(hypergroups._IntegerGroup, "raw_convolve", counting)
+    model = hz.integer_group(1000)
+    assert len(model.carrier) == 2001
+    assert len(calls) <= 2 * len(model.carrier)
+    assert model.center_elements().members == model.carrier

@@ -58,6 +58,22 @@ def test_parse_rejects_bad_parameters():
     bad3["sets"] = {"E": [99]}
     with pytest.raises(hz.ScenarioError):
         hz.parse_scenario(_with_int_keys(bad3))
+    bad4 = _with_int_keys(json.loads(json.dumps(DOUBLING)))
+    bad4["hypergroup"] = {"family": "table", "window": 1, "identity": 0,
+                          "involution": {0: 0}, "table": [[None, 0, {0: 1.0}]]}
+    with pytest.raises(hz.ScenarioError, match=r"hypergroup\.table\[0\]\[0\]"):
+        hz.parse_scenario(bad4)
+    bad5 = _with_int_keys(json.loads(json.dumps(DOUBLING)))
+    bad5["sets"] = [0, 1]
+    with pytest.raises(hz.ScenarioError, match=r"^sets: "):
+        hz.parse_scenario(bad5)
+
+
+def test_cli_malformed_shapes_exit_two(tmp_path):
+    data = _with_int_keys(json.loads(json.dumps(DOUBLING)))
+    data["sets"] = [0, 1]
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "axioms"]) == 2
 
 
 def _with_int_keys(data):
