@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested check holds (or the command is purely
 informational), 1 when it fails or stays inconclusive, 2 on scenario or
-precondition errors, 3 when a window overflow aborts the run.
+precondition errors and on a norm too large for a float, 3 when a window
+overflow aborts the run.
 
 Output is a header line (run metadata: timestamp and body hash) followed by
 canonical JSON record lines; bodies are byte-identical across repeated runs.
@@ -25,7 +26,13 @@ from .dynamics import (
     probe_series_necessary,
     probe_sup_necessary,
 )
-from .errors import NotCentral, PreconditionFailed, ScenarioError, WindowOverflow
+from .errors import (
+    NonFiniteIntegrand,
+    NotCentral,
+    PreconditionFailed,
+    ScenarioError,
+    WindowOverflow,
+)
 from .errors import TOL_INVARIANCE
 from .functions import SparseFunction, indicator, integrate_haar, translate
 from .operators import CenterPowers
@@ -334,6 +341,9 @@ def main(argv=None) -> int:
     except WindowOverflow as exc:
         print(f"window overflow: {exc}", file=sys.stderr)
         return 3
+    except NonFiniteIntegrand as exc:
+        print(f"non-finite norm: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return 2

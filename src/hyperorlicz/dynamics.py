@@ -79,8 +79,11 @@ class AperiodicityVerdict:
             raise ValueError("first_n must be present exactly when the verdict holds")
 
 
-def _tail_verdict(horizon: int, bad: dict[int, tuple[int, ...]],
-                  inconclusive: list[int]) -> AperiodicityVerdict:
+def _tail_verdict(horizon: int,
+                  overlaps: dict[int, set[int] | None]) -> AperiodicityVerdict:
+    """Verdict from the overlap found at each index, None where it was skipped."""
+    bad = {n: s for n, s in overlaps.items() if s}
+    inconclusive = [n for n, s in overlaps.items() if s is None]
     blocked = set(bad) | set(inconclusive)
     first = max(blocked) + 1 if blocked else 1
     holds = first <= horizon
@@ -91,6 +94,24 @@ def _tail_verdict(horizon: int, bad: dict[int, tuple[int, ...]],
         counterexamples=tuple(sorted((n, tuple(sorted(s))) for n, s in bad.items())),
         inconclusive=tuple(sorted(inconclusive)),
     )
+
+
+def _overlaps(model: HypergroupModel, eta: EtaSequence, e: Sequence[int],
+              horizon: int, signs: tuple[int, ...]) -> dict[int, set[int] | None]:
+    """For n = 1..horizon, the labels E shares with E translated by the
+    (s n)-th sequence points over the signs s, or None when a translate
+    leaves the window."""
+    eset = set(e)
+    out: dict[int, set[int] | None] = {}
+    for n in range(1, horizon + 1):
+        overlap: set[int] | None = set()
+        try:
+            for sign in signs:
+                overlap |= eset & model.set_convolve(e, [eta(sign * n)])
+        except WindowOverflow:
+            overlap = None
+        out[n] = overlap
+    return out
 
 
 def _require_set(model: HypergroupModel, e_set: Iterable[int]) -> tuple[int, ...]:
@@ -107,20 +128,7 @@ def aperiodic_sequence_check(model: HypergroupModel, eta: EtaSequence,
     """Disjointness of E from E translated by the n-th and (-n)-th sequence
     points, for every n up to the horizon."""
     e = _require_set(model, e_set)
-    eset = set(e)
-    bad: dict[int, tuple[int, ...]] = {}
-    inconclusive: list[int] = []
-    for n in range(1, horizon + 1):
-        try:
-            fwd = model.set_convolve(e, [eta(n)])
-            bwd = model.set_convolve(e, [eta(-n)])
-        except WindowOverflow:
-            inconclusive.append(n)
-            continue
-        overlap = (eset & fwd) | (eset & bwd)
-        if overlap:
-            bad[n] = tuple(overlap)
-    return _tail_verdict(horizon, bad, inconclusive)
+    return _tail_verdict(horizon, _overlaps(model, eta, e, horizon, (1, -1)))
 
 
 def strongly_aperiodic_check(model: HypergroupModel, eta: EtaSequence,
@@ -140,8 +148,7 @@ def strongly_aperiodic_check(model: HypergroupModel, eta: EtaSequence,
                 cache[idx] = None
         return cache[idx]
 
-    bad: dict[int, tuple[int, ...]] = {}
-    inconclusive: list[int] = []
+    overlaps: dict[int, set[int] | None] = {}
     for n in range(1, horizon + 1):
         overlap: set[int] = set()
         skipped = False
@@ -155,11 +162,8 @@ def strongly_aperiodic_check(model: HypergroupModel, eta: EtaSequence,
                     skipped = True
                     continue
                 overlap |= a & b
-        if overlap:
-            bad[n] = tuple(overlap)
-        elif skipped:
-            inconclusive.append(n)
-    return _tail_verdict(horizon, bad, inconclusive)
+        overlaps[n] = None if skipped and not overlap else overlap
+    return _tail_verdict(horizon, overlaps)
 
 
 @dataclass(frozen=True)
@@ -177,19 +181,7 @@ def aperiodic_center_check(model: HypergroupModel, z: int, e_set: Iterable[int],
     eta = CenterPowers(model, z)
     # The direct reading uses positive shifts only.
     e = _require_set(model, e_set)
-    eset = set(e)
-    bad: dict[int, tuple[int, ...]] = {}
-    inconclusive: list[int] = []
-    for n in range(1, horizon + 1):
-        try:
-            fwd = model.set_convolve(e, [eta(n)])
-        except WindowOverflow:
-            inconclusive.append(n)
-            continue
-        overlap = eset & fwd
-        if overlap:
-            bad[n] = tuple(overlap)
-    direct = _tail_verdict(horizon, bad, inconclusive)
+    direct = _tail_verdict(horizon, _overlaps(model, eta, e, horizon, (1,)))
     pairwise = strongly_aperiodic_check(model, eta, e_set, horizon, rs_bound)
     return CenterAperiodicityReport(
         direct=direct, pairwise=pairwise,
@@ -269,24 +261,10 @@ def _verdict(rows: Sequence[CriterionRow], ratio_goal: bool,
 
 def _qualifying_indices(model: HypergroupModel, eta: EtaSequence,
                         e: Sequence[int], horizon: int,
-                        both_signs: bool) -> tuple[list[int], list[int]]:
-    """Indices n whose translates of E are disjoint from E, plus skipped ones."""
-    eset = set(e)
-    good: list[int] = []
-    skipped: list[int] = []
-    for n in range(1, horizon + 1):
-        try:
-            fwd = model.set_convolve(e, [eta(n)])
-            disjoint = not (eset & fwd)
-            if both_signs and disjoint:
-                bwd = model.set_convolve(e, [eta(-n)])
-                disjoint = not (eset & bwd)
-        except WindowOverflow:
-            skipped.append(n)
-            continue
-        if disjoint:
-            good.append(n)
-    return good, skipped
+                        signs: tuple[int, ...]) -> list[int]:
+    """Indices n whose translates of E over the signs are disjoint from E."""
+    return [n for n, overlap in _overlaps(model, eta, e, horizon, signs).items()
+            if overlap == set()]
 
 
 def _sup_necessary_profile(model: HypergroupModel, w: Weight, eta: EtaSequence,
@@ -310,7 +288,7 @@ def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     indicator must vanish in sup norm on sublevel subsets that exhaust E."""
     e = _require_set(model, e_set)
     # The finite window gives the L^1 embedding, so it needs no check here.
-    good, _ = _qualifying_indices(model, eta, e, horizon, both_signs=False)
+    good = _qualifying_indices(model, eta, e, horizon, (1,))
     if not good:
         raise PreconditionFailed(
             "aperiodicity", "no index below the horizon separates the set")
@@ -407,7 +385,7 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
     sufficiency_ok = (phi.delta2 == "proven"
                       and w.inf_over(model.carrier) > 0.0
                       and phi.strictly_increasing)
-    good, _ = _qualifying_indices(model, eta, e, horizon, both_signs=True)
+    good = _qualifying_indices(model, eta, e, horizon, (1, -1))
     if not good:
         raise PreconditionFailed("aperiodicity", "no separating index below horizon")
     m_e = measure_of_set(model, e)
@@ -467,7 +445,7 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
             "center-aperiodicity",
             f"powers of {z} keep meeting the set below the horizon")
     eta = CenterPowers(model, z)
-    good, _ = _qualifying_indices(model, eta, e, horizon, both_signs=True)
+    good = _qualifying_indices(model, eta, e, horizon, (1, -1))
     if not good:
         raise PreconditionFailed("aperiodicity", "no separating index below horizon")
     m_e = measure_of_set(model, e)

@@ -363,6 +363,7 @@ class HypergroupModel:
             and _is_point_mass(self._pair(self.involution(x), x)[0], self.identity)
         )
         self._center = CenterReport(members=members, horizon=self.window)
+        self._central = frozenset(members)    # membership tests on hot paths
 
     # -- basic structure ---------------------------------------------------
 
@@ -448,7 +449,7 @@ class HypergroupModel:
 
     def point_product(self, x: int, z: int) -> int:
         """The single support point of delta_x * delta_z for central z."""
-        if z not in self._center.members:
+        if z not in self._central:
             raise NotCentral(f"label {z} is not in the center")
         self._require_in_window(x)
         supp = tuple(self._pair(x, z)[0])

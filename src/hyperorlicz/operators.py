@@ -9,10 +9,17 @@ factors (indices 0..n).  The exclusive convention is the default everywhere.
 
 Weight factors at a point x are translated values, i.e. integrals of the
 weight against delta_x convolved with the reflected sequence point; closed
-weight forms evaluate at any label, never falling back to zero.  Each
-factor is computed once per (weight, model, point, sequence point) and then
-reused by every product that needs it; products still multiply right to left,
-so the float bits match a fresh computation.
+weight forms evaluate at any label, never falling back to zero.  The weight
+keeps one row of factors per (model, sequence, point), row[j] being the
+factor for the sequence point of index -j, and lengthens it only when a
+product needs more factors.  A product is ``math.prod`` over the reversed
+slice of the row, started at the value it multiplies.  ``math.prod``
+multiplies C doubles left to right and an IEEE product does not depend on
+the order of its two operands, so the result has the bits of the loop
+``acc = row[j] * acc`` for j from the last factor down to 0, the rounding
+of iterating the single-step operator.  The hereditary pair likewise keeps
+the weight values along each orbit of a center element and multiplies them
+in walk order.
 """
 from __future__ import annotations
 
@@ -86,11 +93,11 @@ class Weight:
             object.__setattr__(self, "_lookup_cache", d)
         return d
 
-    def _factors(self, model) -> dict[tuple[int, int], float]:
-        """Memo of translated weight factors on ``model``, keyed by
-        (x, sequence point); it only ever gains entries equal to what
-        :func:`translated_weight` returns."""
-        return self.__dict__.setdefault("_factor_cache", {}).setdefault(model, {})
+    def _memo(self, *key) -> dict:
+        """Per-point cache of values derived from this weight, one dict per
+        ``key``.  An entry is only ever replaced by one that extends it, so a
+        reader racing a writer sees correct values."""
+        return self.__dict__.setdefault("_memo_cache", {}).setdefault(key, {})
 
     def sup_over(self, labels) -> float:
         vals = [self(x) for x in labels]
@@ -139,7 +146,7 @@ class CenterPowers(EtaSequence):
     is_central = True
 
     def __init__(self, model: HypergroupModel, z: int):
-        if z not in model.center_elements().members:
+        if z not in model._central:
             raise NotCentral(f"label {z} is not central")
         self.model = model
         self.z = z
@@ -167,8 +174,7 @@ class TableEta(EtaSequence):
             if k < 1:
                 raise ValueError("table entries are indexed from 1")
             model._require_in_window(v)
-        self.is_central = all(v in model.center_elements().members
-                              for v in self._entries.values())
+        self.is_central = all(v in model._central for v in self._entries.values())
 
     def __call__(self, n: int) -> int:
         if n == 0:
@@ -199,16 +205,19 @@ def translated_weight(model: HypergroupModel, w: Weight, x: int, y: int) -> floa
 def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
              count: int, acc: float) -> float:
     """Multiply the translated weight factors at x for indices count-1 down
-    to 0 onto acc, innermost first.  Each factor is computed once per
-    (model, x, sequence point) and then read from the weight's memo."""
-    memo = w._factors(model)
-    for j in range(count - 1, -1, -1):
-        y = eta(-j)
-        factor = memo.get((x, y))
-        if factor is None:
-            factor = memo[(x, y)] = translated_weight(model, w, x, y)
-        acc = factor * acc
-    return acc
+    to 0 onto acc, innermost first, from the weight's row for (model, eta, x);
+    see the module docstring for why the bits match the plain loop."""
+    if count == 0:
+        return acc
+    rows = w._memo("rows", model, eta)
+    row = rows.get(x, ())
+    if len(row) < count:
+        # Missing factors are computed from the highest index down, the order
+        # of the plain loop, so a failing index raises the same error.
+        new = [translated_weight(model, w, x, eta(-j))
+               for j in range(count - 1, len(row) - 1, -1)]
+        row = rows[x] = row + tuple(reversed(new))
+    return math.prod(row[count - 1::-1], start=acc)
 
 
 def weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
@@ -274,25 +283,41 @@ def apply_right_inverse(model: HypergroupModel, f: SparseFunction, w: Weight,
     return SparseFunction.from_dict(out)
 
 
+def _orbit_values(model: HypergroupModel, w: Weight, x: int, step: int,
+                  count: int) -> tuple[float, ...]:
+    """Weight values at x*step, x*step^2, ..., x*step^count.
+
+    The walk takes one point product per point, so it leaves the window at
+    the same power as a fresh walk would (the power of step itself may leave
+    it at another).  The values are cached per (model, x, step) on the weight
+    and the walk resumes from the last point reached.
+    """
+    orbits = w._memo("orbit", model, step)
+    vals, cur = orbits.get(x, ((), x))
+    if len(vals) < count:
+        new = []
+        for _ in range(count - len(vals)):
+            cur = model.point_product(cur, step)
+            new.append(w(cur))
+        vals = vals + tuple(new)
+        orbits[x] = (vals, cur)
+    return vals[:count]
+
+
 def hereditary_weight_pair(model: HypergroupModel, x: int, z: int, w: Weight,
                            n: int) -> tuple[float, float]:
     """Forward product over shifts by powers of z (indices 1..n) and the
     reciprocal backward product over shifts by powers of the involution
-    (indices 0..n-1)."""
-    if z not in model.center_elements().members:
+    (indices 0..n-1), each multiplied left to right in walk order."""
+    if z not in model._central:
         raise NotCentral(f"label {z} is not central")
     if n < 0:
         raise ValueError("step index must be nonnegative")
-    fwd = 1.0
-    cur = x
-    for _ in range(n):
-        cur = model.point_product(cur, z)
-        fwd *= w(cur)
-    zinv = model.involution(z)
-    back = 1.0
-    cur = x
-    for j in range(n):
-        back *= w(cur)
-        if j < n - 1:
-            cur = model.point_product(cur, zinv)
+    if n == 0:
+        return 1.0, 1.0
+    fwd = math.prod(_orbit_values(model, w, x, z, n), start=1.0)
+    # The backward walk starts at x itself (1.0 * w(x) is w(x) exactly) and
+    # takes n-1 steps.
+    back = math.prod(_orbit_values(model, w, x, model.involution(z), n - 1),
+                     start=w(x))
     return fwd, 1.0 / back

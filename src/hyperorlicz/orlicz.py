@@ -139,10 +139,6 @@ def tabulated_young(knots) -> YoungFunction:
     return YoungFunction(kind="tabulated", knots=ks, strictly_increasing=strictly)
 
 
-def young_eval(phi: YoungFunction, t: float) -> float:
-    return phi(t)
-
-
 def young_inverse(phi: YoungFunction, y: float) -> float:
     """Smallest t with phi(t) >= y, by doubling then bisection."""
     if y <= 0.0:
@@ -245,7 +241,10 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
     The bracket starts from the heuristic max|f| / phi^{-1}(1 / smallest
     support weight) and is expanded geometrically until it straddles the
     defining inequality.  The returned value is the upper bracket end, so the
-    inequality holds at the value itself.
+    inequality holds at the value itself.  The expansion stops where the
+    argument max|f| / k of phi leaves [1e-300, 1e300], raising
+    NonFiniteIntegrand below and returning 0 above; the caps are relative to
+    the data, so very large or very small finite norms are still found.
     """
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
@@ -267,7 +266,7 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
         while excess(hi):
             hi *= 2.0
             iters += 1
-            if hi > 1e300:
+            if fmax / hi < 1e-300:
                 raise NonFiniteIntegrand("modular never falls to 1")
     else:
         hi = k0
@@ -276,7 +275,7 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
             hi = lo
             lo *= 0.5
             iters += 1
-            if lo < 1e-300:
+            if fmax / lo > 1e300:
                 # modular stays below 1 for every positive scaling: norm 0
                 return NormResult(0.0, iters, (0.0, 0.0))
     while hi - lo > rtol * hi:

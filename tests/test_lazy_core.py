@@ -3,7 +3,8 @@
 ``EagerReference`` keeps the earlier core as the oracle: every pair of the
 carrier convolved up front into a validated SparseMeasure, fit read from the
 full support, translation scanning the whole carrier, weight factors
-recomputed for every product, and associativity checked by allocating
+recomputed for every product and multiplied one at a time, hereditary pairs
+walked afresh on every call, and associativity checked by allocating
 measures and catching WindowOverflow.  The lazy core must agree with it bit
 for bit (``==`` on floats), including which calls raise.
 """
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import hyperorlicz as hz
 from hyperorlicz import hypergroups
-from hyperorlicz.errors import EPS_PROB, TOL_ASSOC, TOL_ATOM, WindowOverflow
+from hyperorlicz.errors import EPS_PROB, TOL_ASSOC, TOL_ATOM, NotCentral, WindowOverflow
 from hyperorlicz.functions import SparseFunction
 from hyperorlicz.hypergroups import (
     AxiomViolation,
@@ -45,6 +46,7 @@ class EagerReference:
                 mu = SparseMeasure.from_dict(raw(x, y))
                 self.table[(x, y)] = mu
                 self.fits[(x, y)] = all(u in self.cset for u in mu.support())
+        self.central = self.center_members()
 
     def center_members(self):
         m, e = self.model, self.model.identity
@@ -95,27 +97,60 @@ class EagerReference:
         return SparseFunction.from_dict(out)
 
     def translated_weight(self, w, x, y):
+        if x not in self.cset or y not in self.cset:
+            raise ValueError("reference")
         s = 0.0
         for u, m in self.table[(x, y)].atoms:
             s += w(u) * m
         return s
 
-    def weight_product(self, w, eta, x, n, convention):
-        acc = 1.0
-        for j in range(convention.factors(n) - 1, -1, -1):
+    def cocycle(self, w, eta, x, count, acc):
+        for j in range(count - 1, -1, -1):
             acc = self.translated_weight(w, x, eta(-j)) * acc
         return acc
+
+    def weight_product(self, w, eta, x, n, convention):
+        return self.cocycle(w, eta, x, convention.factors(n), 1.0)
 
     def apply_weighted_translation(self, f, w, eta, n, convention):
         t = self.translate(f, eta(-n))
         out = {}
         for x, tv in t.values:
-            val = tv
-            for j in range(convention.factors(n) - 1, -1, -1):
-                val = self.translated_weight(w, x, eta(-j)) * val
+            val = self.cocycle(w, eta, x, convention.factors(n), tv)
             if val != 0.0:
                 out[x] = val
         return SparseFunction.from_dict(out)
+
+    def point_product(self, x, z):
+        if z not in self.central:
+            raise NotCentral("reference")
+        if x not in self.cset:
+            raise ValueError("reference")
+        supp = self.table[(x, z)].support()
+        if len(supp) != 1:
+            raise NotCentral("reference")
+        if supp[0] not in self.cset:
+            raise WindowOverflow("reference")
+        return supp[0]
+
+    def hereditary_weight_pair(self, x, z, w, n):
+        if z not in self.central:
+            raise NotCentral("reference")
+        if n < 0:
+            raise ValueError("reference")
+        fwd = 1.0
+        cur = x
+        for _ in range(n):
+            cur = self.point_product(cur, z)
+            fwd *= w(cur)
+        zinv = self.model.involution(z)
+        back = 1.0
+        cur = x
+        for j in range(n):
+            back *= w(cur)
+            if j < n - 1:
+                cur = self.point_product(cur, zinv)
+        return fwd, 1.0 / back
 
     def verify_axioms(self, triple_bound):
         m, out, e = self.model, [], self.model.identity
@@ -261,7 +296,8 @@ def broken_tables(draw):
 # Values with long mantissas, so a changed summation order shows in the bits.
 VALUES = st.one_of(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
                    st.integers(-10**6, 10**6).map(lambda k: k / 997.0))
-POSITIVE = st.floats(0.125, 8.0)
+POSITIVE = st.one_of(st.floats(0.125, 8.0),
+                     st.integers(125, 7976).map(lambda k: k / 997.0))
 
 
 def functions(draw, model):
@@ -284,12 +320,12 @@ def weights(draw):
     return hz.geometric_weight(draw(POSITIVE), draw(st.floats(0.5, 2.0)))
 
 
-def sequences(draw, model):
+def sequences(draw, model, indices=range(1, 9)):
     central = [z for z in model.center_elements().members if z != model.identity]
     if central and draw(st.booleans()):
         return hz.center_powers(model, draw(st.sampled_from(central)))
     points = st.sampled_from(model.carrier)
-    return hz.eta_from_table(model, {k: draw(points) for k in range(1, 9)})
+    return hz.eta_from_table(model, {k: draw(points) for k in indices})
 
 
 # -- tests ----------------------------------------------------------------------
@@ -349,6 +385,44 @@ def test_weight_factors_match_fresh_products(data):
         assert (outcome(hz.weight_product, model, w, eta, x, n, convention)
                 == outcome(ref.weight_product, w, eta, x, n, convention))
         f = functions(data.draw, model)
+        got = outcome(hz.apply_weighted_translation, model, f, w, eta, n, convention)
+        want = outcome(ref.apply_weighted_translation, f, w, eta, n, convention)
+        assert got == want
+        if isinstance(got, SparseFunction):
+            assert got.values == want.values
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_factor_rows_and_orbits_match_plain_loops(data):
+    """Rows and orbit caches filled by earlier calls, including calls that
+    raised, give the plain loops' floats and errors on later calls."""
+    model, ref = data.draw(models())
+    w = data.draw(weights())
+    # Tables may have gaps and stop early, and powers of a center element
+    # may leave the window: n runs past both, rising in steps of `stride`
+    # (so rows grow by one or by several factors), then falling.
+    reach = 2 * model.window + 3
+    eta = sequences(data.draw, model,
+                    indices=data.draw(st.sets(st.integers(1, reach), max_size=12)))
+    z = data.draw(st.sampled_from(model.center_elements().members))
+    # Walks from the window's edges leave it after a single step.
+    edges = (model.carrier[0], model.carrier[-1])
+    outside = (edges[0] - 1, edges[1] + 1)
+    xs = edges + tuple(data.draw(st.lists(st.sampled_from(model.carrier + outside),
+                                          max_size=2, unique=True)))
+    stride = data.draw(st.sampled_from((1, 2, 5)))
+    falling = sorted(data.draw(st.lists(st.integers(0, reach), max_size=6)),
+                     reverse=True)
+    for n in list(range(0, reach + 1, stride)) + falling:
+        for x in xs:
+            for convention in ProductConvention:
+                assert (outcome(hz.weight_product, model, w, eta, x, n, convention)
+                        == outcome(ref.weight_product, w, eta, x, n, convention))
+            assert (outcome(hz.hereditary_weight_pair, model, x, z, w, n)
+                    == outcome(ref.hereditary_weight_pair, x, z, w, n))
+        f = SparseFunction.from_dict({x: data.draw(VALUES) for x in xs})
+        convention = data.draw(st.sampled_from(tuple(ProductConvention)))
         got = outcome(hz.apply_weighted_translation, model, f, w, eta, n, convention)
         want = outcome(ref.apply_weighted_translation, f, w, eta, n, convention)
         assert got == want

@@ -6,36 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
-from hyperorlicz.orlicz import complementary_eval, young_eval, young_inverse
+from hyperorlicz.orlicz import complementary_eval, young_inverse
 
 COSH1 = 0.5430806348152437  # cosh(1) - 1
 
 
 def test_young_evaluations():
-    assert young_eval(hz.phi_p(2.0), 2.0) == 2.0
-    assert young_eval(hz.exp_minus_linear(), 0.0) == 0.0
-    assert young_eval(hz.cosh_minus_one(), 1.0) == pytest.approx(COSH1, rel=1e-15)
-    assert young_eval(hz.phi_p(1.0), 3.0) == 3.0
+    assert hz.phi_p(2.0)(2.0) == 2.0
+    assert hz.exp_minus_linear()(0.0) == 0.0
+    assert hz.cosh_minus_one()(1.0) == pytest.approx(COSH1, rel=1e-15)
+    assert hz.phi_p(1.0)(3.0) == 3.0
 
 
 def test_young_overflow_to_infinity():
-    assert young_eval(hz.exp_minus_linear(), 800.0) == math.inf
-    assert young_eval(hz.cosh_minus_one(), 2000.0) == math.inf
-    assert young_eval(hz.phi_p(3.0), 1e200) == math.inf
+    assert hz.exp_minus_linear()(800.0) == math.inf
+    assert hz.cosh_minus_one()(2000.0) == math.inf
+    assert hz.phi_p(3.0)(1e200) == math.inf
 
 
 def test_young_inverse_roundtrip():
     for phi in (hz.phi_p(1.5), hz.cosh_minus_one(), hz.exp_minus_linear()):
         for target in (0.25, 1.0, 7.5):
             t = young_inverse(phi, target)
-            assert young_eval(phi, t) == pytest.approx(target, rel=1e-9)
+            assert phi(t) == pytest.approx(target, rel=1e-9)
 
 
 def test_tabulated_young_interpolation_and_validation():
     phi = hz.tabulated_young([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)])
-    assert young_eval(phi, 0.5) == 0.25
-    assert young_eval(phi, 1.5) == 1.25
-    assert young_eval(phi, 3.0) == 3.5  # final slope 1.5 extrapolates
+    assert phi(0.5) == 0.25
+    assert phi(1.5) == 1.25
+    assert phi(3.0) == 3.5  # final slope 1.5 extrapolates
     with pytest.raises(ValueError):
         hz.tabulated_young([(0.5, 0.0), (1.0, 1.0)])  # must start at the origin
     with pytest.raises(ValueError):
@@ -105,9 +105,28 @@ def test_luxemburg_defining_inequality_holds_at_value(dr05):
     phi = hz.cosh_minus_one()
     f = hz.SparseFunction.from_dict({0: 2.0, 3: 1.0, 7: -0.5})
     res = hz.luxemburg_norm(dr05, f, phi)
-    total = sum(young_eval(phi, abs(v) / res.value) * dr05.haar[x]
+    total = sum(phi(abs(v) / res.value) * dr05.haar[x]
                 for x, v in f.values)
     assert total <= 1.0 + 1e-9
+
+
+def test_luxemburg_caps_scale_with_the_data():
+    # The peak argument max|f| / k stays near phi^{-1}(1), so a peak of 1e300
+    # has a finite gauge norm of about 1e300 / 1.146 under e^t - t - 1.
+    phi = hz.exp_minus_linear()
+    f = hz.SparseFunction.from_dict({0: 1e300})
+    res = hz.luxemburg_norm(hz.integer_group(40), f, phi)
+    assert res.value == pytest.approx(1e300 / young_inverse(phi, 1.0), rel=1e-9)
+    assert phi(1e300 / res.value) <= 1.0
+    # At the other end, phi_1 gives the l1 norm of a tiny peak, not 0.
+    tiny = hz.SparseFunction.from_dict({0: 1e-300})
+    res = hz.luxemburg_norm(hz.integer_group(40), tiny, hz.phi_p(1.0))
+    assert res.value == pytest.approx(1e-300, rel=1e-9)
+    # A norm beyond the float range is still reported as non-finite.
+    steep = hz.tabulated_young([(0.0, 0.0), (1.0, 1e10)])
+    heavy = hz.dunkl_ramirez(0.1, 300)
+    with pytest.raises(hz.NonFiniteIntegrand):
+        hz.luxemburg_norm(heavy, hz.indicator([300]), steep)
 
 
 def test_orlicz_golden_values(dr05):

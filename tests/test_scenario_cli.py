@@ -172,6 +172,26 @@ def test_cli_window_overflow_exit_code(tmp_path, monkeypatch):
     assert run_cli(["--scenario", path, "--command", "axioms"]) == 3
 
 
+def test_cli_norm_of_a_huge_peak(tmp_path, capsys):
+    data = {"id": "huge-peak",
+            "hypergroup": {"family": "integers", "window": 40},
+            "young": {"kind": "exp_minus_linear"},
+            "weight": {"form": "constant", "value": 1.0},
+            "sets": {"E": [0]}, "functions": {"f": {0: 1e300}},
+            "run": {"horizon": 4}}
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "norm"]) == 0
+    record = json.loads(capsys.readouterr().out.strip().split("\n")[1])
+    assert record["gauge"] == pytest.approx(8.7245e299, rel=1e-4)
+    # A norm beyond the float range exits 2 with a line on stderr.
+    data.update(hypergroup={"family": "dunkl_ramirez", "a": 0.1, "window": 300},
+                young={"kind": "tabulated", "knots": [[0.0, 0.0], [1.0, 1e10]]},
+                sets={"E": [300]}, functions={"f": {300: 1.0}})
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "norm"]) == 2
+    assert capsys.readouterr().err.startswith("non-finite norm:")
+
+
 def test_cli_witness_and_orbit(tmp_path, capsys):
     path = write_scenario(tmp_path, DOUBLING)
     assert run_cli(["--scenario", path, "--command", "witness"]) == 0
