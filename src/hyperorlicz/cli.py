@@ -43,17 +43,13 @@ from .scenario import Scenario, load_scenario
 AXIOM_NAMES = ("involution", "probability-mass", "identity",
                "support-identity", "adjoint", "associativity")
 
-PROBE_IDS = ("necessary-sup", "necessary-series", "center", "hereditary")
-
 
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="hyperorlicz",
         description="horizon-bounded checks for weighted translation dynamics")
     parser.add_argument("--scenario", required=True, help="scenario YAML file")
-    parser.add_argument("--command", required=True,
-                        choices=("axioms", "haar", "norm", "aperiodic",
-                                 "probe", "witness", "orbit"))
+    parser.add_argument("--command", required=True, choices=tuple(COMMANDS))
     parser.add_argument("--args", action="append", default=[],
                         metavar="KEY=VALUE", help="command-specific options")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
@@ -94,10 +90,10 @@ def _require_eta(sc: Scenario):
     return sc.eta
 
 
-# -- command handlers; each returns (records, exit_code) --------------------
+# -- command handlers: (scenario, options, seed) -> (records, exit_code) ----
 
 
-def _cmd_axioms(sc: Scenario, opts):
+def _cmd_axioms(sc: Scenario, opts, seed: int):
     bound = sc.run.triple_bound if sc.run.triple_bound is not None \
         else sc.model.window
     violations = sc.model.verify_axioms(bound)
@@ -152,7 +148,7 @@ def _cmd_haar(sc: Scenario, opts, seed: int):
     return records, (0 if ok else 1)
 
 
-def _cmd_norm(sc: Scenario, opts):
+def _cmd_norm(sc: Scenario, opts, seed: int):
     names = [opts["f"]] if "f" in opts else sorted(sc.functions)
     if not names:
         raise ScenarioError("scenario declares no functions to measure")
@@ -194,7 +190,7 @@ def _verdict_records(check: str, verdict):
     return records
 
 
-def _cmd_aperiodic(sc: Scenario, opts):
+def _cmd_aperiodic(sc: Scenario, opts, seed: int):
     eta = _require_eta(sc)
     e = _named_set(sc, opts)
     records = []
@@ -210,28 +206,7 @@ def _cmd_aperiodic(sc: Scenario, opts):
     return records, (0 if verdict.holds_at_horizon else 1)
 
 
-def _probe_report(sc: Scenario, opts):
-    probe_id = opts.get("id")
-    if probe_id not in PROBE_IDS:
-        raise ScenarioError(f"probe id must be one of {PROBE_IDS}, "
-                            f"got {probe_id!r}")
-    e = _named_set(sc, opts)
-    run = sc.run
-    if probe_id == "necessary-sup":
-        eta = _require_eta(sc)
-        return probe_sup_necessary(sc.model, sc.weight, eta, sc.phi, e,
-                                   run.horizon, convention=run.convention)
-    if probe_id == "necessary-series":
-        eta = _require_eta(sc)
-        return probe_series_necessary(sc.model, sc.weight, eta, sc.phi, e,
-                                      run.horizon, run.series_cutoff,
-                                      rs_bound=run.rs_bound,
-                                      convention=run.convention)
-    if probe_id == "center":
-        eta = _require_eta(sc)
-        return probe_center_conditions(sc.model, sc.weight, eta, sc.phi, e,
-                                       run.horizon, convention=run.convention,
-                                       rs_bound=run.rs_bound)
+def _probe_hereditary(sc: Scenario, e, opts):
     if "z" in opts:
         z = int(opts["z"])
     else:
@@ -241,12 +216,33 @@ def _probe_report(sc: Scenario, opts):
                 "central-element",
                 "hereditary probe needs z= or a center-powers sequence")
         z = eta.z
-    return probe_hereditary(sc.model, z, sc.weight, sc.phi, e, run.horizon,
-                            rs_bound=run.rs_bound)
+    return probe_hereditary(sc.model, z, sc.weight, sc.phi, e, sc.run.horizon)
 
 
-def _cmd_probe(sc: Scenario, opts):
-    report = _probe_report(sc, opts)
+# Probe id -> (scenario, set, options) -> CriterionReport.  The entries look
+# the probe functions up by name when called, so patching a module attribute
+# takes effect.
+PROBES = {
+    "necessary-sup": lambda sc, e, opts: probe_sup_necessary(
+        sc.model, sc.weight, _require_eta(sc), sc.phi, e, sc.run.horizon,
+        convention=sc.run.convention),
+    "necessary-series": lambda sc, e, opts: probe_series_necessary(
+        sc.model, sc.weight, _require_eta(sc), sc.phi, e, sc.run.horizon,
+        sc.run.series_cutoff, rs_bound=sc.run.rs_bound,
+        convention=sc.run.convention),
+    "center": lambda sc, e, opts: probe_center_conditions(
+        sc.model, sc.weight, _require_eta(sc), sc.phi, e, sc.run.horizon,
+        convention=sc.run.convention),
+    "hereditary": _probe_hereditary,
+}
+
+
+def _cmd_probe(sc: Scenario, opts, seed: int):
+    probe = PROBES.get(opts.get("id"))
+    if probe is None:
+        raise ScenarioError(f"probe id must be one of {tuple(PROBES)}, "
+                            f"got {opts.get('id')!r}")
+    report = probe(sc, _named_set(sc, opts), opts)
     records = []
     for row in report.rows:
         rec = {"record": "row", "k": row.k, "n": row.n,
@@ -263,7 +259,7 @@ def _cmd_probe(sc: Scenario, opts):
     return records, (0 if report.verdict == "holds_empirically" else 1)
 
 
-def _cmd_witness(sc: Scenario, opts):
+def _cmd_witness(sc: Scenario, opts, seed: int):
     eta = _require_eta(sc)
     f = _named_function(sc, opts.get("f", "f"))
     g = _named_function(sc, opts.get("g", "g"))
@@ -285,7 +281,7 @@ def _cmd_witness(sc: Scenario, opts):
     return records, (0 if report.eventually_decreasing else 1)
 
 
-def _cmd_orbit(sc: Scenario, opts):
+def _cmd_orbit(sc: Scenario, opts, seed: int):
     eta = _require_eta(sc)
     fname = opts.get("f", "f")
     f = _named_function(sc, fname)
@@ -307,23 +303,17 @@ def _cmd_orbit(sc: Scenario, opts):
     return records, 0
 
 
+COMMANDS = {"axioms": _cmd_axioms, "haar": _cmd_haar, "norm": _cmd_norm,
+            "aperiodic": _cmd_aperiodic, "probe": _cmd_probe,
+            "witness": _cmd_witness, "orbit": _cmd_orbit}
+
+
 def run_command(sc: Scenario, command: str, opts: dict[str, str],
                 seed: int) -> tuple[list[dict], int]:
-    if command == "axioms":
-        return _cmd_axioms(sc, opts)
-    if command == "haar":
-        return _cmd_haar(sc, opts, seed)
-    if command == "norm":
-        return _cmd_norm(sc, opts)
-    if command == "aperiodic":
-        return _cmd_aperiodic(sc, opts)
-    if command == "probe":
-        return _cmd_probe(sc, opts)
-    if command == "witness":
-        return _cmd_witness(sc, opts)
-    if command == "orbit":
-        return _cmd_orbit(sc, opts)
-    raise ScenarioError(f"unknown command {command!r}")
+    handler = COMMANDS.get(command)
+    if handler is None:
+        raise ScenarioError(f"unknown command {command!r}")
+    return handler(sc, opts, seed)
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,9 @@ row inside the quartile):
 * the verdict is ``holds_empirically`` when every tracked quantity meets its
   goal, else ``fails``.
 
+The transitivity witness reads its trend by the same rule: both error norms
+must vanish over the last quartile of its unflagged rows.
+
 Per-step window overflows never abort a check; the step is recorded as
 inconclusive or the row is flagged and skipped.
 """
@@ -223,7 +226,8 @@ class CriterionReport:
             raise ValueError("rows must be strictly increasing in n")
 
 
-def _quartile(rows: Sequence[CriterionRow]) -> Sequence[CriterionRow]:
+def _quartile(rows: Sequence) -> Sequence:
+    """The last quarter of the rows, at least two."""
     count = max(2, math.ceil(len(rows) / 4))
     return rows[-count:]
 
@@ -254,17 +258,26 @@ def _verdict(rows: Sequence[CriterionRow], ratio_goal: bool,
         ok = ok and _vanishes([r.metric(name) for r in quart])
     for name in zero_names:
         vals = [r.metric(name) for r in quart]
-        monotone = all(b <= a + TREND_SLACK for a, b in zip(vals, vals[1:]))
-        ok = ok and monotone and vals[-1] <= ZERO_LEVEL
+        ok = ok and _vanishes(vals) and vals[-1] <= ZERO_LEVEL
     return "holds_empirically" if ok else "fails"
 
 
-def _qualifying_indices(model: HypergroupModel, eta: EtaSequence,
-                        e: Sequence[int], horizon: int,
-                        signs: tuple[int, ...]) -> list[int]:
-    """Indices n whose translates of E over the signs are disjoint from E."""
-    return [n for n, overlap in _overlaps(model, eta, e, horizon, signs).items()
-            if overlap == set()]
+def _center_indices(model: HypergroupModel, eta: CenterPowers, e: Sequence[int],
+                    horizon: int) -> list[int]:
+    """The indices n at which E is disjoint from both its translates by the
+    n-th and (-n)-th powers of the center element, after the
+    center-aperiodicity gate: the forward translates must be disjoint from E
+    at the horizon.  One forward and one backward pass serve both."""
+    forward = _overlaps(model, eta, e, horizon, (1,))
+    if not _tail_verdict(horizon, forward).holds_at_horizon:
+        raise PreconditionFailed(
+            "center-aperiodicity",
+            f"powers of {eta.z} keep meeting the set below the horizon")
+    backward = _overlaps(model, eta, e, horizon, (-1,))
+    good = [n for n in forward if forward[n] == set() and backward[n] == set()]
+    if not good:
+        raise PreconditionFailed("aperiodicity", "no separating index below horizon")
+    return good
 
 
 def _sup_necessary_profile(model: HypergroupModel, w: Weight, eta: EtaSequence,
@@ -288,7 +301,8 @@ def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     indicator must vanish in sup norm on sublevel subsets that exhaust E."""
     e = _require_set(model, e_set)
     # The finite window gives the L^1 embedding, so it needs no check here.
-    good = _qualifying_indices(model, eta, e, horizon, (1,))
+    good = [n for n, overlap in _overlaps(model, eta, e, horizon, (1,)).items()
+            if overlap == set()]
     if not good:
         raise PreconditionFailed(
             "aperiodicity", "no index below the horizon separates the set")
@@ -363,8 +377,8 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
 def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
                             phi: YoungFunction, e_set: Iterable[int], horizon: int,
                             eps_schedule: Callable[[int], float] = default_eps_schedule,
-                            convention: ProductConvention = DEFAULT_CONVENTION,
-                            rs_bound: int = 3) -> CriterionReport:
+                            convention: ProductConvention = DEFAULT_CONVENTION
+                            ) -> CriterionReport:
     """Center-sequence conditions: reciprocal weight products and shifted
     products must vanish on sublevel subsets exhausting E.
 
@@ -377,17 +391,10 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
     if not isinstance(eta, CenterPowers):
         raise PreconditionFailed("central-sequence",
                                  "the probe needs powers of a center element")
-    center_rep = aperiodic_center_check(model, eta.z, e, horizon, rs_bound)
-    if not center_rep.direct.holds_at_horizon:
-        raise PreconditionFailed(
-            "center-aperiodicity",
-            f"powers of {eta.z} keep meeting the set below the horizon")
+    good = _center_indices(model, eta, e, horizon)
     sufficiency_ok = (phi.delta2 == "proven"
                       and w.inf_over(model.carrier) > 0.0
                       and phi.strictly_increasing)
-    good = _qualifying_indices(model, eta, e, horizon, (1, -1))
-    if not good:
-        raise PreconditionFailed("aperiodicity", "no separating index below horizon")
     m_e = measure_of_set(model, e)
     rows: list[CriterionRow] = []
     for k, n in enumerate(good, start=1):
@@ -425,8 +432,8 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
 
 def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
                      phi: YoungFunction, e_set: Iterable[int], horizon: int,
-                     eps_schedule: Callable[[int], float] = default_eps_schedule,
-                     rs_bound: int = 3) -> CriterionReport:
+                     eps_schedule: Callable[[int], float] = default_eps_schedule
+                     ) -> CriterionReport:
     """Hereditary two-sided condition along powers of a center element: the
     forward products and reciprocal backward products must both vanish on
     sublevel subsets exhausting E."""
@@ -439,15 +446,7 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
     if phi.delta2 != "proven":
         raise PreconditionFailed("doubling-regularity",
                                  "the criterion needs proven doubling regularity")
-    center_rep = aperiodic_center_check(model, z, e, horizon, rs_bound)
-    if not center_rep.direct.holds_at_horizon:
-        raise PreconditionFailed(
-            "center-aperiodicity",
-            f"powers of {z} keep meeting the set below the horizon")
-    eta = CenterPowers(model, z)
-    good = _qualifying_indices(model, eta, e, horizon, (1, -1))
-    if not good:
-        raise PreconditionFailed("aperiodicity", "no separating index below horizon")
+    good = _center_indices(model, CenterPowers(model, z), e, horizon)
     m_e = measure_of_set(model, e)
     rows: list[CriterionRow] = []
     for k, n in enumerate(good, start=1):
@@ -536,16 +535,10 @@ def build_transitivity_witness(model: HypergroupModel, f: SparseFunction,
                                err_source=err_source, err_target=err_target))
         final = witness
     clean = [r for r in rows if not r.flags]
-    count = max(2, math.ceil(len(clean) / 4))
-    tail = clean[-count:]
+    tail = _quartile(clean)
     decreasing = (len(clean) >= 2
-                  and all(b.err_source <= a.err_source + TREND_SLACK
-                          and b.err_target <= a.err_target + TREND_SLACK
-                          for a, b in zip(tail, tail[1:]))
-                  and (tail[-1].err_source < tail[0].err_source
-                       or tail[-1].err_source <= ZERO_LEVEL)
-                  and (tail[-1].err_target < tail[0].err_target
-                       or tail[-1].err_target <= ZERO_LEVEL))
+                  and _vanishes([r.err_source for r in tail])
+                  and _vanishes([r.err_target for r in tail]))
     return WitnessReport(rows=tuple(rows), eventually_decreasing=decreasing,
                          convention=convention,
                          final_witness=final if final is not None else ZERO_FUNCTION)

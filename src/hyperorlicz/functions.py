@@ -65,11 +65,6 @@ class SparseFunction:
             acc[x] = acc.get(x, 0.0) - v
         return SparseFunction.from_dict(acc)
 
-    def pointwise_product(self, other: "SparseFunction") -> "SparseFunction":
-        small, big = (self, other) if len(self.values) <= len(other.values) else (other, self)
-        return SparseFunction.from_dict(
-            {x: v * big.value_at(x) for x, v in small.values})
-
     def restrict(self, labels: Iterable[int]) -> "SparseFunction":
         keep = set(labels)
         return SparseFunction(tuple((x, v) for x, v in self.values if x in keep))

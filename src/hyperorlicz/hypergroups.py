@@ -6,7 +6,8 @@ masses comes from the family's closed form the first time a pair is asked
 for, and is kept in a per-model memo together with whether its support fits
 the window.  Each family also has a preimage rule, the labels x for which
 delta_x * delta_y has an atom at u, so a translate visits only the points it
-needs instead of the whole carrier.  Exact results whose support leaves the
+needs instead of the whole carrier; the same rule decides whether a
+translate stays in the window.  Exact results whose support leaves the
 window raise :class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever
 truncated silently.
 
@@ -131,8 +132,6 @@ class CenterReport:
 class _Family:
     """Closed-form description of one hypergroup family (untruncated)."""
 
-    name: str = ""
-    params: dict = {}
     signed = False  # carrier includes negative labels
 
     def involution(self, x: int) -> int:
@@ -141,11 +140,13 @@ class _Family:
     def raw_convolve(self, x: int, y: int) -> dict[int, float]:
         raise NotImplementedError
 
-    def preimage(self, u: int, y: int, window: int) -> Iterable[int]:
-        """Carrier labels x where (delta_x * delta_y)({u}) may be nonzero.
+    def preimage(self, u: int, y: int) -> Iterable[int]:
+        """Labels x where (delta_x * delta_y)({u}) may be nonzero, unclipped.
 
-        A superset is allowed (the caller reads the atom), a missing label
-        is not."""
+        A missing label is not allowed.  Extra labels are allowed inside
+        any window (the caller reads the atom), but a returned label outside
+        the window must carry an atom at u: the model derives from this rule
+        whether a translate stays in the window."""
         raise NotImplementedError
 
     def identity_atom_exact(self, x: int):
@@ -156,10 +157,6 @@ class _Family:
         if self.signed:
             return tuple(range(-window, window + 1))
         return tuple(range(0, window + 1))
-
-    def translate_reach_ok(self, f_support: Iterable[int], y: int, window: int) -> bool:
-        """True when the exact support of f translated by y stays in the window."""
-        raise NotImplementedError
 
 
 class _DunklRamirez(_Family):
@@ -173,8 +170,6 @@ class _DunklRamirez(_Family):
         if not (0.0 < a <= 0.5):
             raise ValueError("parameter a must lie in (0, 1/2]")
         self.a = float(a)
-        self.name = "dunkl_ramirez"
-        self.params = {"a": self.a}
 
     def involution(self, x):
         return x
@@ -193,11 +188,11 @@ class _DunklRamirez(_Family):
             out[r] = top
         return out
 
-    def preimage(self, u, y, window):
+    def preimage(self, u, y):
         # Above y only the point max at x = u reaches u; at u = y every
         # x <= y does; below y only the diagonal x = y spreads down to u.
         if u > y:
-            return (u,) if u <= window else ()
+            return (u,)
         if u == y:
             return range(0, y + 1)
         return (y,)
@@ -208,20 +203,11 @@ class _DunklRamirez(_Family):
         a = Fraction(self.a)
         return a**x / (1 - a)
 
-    def translate_reach_ok(self, f_support, y, window):
-        # Contributing points never exceed max(support, y): distinct labels
-        # convolve to the point mass at the maximum, equal labels stay below it.
-        return True
-
 
 class _SU2(_Family):
     """Hermitian family on the nonnegative integers from dimension-weighted
     tensor decompositions: supports run every second label between the
     difference and the sum."""
-
-    def __init__(self):
-        self.name = "su2"
-        self.params = {}
 
     def involution(self, x):
         return x
@@ -230,16 +216,12 @@ class _SU2(_Family):
         den = float((m + 1) * (n + 1))
         return {k: (k + 1) / den for k in range(abs(m - n), m + n + 1, 2)}
 
-    def preimage(self, u, y, window):
+    def preimage(self, u, y):
         # |x - y| <= u <= x + y with x + y - u even
-        return range(abs(u - y), min(u + y, window) + 1, 2)
+        return range(abs(u - y), u + y + 1, 2)
 
     def identity_atom_exact(self, x):
         return Fraction(1, (x + 1) * (x + 1))
-
-    def translate_reach_ok(self, f_support, y, window):
-        sup = max(f_support, default=0)
-        return sup + y <= window
 
 
 class _IntegerGroup(_Family):
@@ -247,24 +229,17 @@ class _IntegerGroup(_Family):
 
     signed = True
 
-    def __init__(self):
-        self.name = "integer_group"
-        self.params = {}
-
     def involution(self, x):
         return -x
 
     def raw_convolve(self, x, y):
         return {x + y: 1.0}
 
-    def preimage(self, u, y, window):
-        return (u - y,) if -window <= u - y <= window else ()
+    def preimage(self, u, y):
+        return (u - y,)
 
     def identity_atom_exact(self, x):
         return Fraction(1)
-
-    def translate_reach_ok(self, f_support, y, window):
-        return all(-window <= u - y <= window for u in f_support)
 
 
 class _TableFamily(_Family):
@@ -275,9 +250,7 @@ class _TableFamily(_Family):
     preimage rule.
     """
 
-    def __init__(self, conv, involution_map, identity, name="table"):
-        self.name = name
-        self.params = {}
+    def __init__(self, conv, involution_map, identity):
         self._inv = involution_map
         self._identity = identity
         self._carrier = tuple(sorted(involution_map))
@@ -302,7 +275,7 @@ class _TableFamily(_Family):
     def raw_convolve(self, x, y):
         return self._conv[(x, y)]
 
-    def preimage(self, u, y, window):
+    def preimage(self, u, y):
         return self._preimages.get((u, y), ())
 
     def identity_atom_exact(self, x):
@@ -314,9 +287,6 @@ class _TableFamily(_Family):
 
     def carrier(self, window):
         return self._carrier
-
-    def translate_reach_ok(self, f_support, y, window):
-        return True  # finite carrier: the table is the whole space
 
 
 class HypergroupModel:
@@ -335,8 +305,6 @@ class HypergroupModel:
     def __init__(self, family: _Family, window: int, identity: int = 0):
         if window < 1:
             raise ValueError("window bound must be at least 1")
-        self.family = family.name
-        self.params = dict(family.params)
         self.window = int(window)
         self.identity = identity
         self._fam = family
@@ -397,8 +365,9 @@ class HypergroupModel:
         return entry
 
     def preimage(self, u: int, y: int) -> Iterable[int]:
-        """Window labels x where (delta_x * delta_y)({u}) may be nonzero."""
-        return self._fam.preimage(u, y, self.window)
+        """Labels x where (delta_x * delta_y)({u}) may be nonzero; see
+        :meth:`_Family.preimage` for what may lie outside the window."""
+        return self._fam.preimage(u, y)
 
     def raw_convolve_points(self, x: int, y: int) -> SparseMeasure:
         """Exact convolution of two point masses, support possibly off-window."""
@@ -462,7 +431,10 @@ class HypergroupModel:
         return p
 
     def translate_reach_ok(self, f_support: Iterable[int], y: int) -> bool:
-        return self._fam.translate_reach_ok(tuple(f_support), y, self.window)
+        """True when every preimage of supp f under y is a window label, so
+        the translate of f by y needs no point outside the window."""
+        labels, preimage = self._labels, self._fam.preimage
+        return all(x in labels for u in f_support for x in preimage(u, y))
 
     # -- verification ------------------------------------------------------
 

@@ -37,11 +37,9 @@ class ProductConvention(enum.Enum):
     INCLUSIVE = "inclusive"              # n+1 factors, indices 0..n
     ITERATE_EXCLUSIVE = "iterate_exclusive"  # n factors, indices 0..n-1
 
-    @property
-    def factors(self):
+    def factors(self, n: int) -> int:
         """Number of weight factors used at step n."""
-        return (lambda n: n + 1) if self is ProductConvention.INCLUSIVE \
-            else (lambda n: n)
+        return n + 1 if self is ProductConvention.INCLUSIVE else n
 
 
 DEFAULT_CONVENTION = ProductConvention.ITERATE_EXCLUSIVE

@@ -19,6 +19,7 @@ from .hypergroups import HypergroupModel
 
 _GRID_DEFAULT = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
 _REFUTE_RATIO = 1e6
+_TINY_PEAK = 2.0**-960  # below this the gauge search rescales the data
 
 
 @dataclass(frozen=True)
@@ -245,10 +246,20 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
     argument max|f| / k of phi leaves [1e-300, 1e300], raising
     NonFiniteIntegrand below and returning 0 above; the caps are relative to
     the data, so very large or very small finite norms are still found.
+
+    The modular scales by 1 / k, which overflows once k falls below about
+    5.6e-309.  So when max|f| is below 2^-960 the search runs on f times an
+    exact power of two and scales the result back: the norm is homogeneous,
+    and every scaling and bisection step of the search is then exact.
     """
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
     fmax = f.max_abs()
+    shift = 0
+    if fmax < _TINY_PEAK:
+        shift = -math.frexp(fmax)[1]
+        f = SparseFunction(tuple((x, math.ldexp(v, shift)) for x, v in f.values))
+        fmax = f.max_abs()
     m_min = min(model.haar[x] for x, _ in f.values)
     try:
         t_inv = young_inverse(phi, 1.0 / m_min)
@@ -285,6 +296,7 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
         else:
             hi = mid
         iters += 1
+    lo, hi = math.ldexp(lo, -shift), math.ldexp(hi, -shift)
     return NormResult(hi, iters, (lo, hi))
 
 

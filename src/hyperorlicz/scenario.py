@@ -44,10 +44,13 @@ Grammar (top-level keys, unknown keys rejected):
 Validation is eager: the hypergroup is built (axioms of table families are
 checked on construction), the declared sequence is dry-run over every index
 up to the horizon in both directions, and every set and function label must
-lie in the window.  Failures raise ScenarioError with the offending path.
+lie in the window.  Every number passes through one converter, so a value
+that is not a finite int or float (null, a word, a list, a mapping) is a
+ScenarioError too.  Failures raise ScenarioError with the offending path.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -114,6 +117,25 @@ def _need(mapping, key, path, kind=None):
     return value
 
 
+def _scalar(value, kind, path):
+    """value converted by kind (int or float); a value kind cannot convert
+    to a finite number raises ScenarioError at path."""
+    try:
+        out = kind(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ScenarioError(f"{path}: expected a finite {kind.__name__}, got {value!r}")
+
+
+def _mapping(value, path) -> dict:
+    """value itself when it is a mapping, else ScenarioError at path."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{path}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
 def _no_extras(mapping, allowed, path):
     extra = set(mapping) - set(allowed)
     if extra:
@@ -125,15 +147,8 @@ def _int_labels(mapping, path) -> dict[int, float]:
     for k, v in mapping.items():
         if not isinstance(k, int) or isinstance(k, bool):
             raise ScenarioError(f"{path}: labels must be integers, got {k!r}")
-        out[k] = float(v)
+        out[k] = _scalar(v, float, f"{path}.{k}")
     return out
-
-
-def _int_label(value, path) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: labels must be integers, got {value!r}") from exc
 
 
 def _build_model(section, path) -> HypergroupModel:
@@ -149,17 +164,17 @@ def _build_model(section, path) -> HypergroupModel:
         return su2(window)
     if family == "dunkl_ramirez":
         _no_extras(section, {"family", "window", "a"}, path)
-        a = float(_need(section, "a", path))
+        a = _scalar(_need(section, "a", path), float, f"{path}.a")
         if not 0.0 < a <= 0.5:
             raise ScenarioError(f"{path}.a: must lie in (0, 1/2]")
         return dunkl_ramirez(a, window)
     if family == "table":
         _no_extras(section, {"family", "window", "identity", "involution", "table"},
                    path)
-        identity = section.get("identity", 0)
+        identity = _scalar(section.get("identity", 0), int, f"{path}.identity")
         involution_raw = _need(section, "involution", path, dict)
-        involution = {_int_label(k, f"{path}.involution"):
-                      _int_label(v, f"{path}.involution.{k}")
+        involution = {_scalar(k, int, f"{path}.involution"):
+                      _scalar(v, int, f"{path}.involution.{k}")
                       for k, v in involution_raw.items()}
         rows = _need(section, "table", path, list)
         conv = {}
@@ -168,8 +183,8 @@ def _build_model(section, path) -> HypergroupModel:
                     and isinstance(row[2], dict)):
                 raise ScenarioError(
                     f"{path}.table[{i}]: expected [x, y, {{label: mass}}]")
-            conv[(_int_label(row[0], f"{path}.table[{i}][0]"),
-                  _int_label(row[1], f"{path}.table[{i}][1]"))] = _int_labels(
+            conv[(_scalar(row[0], int, f"{path}.table[{i}][0]"),
+                  _scalar(row[1], int, f"{path}.table[{i}][1]"))] = _int_labels(
                 row[2], f"{path}.table[{i}]")
         try:
             return table_hypergroup(conv, involution, identity=identity)
@@ -182,7 +197,7 @@ def _build_young(section, path) -> YoungFunction:
     kind = _need(section, "kind", path, str)
     if kind == "phi_p":
         _no_extras(section, {"kind", "p"}, path)
-        p = float(_need(section, "p", path))
+        p = _scalar(_need(section, "p", path), float, f"{path}.p")
         if p < 1.0:
             raise ScenarioError(f"{path}.p: must be >= 1")
         return phi_p(p)
@@ -194,34 +209,43 @@ def _build_young(section, path) -> YoungFunction:
         return cosh_minus_one()
     if kind == "tabulated":
         _no_extras(section, {"kind", "knots"}, path)
-        knots = _need(section, "knots", path, list)
+        knots = []
+        for i, knot in enumerate(_need(section, "knots", path, list)):
+            if not (isinstance(knot, list) and len(knot) == 2):
+                raise ScenarioError(f"{path}.knots[{i}]: expected [t, value]")
+            knots.append(tuple(_scalar(v, float, f"{path}.knots[{i}]") for v in knot))
         try:
-            return tabulated_young([(float(t), float(v)) for t, v in knots])
-        except (ValueError, TypeError) as exc:
+            return tabulated_young(knots)
+        except ValueError as exc:
             raise ScenarioError(f"{path}.knots: {exc}") from exc
     raise ScenarioError(f"{path}.kind: unknown kind {kind!r}")
 
 
 def _build_weight(section, path) -> Weight:
     form = _need(section, "form", path, str)
+
+    def number(key, kind=float):
+        return _scalar(_need(section, key, path), kind, f"{path}.{key}")
+
     try:
         if form == "constant":
             _no_extras(section, {"form", "value"}, path)
-            return constant_weight(float(_need(section, "value", path)))
+            return constant_weight(number("value"))
         if form == "step":
             _no_extras(section, {"form", "threshold", "low", "high"}, path)
-            return step_weight(int(_need(section, "threshold", path)),
-                               float(_need(section, "low", path)),
-                               float(_need(section, "high", path)))
+            return step_weight(number("threshold", int), number("low"),
+                               number("high"))
         if form == "table":
             _no_extras(section, {"form", "entries", "default"}, path)
             entries = _int_labels(_need(section, "entries", path, dict),
                                   f"{path}.entries")
-            return table_weight(entries, float(section.get("default", 1.0)))
+            return table_weight(entries, _scalar(section.get("default", 1.0),
+                                                 float, f"{path}.default"))
         if form == "geometric":
             _no_extras(section, {"form", "base", "ratio"}, path)
-            return geometric_weight(float(_need(section, "base", path)),
-                                    float(_need(section, "ratio", path)))
+            return geometric_weight(number("base"), number("ratio"))
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     raise ScenarioError(f"{path}.form: unknown form {form!r}")
@@ -232,12 +256,17 @@ def _build_eta(section, path, model: HypergroupModel) -> EtaSequence:
     try:
         if generator == "center_powers":
             _no_extras(section, {"generator", "z"}, path)
-            return center_powers(model, int(_need(section, "z", path)))
+            return center_powers(model, _scalar(_need(section, "z", path), int,
+                                                f"{path}.z"))
         if generator == "table":
             _no_extras(section, {"generator", "entries"}, path)
             raw = _need(section, "entries", path, dict)
-            entries = {int(k): int(v) for k, v in raw.items()}
+            entries = {_scalar(k, int, f"{path}.entries"):
+                       _scalar(v, int, f"{path}.entries.{k}")
+                       for k, v in raw.items()}
             return eta_from_table(model, entries)
+    except ScenarioError:
+        raise
     except (ValueError, WindowOverflow) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     raise ScenarioError(f"{path}.generator: unknown generator {generator!r}")
@@ -252,28 +281,23 @@ def _build_run(section, path) -> RunSettings:
     except ValueError as exc:
         raise ScenarioError(f"{path}.convention: unknown convention "
                             f"{conv_name!r}") from exc
+
+    def count(key, default):
+        return _scalar(section.get(key, default), int, f"{path}.{key}")
+
     settings = RunSettings(
-        horizon=int(section.get("horizon", 16)),
-        k_max=int(section.get("k_max", 8)),
-        series_cutoff=int(section.get("series_cutoff", 40)),
-        rs_bound=int(section.get("rs_bound", 3)),
+        horizon=count("horizon", 16),
+        k_max=count("k_max", 8),
+        series_cutoff=count("series_cutoff", 40),
+        rs_bound=count("rs_bound", 3),
         convention=convention,
-        triple_bound=(int(section["triple_bound"])
-                      if section.get("triple_bound") is not None else None),
+        triple_bound=(None if section.get("triple_bound") is None
+                      else count("triple_bound", None)),
     )
     for name in ("horizon", "k_max", "series_cutoff", "rs_bound"):
         if getattr(settings, name) < 1:
             raise ScenarioError(f"{path}.{name}: must be a positive integer")
     return settings
-
-
-def _section_map(data, key) -> dict:
-    """An optional top-level section that maps names to entries."""
-    section = data.get(key) or {}
-    if not isinstance(section, dict):
-        raise ScenarioError(f"{key}: expected a mapping of names, "
-                            f"got {type(section).__name__}")
-    return section
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -288,7 +312,7 @@ def parse_scenario(data: dict) -> Scenario:
                          "hypergroup")
     phi = _build_young(_need(data, "young", "scenario", dict), "young")
     weight = _build_weight(_need(data, "weight", "scenario", dict), "weight")
-    run = _build_run(data.get("run") or {}, "run")
+    run = _build_run(_mapping(data.get("run") or {}, "run"), "run")
     eta = None
     if "eta" in data and data["eta"] is not None:
         eta = _build_eta(data["eta"], "eta", model)
@@ -303,16 +327,16 @@ def parse_scenario(data: dict) -> Scenario:
                 raise ScenarioError(
                     f"eta: index {n} leaves the window (label {point})")
     sets: dict[str, tuple[int, ...]] = {}
-    for name, labels in _section_map(data, "sets").items():
+    for name, labels in _mapping(data.get("sets") or {}, "sets").items():
         if not isinstance(labels, list) or not labels:
             raise ScenarioError(f"sets.{name}: must be a nonempty label list")
-        vals = tuple(sorted({_int_label(v, f"sets.{name}") for v in labels}))
+        vals = tuple(sorted({_scalar(v, int, f"sets.{name}") for v in labels}))
         for v in vals:
             if not model.in_window(v):
                 raise ScenarioError(f"sets.{name}: label {v} outside the window")
         sets[str(name)] = vals
     functions: dict[str, SparseFunction] = {}
-    for name, mapping in _section_map(data, "functions").items():
+    for name, mapping in _mapping(data.get("functions") or {}, "functions").items():
         if not isinstance(mapping, dict):
             raise ScenarioError(f"functions.{name}: must be a label-value map")
         values = _int_labels(mapping, f"functions.{name}")

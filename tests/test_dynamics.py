@@ -5,6 +5,7 @@ import math
 import pytest
 
 import hyperorlicz as hz
+from hyperorlicz import dynamics
 from hyperorlicz.dynamics import AperiodicityVerdict, CriterionReport, CriterionRow
 
 
@@ -73,6 +74,19 @@ def test_verdict_dataclass_validation():
                         convention=hz.DEFAULT_CONVENTION,
                         rows=(CriterionRow(1, 3, (), 0.0, ()),
                               CriterionRow(2, 2, (), 0.0, ())))
+
+
+def test_zero_goal_needs_a_zero_final_row():
+    # A falling residual vanishes, but the zero goal also needs it to end at 0.
+    def rows(residuals):
+        return [CriterionRow(k, k, (), 1.0, (("residual_norm", r),))
+                for k, r in enumerate(residuals, start=1)]
+
+    falling = rows([0.8, 0.6, 0.4, 0.2])
+    assert dynamics._verdict(falling, False, ("residual_norm",)) == "holds_empirically"
+    assert dynamics._verdict(falling, False, (), ("residual_norm",)) == "fails"
+    assert dynamics._verdict(rows([0.8, 0.4, 0.0, 0.0]), False, (),
+                             ("residual_norm",)) == "holds_empirically"
 
 
 def test_center_probe_tracked_values_exact(zline, doubling_weight):
@@ -207,6 +221,73 @@ def test_witness_flat_weight_precondition(zline):
                                       hz.constant_weight(1.0),
                                       hz.center_powers(zline, 1),
                                       hz.phi_p(2.0), k_max=8, horizon=16)
+
+
+def test_center_indices_need_both_translates_in_the_window(zline, doubling_weight):
+    # Powers of 1 move E = {-60} right through the window, so the gate holds,
+    # but its backward translates leave the window after n = 4.
+    for report in (hz.probe_hereditary(zline, 1, doubling_weight, hz.phi_p(2.0),
+                                       [-60], horizon=10),
+                   hz.probe_center_conditions(zline, doubling_weight,
+                                              hz.center_powers(zline, 1),
+                                              hz.phi_p(2.0), [-60], horizon=10)):
+        assert [row.n for row in report.rows] == [1, 2, 3, 4]
+
+
+def _center_calls(zline, dr03, dr05, su2m, doubling_weight):
+    """The center, hereditary and witness calls of the tests above, each as
+    its report or as the hypothesis of the precondition it failed."""
+    eta = hz.center_powers(zline, 1)
+    phi2 = hz.phi_p(2.0)
+    one = hz.constant_weight(1.0)
+    chi0 = hz.indicator([0])
+    flat = (1.0, 2.0, 0.5)
+    calls = [
+        lambda: hz.probe_center_conditions(zline, doubling_weight, eta, phi2, [0],
+                                           horizon=20),
+        *(lambda c=c: hz.probe_center_conditions(zline, hz.constant_weight(c), eta,
+                                                 phi2, [0], horizon=16)
+          for c in flat),
+        lambda: hz.probe_center_conditions(
+            su2m, one, hz.eta_from_table(su2m, {n: n for n in range(1, 9)}), phi2,
+            [0], horizon=8),
+        lambda: hz.probe_center_conditions(dr05, one, hz.center_powers(dr05, 1),
+                                           phi2, [0, 1], horizon=8),
+        lambda: hz.probe_hereditary(zline, 1, doubling_weight, phi2, [0], horizon=20),
+        lambda: hz.probe_hereditary(zline, 1, one, hz.cosh_minus_one(), [0],
+                                    horizon=8),
+        lambda: hz.probe_hereditary(dr03, 1, one, phi2, [0], horizon=8),
+        *(lambda c=c: hz.probe_hereditary(zline, 1, hz.constant_weight(c), phi2,
+                                          [0], horizon=12)
+          for c in flat),
+        lambda: hz.build_transitivity_witness(zline, chi0, chi0, doubling_weight,
+                                              eta, phi2, k_max=20, horizon=20),
+        lambda: hz.build_transitivity_witness(zline, chi0, chi0, one, eta, phi2,
+                                              k_max=8, horizon=16),
+    ]
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except hz.PreconditionFailed as exc:
+            out.append(exc.hypothesis)
+    return out
+
+
+def test_center_probes_need_no_pairwise_check(monkeypatch, zline, dr03, dr05,
+                                              su2m, doubling_weight):
+    # The center gate and the separating indices come from one forward and
+    # one backward overlap pass; the pairwise checks are never consulted.
+    models = (zline, dr03, dr05, su2m, doubling_weight)
+    before = _center_calls(*models)
+    assert before[4:6] == ["central-sequence", "center-aperiodicity"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the center probes must not run this check")
+
+    monkeypatch.setattr(dynamics, "aperiodic_center_check", refuse)
+    monkeypatch.setattr(dynamics, "strongly_aperiodic_check", refuse)
+    assert _center_calls(*models) == before
 
 
 def test_short_horizon_is_inconclusive(zline, doubling_weight):

@@ -2,7 +2,8 @@
 
 ``EagerReference`` keeps the earlier core as the oracle: every pair of the
 carrier convolved up front into a validated SparseMeasure, fit read from the
-full support, translation scanning the whole carrier, weight factors
+full support, translation scanning the whole carrier (its reach decided from
+the convolutions, not from the preimage rules), weight factors
 recomputed for every product and multiplied one at a time, hereditary pairs
 walked afresh on every call, and associativity checked by allocating
 measures and catching WindowOverflow.  The lazy core must agree with it bit
@@ -35,9 +36,13 @@ def _max_deviation(mu, nu):
 class EagerReference:
     """The eager-table core, run on the same family as a lazy model."""
 
-    def __init__(self, model, raw=None):
+    def __init__(self, model, raw=None, space=None):
         raw = raw or model._fam.raw_convolve
         self.model = model
+        self.raw = raw
+        # Labels of the untruncated space: all integers, the nonnegative ones,
+        # or (for tables) the carrier itself.
+        self.space = space or (lambda u: model._fam.signed or u >= 0)
         self.cset = set(model.carrier)
         self.table = {}
         self.fits = {}
@@ -79,10 +84,19 @@ class EagerReference:
                 out.update(self.table[(x, y)].support())
         return frozenset(out)
 
+    def reach_ok(self, f, y):
+        """Whether every x with (delta_x * delta_y)({u}) > 0 for some u in
+        supp f lies in the carrier.  By the adjoint law those x are the
+        support of delta_u * delta_{y^-}."""
+        yi = self.model.involution(y)
+        return all(x in self.cset
+                   for u in f.support() if self.space(u)
+                   for x, m in self.raw(u, yi).items() if m != 0.0)
+
     def translate(self, f, y):
         if f.is_zero():
             return hz.ZERO_FUNCTION
-        if not self.model.translate_reach_ok(f.support(), y):
+        if not self.reach_ok(f, y):
             raise WindowOverflow("reference")
         out = {}
         for x in self.model.carrier:
@@ -249,7 +263,8 @@ def models(draw):
     else:
         conv, involution, identity = draw(st.one_of(cyclic_table(), spread_table()))
         model = hz.table_hypergroup(conv, involution, identity=identity)
-        return model, EagerReference(model, raw=lambda x, y: conv[(x, y)])
+        return model, EagerReference(model, raw=lambda x, y: conv[(x, y)],
+                                     space=model.in_window)
     return model, EagerReference(model)
 
 
@@ -290,7 +305,8 @@ def broken_tables(draw):
                              unique=True))
         conv[(x, y)] = {p: 0.25, q: 0.75}
     model = hz.table_hypergroup(conv, involution, identity=identity, validate=False)
-    return model, EagerReference(model, raw=lambda x, y: conv[(x, y)])
+    return model, EagerReference(model, raw=lambda x, y: conv[(x, y)],
+                                 space=model.in_window)
 
 
 # Values with long mantissas, so a changed summation order shows in the bits.
@@ -346,6 +362,16 @@ def test_translate_matches_full_carrier_scan(data):
         assert got == want
         if isinstance(got, SparseFunction):
             assert got.values == want.values
+
+
+def test_translate_off_window_support_overflows():
+    # delta_6 * delta_1 is the point mass at 6, outside the window 0..4, so
+    # the translate at 6 is not dropped but refused.
+    model = hz.dunkl_ramirez(0.3, 4)
+    f = SparseFunction.from_dict({2: 1.0, 6: 5.0})
+    with pytest.raises(WindowOverflow):
+        hz.translate(model, f, 1)
+    assert hz.translate(model, f.restrict([2]), 1).values == ((2, 1.0),)
 
 
 @settings(max_examples=40, deadline=None)

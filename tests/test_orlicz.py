@@ -121,12 +121,26 @@ def test_luxemburg_caps_scale_with_the_data():
     # At the other end, phi_1 gives the l1 norm of a tiny peak, not 0.
     tiny = hz.SparseFunction.from_dict({0: 1e-300})
     res = hz.luxemburg_norm(hz.integer_group(40), tiny, hz.phi_p(1.0))
-    assert res.value == pytest.approx(1e-300, rel=1e-9)
+    assert res.value == pytest.approx(1e-300, rel=1e-9, abs=0)
     # A norm beyond the float range is still reported as non-finite.
     steep = hz.tabulated_young([(0.0, 0.0), (1.0, 1e10)])
     heavy = hz.dunkl_ramirez(0.1, 300)
     with pytest.raises(hz.NonFiniteIntegrand):
         hz.luxemburg_norm(heavy, hz.indicator([300]), steep)
+
+
+def test_luxemburg_norm_of_a_subnormal_peak():
+    # Scaling by 1 / k overflows for k below about 5.6e-309; the norm of a
+    # subnormal peak is still the peak times the norm of the unit peak.
+    model = hz.integer_group(4)
+    for phi in (hz.phi_p(1.0), hz.phi_p(2.0), hz.exp_minus_linear()):
+        unit = hz.luxemburg_norm(model, hz.indicator([0]), phi).value
+        # 1e-320 keeps only about 11 significant bits.
+        for peak, rel in ((1e-310, 1e-9), (1e-320, 1e-3)):
+            res = hz.luxemburg_norm(model, hz.SparseFunction.from_dict({0: peak}), phi)
+            # abs=0: approx would otherwise accept any value below 1e-12.
+            assert res.value == pytest.approx(peak * unit, rel=rel, abs=0), (phi, peak)
+            assert res.bracket[0] <= res.value == res.bracket[1]
 
 
 def test_orlicz_golden_values(dr05):

@@ -1,9 +1,12 @@
 """Scenario parsing, CLI commands, exit codes, output determinism."""
+import copy
 import json
 import pathlib
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperorlicz as hz
 from hyperorlicz import cli
@@ -67,6 +70,77 @@ def test_parse_rejects_bad_parameters():
     bad5["sets"] = [0, 1]
     with pytest.raises(hz.ScenarioError, match=r"^sets: "):
         hz.parse_scenario(bad5)
+
+
+def _replaced(data, path, value):
+    """A deep copy of data with the entry at path (a tuple of keys and list
+    indices) replaced by value."""
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _leaves(node, path=()):
+    """Paths of every scalar below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+def test_null_and_malformed_scalars_are_scenario_errors():
+    table_eta = {"generator": "table", "entries": {1: 1, 2: None}}
+    weights = ({"form": "step", "threshold": 0, "low": None, "high": 0.5},
+               {"form": "step", "threshold": None, "low": 2.0, "high": 0.5},
+               {"form": "table", "entries": {0: None}})
+    cases = [
+        (("young", "p"), None, r"^young\.p: "),
+        (("run", "horizon"), None, r"^run\.horizon: "),
+        (("run", "horizon"), "x", r"^run\.horizon: "),
+        (("eta", "z"), None, r"^eta\.z: "),
+        (("eta",), table_eta, r"^eta\.entries\.2: "),
+        (("functions", "f", 0), None, r"^functions\.f\.0: "),
+        (("hypergroup",), {"family": "dunkl_ramirez", "window": 8, "a": None},
+         r"^hypergroup\.a: "),
+        (("run",), [{"horizon": 4}], r"^run: "),
+    ] + [(("weight",), w, r"^weight\.") for w in weights]
+    base = _with_int_keys(json.loads(json.dumps(DOUBLING)))
+    for path, value, message in cases:
+        with pytest.raises(hz.ScenarioError, match=message):
+            hz.parse_scenario(_replaced(base, path, value))
+
+
+def test_cli_null_scalar_exits_two(tmp_path):
+    data = _with_int_keys(json.loads(json.dumps(DOUBLING)))
+    data["run"]["horizon"] = None
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "axioms"]) == 2
+
+
+SHIPPED = {name: yaml.safe_load((SCENARIO_DIR / name).read_text())
+           for name in ("doubling_shift.yaml", "dr_axioms.yaml", "su2_sequence.yaml")}
+ODD_VALUES = st.one_of(st.none(), st.text(max_size=4),
+                       st.lists(st.integers(-3, 3), max_size=2),
+                       st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                                       max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_replaced_leaf_parses_or_is_a_scenario_error(data):
+    scenario = data.draw(st.sampled_from(sorted(SHIPPED)))
+    path = data.draw(st.sampled_from(_leaves(SHIPPED[scenario])))
+    bad = _replaced(SHIPPED[scenario], path, data.draw(ODD_VALUES))
+    try:
+        assert isinstance(hz.parse_scenario(bad), hz.Scenario)
+    except hz.ScenarioError:
+        pass
 
 
 def test_cli_malformed_shapes_exit_two(tmp_path):
