@@ -224,10 +224,10 @@ def _probe_hereditary(sc: Scenario, e, opts):
 # takes effect.
 PROBES = {
     "necessary-sup": lambda sc, e, opts: probe_sup_necessary(
-        sc.model, sc.weight, _require_eta(sc), sc.phi, e, sc.run.horizon,
+        sc.model, sc.weight, _require_eta(sc), e, sc.run.horizon,
         convention=sc.run.convention),
     "necessary-series": lambda sc, e, opts: probe_series_necessary(
-        sc.model, sc.weight, _require_eta(sc), sc.phi, e, sc.run.horizon,
+        sc.model, sc.weight, _require_eta(sc), e, sc.run.horizon,
         sc.run.series_cutoff, rs_bound=sc.run.rs_bound,
         convention=sc.run.convention),
     "center": lambda sc, e, opts: probe_center_conditions(

@@ -31,7 +31,6 @@ from .functions import (
     SparseFunction,
     indicator,
     measure_of_set,
-    sup_on_set,
     translate,
 )
 from .hypergroups import HypergroupModel
@@ -52,10 +51,6 @@ from .orlicz import YoungFunction, luxemburg_norm
 TREND_SLACK = 1e-12
 RATIO_TARGET_SLACK = 1e-9
 ZERO_LEVEL = 1e-12
-
-
-def default_eps_schedule(k: int) -> float:
-    return 2.0**-k
 
 
 # -- aperiodicity -----------------------------------------------------------
@@ -292,9 +287,46 @@ def _sup_necessary_profile(model: HypergroupModel, w: Weight, eta: EtaSequence,
     return translate(model, weighted, eta(n))
 
 
+def _sublevel_rows(model: HypergroupModel, e: tuple[int, ...], good: Sequence[int],
+                   names: tuple[str, ...],
+                   tracked: Callable[[int], Sequence[Sequence[float]]],
+                   lead: Callable[[tuple[int, ...]], float] | None = None
+                   ) -> tuple[CriterionRow, ...]:
+    """The rows of a sublevel probe: the k-th at the k-th good index n, with
+    eps_k = 2^-k.
+
+    ``tracked(n)`` gives the values at the points of E of each tracked
+    metric.  The members are the points where every tracked value is at most
+    eps_k; each tracked metric reports its sup over them (0 when there are
+    none), after ``lead(members)`` when given, and ("eps", eps_k) comes last.
+    ``names`` names the metrics in that order.  A tracked value leaving the
+    window flags the row, with no members, ratio 0 and NaN for the first
+    metric.
+    """
+    m_e = measure_of_set(model, e)
+    rows: list[CriterionRow] = []
+    for k, n in enumerate(good, start=1):
+        eps = 2.0**-k
+        try:
+            values = tracked(n)
+        except WindowOverflow:
+            rows.append(CriterionRow(k=k, n=n, members=(), measure_ratio=0.0,
+                                     metrics=((names[0], math.nan),),
+                                     flags=("window-overflow",)))
+            continue
+        inside = [i for i in range(len(e)) if all(v[i] <= eps for v in values)]
+        members = tuple(e[i] for i in inside)
+        sups = [max((v[i] for i in inside), default=0.0) for v in values]
+        if lead:
+            sups.insert(0, lead(members))
+        rows.append(CriterionRow(k=k, n=n, members=members,
+                                 measure_ratio=measure_of_set(model, members) / m_e,
+                                 metrics=(*zip(names, sups), ("eps", eps))))
+    return tuple(rows)
+
+
 def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
-                        phi: YoungFunction, e_set: Iterable[int], horizon: int,
-                        eps_schedule: Callable[[int], float] = default_eps_schedule,
+                        e_set: Iterable[int], horizon: int,
                         convention: ProductConvention = DEFAULT_CONVENTION
                         ) -> CriterionReport:
     """Necessary condition along a general sequence: the pulled-back weighted
@@ -306,30 +338,19 @@ def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     if not good:
         raise PreconditionFailed(
             "aperiodicity", "no index below the horizon separates the set")
-    m_e = measure_of_set(model, e)
-    rows: list[CriterionRow] = []
-    for k, n in enumerate(good, start=1):
-        eps = eps_schedule(k)
-        try:
-            profile = _sup_necessary_profile(model, w, eta, e, n, convention)
-        except WindowOverflow:
-            rows.append(CriterionRow(k=k, n=n, members=(), measure_ratio=0.0,
-                                     metrics=(("sup_profile", math.nan),),
-                                     flags=("window-overflow",)))
-            continue
-        members = tuple(x for x in e if profile.value_at(x) <= eps)
-        ratio = measure_of_set(model, members) / m_e
-        rows.append(CriterionRow(
-            k=k, n=n, members=members, measure_ratio=ratio,
-            metrics=(("sup_profile", sup_on_set(profile, members)),
-                     ("eps", eps))))
+
+    def tracked(n):
+        profile = _sup_necessary_profile(model, w, eta, e, n, convention)
+        return ([profile.value_at(x) for x in e],)
+
+    rows = _sublevel_rows(model, e, good, ("sup_profile",), tracked)
     verdict = _verdict(rows, ratio_goal=True, vanish_names=("sup_profile",))
     return CriterionReport(criterion="necessary-sup", verdict=verdict,
-                           rows=tuple(rows), horizon=horizon, convention=convention)
+                           rows=rows, horizon=horizon, convention=convention)
 
 
 def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
-                           phi: YoungFunction, e_set: Iterable[int], horizon: int,
+                           e_set: Iterable[int], horizon: int,
                            series_cutoff: int, rs_bound: int = 3,
                            convention: ProductConvention = DEFAULT_CONVENTION
                            ) -> CriterionReport:
@@ -376,7 +397,6 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
 
 def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
                             phi: YoungFunction, e_set: Iterable[int], horizon: int,
-                            eps_schedule: Callable[[int], float] = default_eps_schedule,
                             convention: ProductConvention = DEFAULT_CONVENTION
                             ) -> CriterionReport:
     """Center-sequence conditions: reciprocal weight products and shifted
@@ -395,30 +415,17 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
     sufficiency_ok = (phi.delta2 == "proven"
                       and w.inf_over(model.carrier) > 0.0
                       and phi.strictly_increasing)
-    m_e = measure_of_set(model, e)
-    rows: list[CriterionRow] = []
-    for k, n in enumerate(good, start=1):
-        eps = eps_schedule(k)
-        try:
-            recip = {x: 1.0 / weight_product(model, w, eta, x, n, convention)
-                     for x in e}
-            shifted = {x: shifted_weight_product(model, w, eta, x, n, convention)
-                       for x in e}
-        except WindowOverflow:
-            rows.append(CriterionRow(k=k, n=n, members=(), measure_ratio=0.0,
-                                     metrics=(("residual_norm", math.nan),),
-                                     flags=("window-overflow",)))
-            continue
-        members = tuple(x for x in e
-                        if recip[x] <= eps and shifted[x] <= eps)
-        residual = indicator(set(e) - set(members))
-        rows.append(CriterionRow(
-            k=k, n=n, members=members,
-            measure_ratio=measure_of_set(model, members) / m_e,
-            metrics=(("residual_norm", luxemburg_norm(model, residual, phi).value),
-                     ("sup_reciprocal", max((recip[x] for x in members), default=0.0)),
-                     ("sup_shifted", max((shifted[x] for x in members), default=0.0)),
-                     ("eps", eps))))
+
+    def tracked(n):
+        return ([1.0 / weight_product(model, w, eta, x, n, convention) for x in e],
+                [shifted_weight_product(model, w, eta, x, n, convention) for x in e])
+
+    def residual_norm(members):
+        return luxemburg_norm(model, indicator(set(e) - set(members)), phi).value
+
+    rows = _sublevel_rows(model, e, good,
+                          ("residual_norm", "sup_reciprocal", "sup_shifted"),
+                          tracked, lead=residual_norm)
     verdict = _verdict(rows, ratio_goal=False,
                        vanish_names=("sup_reciprocal", "sup_shifted"),
                        zero_names=("residual_norm",))
@@ -426,13 +433,12 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
     if verdict == "holds_empirically" and sufficiency_ok:
         certification = f"densely hypercyclic certified at horizon {horizon}"
     return CriterionReport(criterion="center-conditions", verdict=verdict,
-                           rows=tuple(rows), horizon=horizon,
+                           rows=rows, horizon=horizon,
                            convention=convention, certification=certification)
 
 
 def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
-                     phi: YoungFunction, e_set: Iterable[int], horizon: int,
-                     eps_schedule: Callable[[int], float] = default_eps_schedule
+                     phi: YoungFunction, e_set: Iterable[int], horizon: int
                      ) -> CriterionReport:
     """Hereditary two-sided condition along powers of a center element: the
     forward products and reciprocal backward products must both vanish on
@@ -447,29 +453,15 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
         raise PreconditionFailed("doubling-regularity",
                                  "the criterion needs proven doubling regularity")
     good = _center_indices(model, CenterPowers(model, z), e, horizon)
-    m_e = measure_of_set(model, e)
-    rows: list[CriterionRow] = []
-    for k, n in enumerate(good, start=1):
-        eps = eps_schedule(k)
-        try:
-            pairs = {x: hereditary_weight_pair(model, x, z, w, n) for x in e}
-        except WindowOverflow:
-            rows.append(CriterionRow(k=k, n=n, members=(), measure_ratio=0.0,
-                                     metrics=(("sup_forward", math.nan),),
-                                     flags=("window-overflow",)))
-            continue
-        members = tuple(x for x in e
-                        if pairs[x][0] <= eps and pairs[x][1] <= eps)
-        rows.append(CriterionRow(
-            k=k, n=n, members=members,
-            measure_ratio=measure_of_set(model, members) / m_e,
-            metrics=(("sup_forward", max((pairs[x][0] for x in members), default=0.0)),
-                     ("sup_backward", max((pairs[x][1] for x in members), default=0.0)),
-                     ("eps", eps))))
+
+    def tracked(n):
+        return tuple(zip(*(hereditary_weight_pair(model, x, z, w, n) for x in e)))
+
+    rows = _sublevel_rows(model, e, good, ("sup_forward", "sup_backward"), tracked)
     verdict = _verdict(rows, ratio_goal=True,
                        vanish_names=("sup_forward", "sup_backward"))
     return CriterionReport(criterion="hereditary", verdict=verdict,
-                           rows=tuple(rows), horizon=horizon,
+                           rows=rows, horizon=horizon,
                            convention=DEFAULT_CONVENTION)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import WindowOverflow
@@ -36,13 +37,9 @@ class SparseFunction:
     def value_at(self, label: int) -> float:
         return self._lookup.get(label, 0.0)
 
-    @property
+    @cached_property
     def _lookup(self) -> dict[int, float]:
-        d = self.__dict__.get("_lookup_cache")
-        if d is None:
-            d = dict(self.values)
-            object.__setattr__(self, "_lookup_cache", d)
-        return d
+        return dict(self.values)
 
     def support(self) -> tuple[int, ...]:
         return tuple(x for x, _ in self.values)

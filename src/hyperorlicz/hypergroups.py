@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -70,13 +71,9 @@ class SparseMeasure:
     def value_at(self, label: int) -> float:
         return self._lookup.get(label, 0.0)
 
-    @property
+    @cached_property
     def _lookup(self) -> dict[int, float]:
-        d = self.__dict__.get("_lookup_cache")
-        if d is None:
-            d = dict(self.atoms)
-            object.__setattr__(self, "_lookup_cache", d)
-        return d
+        return dict(self.atoms)
 
     def scaled(self, c: float) -> "SparseMeasure":
         if c == 0.0:
@@ -90,14 +87,14 @@ def point_mass(label: int) -> SparseMeasure:
     return SparseMeasure(((label, 1.0),), probability=True)
 
 
-def _is_point_mass(atoms: Mapping[int, float], label: int, tol: float = TOL_ATOM) -> bool:
-    if abs(atoms.get(label, 0.0) - 1.0) > tol:
+def _is_point_mass(atoms: Mapping[int, float], label: int) -> bool:
+    if abs(atoms.get(label, 0.0) - 1.0) > TOL_ATOM:
         return False
-    return all(m <= tol for x, m in atoms.items() if x != label)
+    return all(m <= TOL_ATOM for x, m in atoms.items() if x != label)
 
 
-def is_point_mass_at(mu: SparseMeasure, label: int, tol: float = TOL_ATOM) -> bool:
-    return _is_point_mass(mu._lookup, label, tol)
+def is_point_mass_at(mu: SparseMeasure, label: int) -> bool:
+    return _is_point_mass(mu._lookup, label)
 
 
 def _max_deviation(a: Mapping[int, float], b: Mapping[int, float]) -> float:
@@ -543,14 +540,13 @@ def integer_group(window: int) -> HypergroupModel:
 def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
                      involution_map: Mapping[int, int],
                      identity: int = 0,
-                     validate: bool = True,
-                     triple_bound: int | None = None) -> HypergroupModel:
+                     validate: bool = True) -> HypergroupModel:
     """Finite hypergroup from an explicit convolution table.
 
     ``conv`` must contain every ordered pair of labels.  With ``validate``
-    (the default) the axioms are checked on load and any violation is a hard
-    error; pass ``validate=False`` to build a possibly broken model for
-    diagnostic use with :meth:`HypergroupModel.verify_axioms`.
+    (the default) the axioms are checked on load over every label and any
+    violation is a hard error; pass ``validate=False`` to build a possibly
+    broken model for diagnostic use with :meth:`HypergroupModel.verify_axioms`.
     """
     labels = sorted(involution_map)
     for x in labels:
@@ -561,8 +557,7 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
     window = max(abs(x) for x in labels) if labels else 1
     model = HypergroupModel(fam, max(window, 1), identity)
     if validate:
-        bound = triple_bound if triple_bound is not None else max(abs(x) for x in labels)
-        violations = model.verify_axioms(bound)
+        violations = model.verify_axioms(max(abs(x) for x in labels))
         if violations:
             first = violations[0]
             raise ValueError(

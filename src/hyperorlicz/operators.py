@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import NotCentral, WindowOverflow
@@ -83,19 +85,16 @@ class Weight:
             return self._lookup.get(label, self.default)
         return self.base * self.ratio**label
 
-    @property
+    @cached_property
     def _lookup(self) -> dict[int, float]:
-        d = self.__dict__.get("_lookup_cache")
-        if d is None:
-            d = dict(self.entries)
-            object.__setattr__(self, "_lookup_cache", d)
-        return d
+        return dict(self.entries)
 
-    def _memo(self, *key) -> dict:
-        """Per-point cache of values derived from this weight, one dict per
-        ``key``.  An entry is only ever replaced by one that extends it, so a
+    @cached_property
+    def _memo(self) -> defaultdict:
+        """Per-point caches of values derived from this weight, one dict per
+        key.  An entry is only ever replaced by one that extends it, so a
         reader racing a writer sees correct values."""
-        return self.__dict__.setdefault("_memo_cache", {}).setdefault(key, {})
+        return defaultdict(dict)
 
     def sup_over(self, labels) -> float:
         vals = [self(x) for x in labels]
@@ -207,7 +206,7 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
     see the module docstring for why the bits match the plain loop."""
     if count == 0:
         return acc
-    rows = w._memo("rows", model, eta)
+    rows = w._memo["rows", model, eta]
     row = rows.get(x, ())
     if len(row) < count:
         # Missing factors are computed from the highest index down, the order
@@ -290,7 +289,7 @@ def _orbit_values(model: HypergroupModel, w: Weight, x: int, step: int,
     it at another).  The values are cached per (model, x, step) on the weight
     and the walk resumes from the last point reached.
     """
-    orbits = w._memo("orbit", model, step)
+    orbits = w._memo["orbit", model, step]
     vals, cur = orbits.get(x, ((), x))
     if len(vals) < count:
         new = []

@@ -2,8 +2,8 @@
 
 The gauge (Luxemburg) norm is the smallest scaling that pushes the modular
 integral down to 1; it is found by bisection on a bracketed scaling, so the
-returned value always satisfies the defining inequality at value*(1+rtol).
-The dual-style norm is evaluated through its infimum form
+returned value always satisfies the defining inequality at
+value*(1+RTOL_NORM).  The dual-style norm is evaluated through its infimum form
 inf_k (1 + modular(k f)) / k, which is convex in 1/k, so a coarse log-spaced
 scan followed by golden-section refinement finds the minimum deterministically.
 Infinity is an explicit sentinel (math.inf), never a float overflow.
@@ -11,15 +11,18 @@ Infinity is an explicit sentinel (math.inf), never a float overflow.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import RTOL_NORM, NonFiniteIntegrand
 from .functions import SparseFunction
 from .hypergroups import HypergroupModel
 
-_GRID_DEFAULT = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
+_DELTA2_GRID = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
 _REFUTE_RATIO = 1e6
 _TINY_PEAK = 2.0**-960  # below this the gauge search rescales the data
+_ABSCISSA = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -61,18 +64,11 @@ class YoungFunction:
 
     def _tab_eval(self, t: float) -> float:
         ks = self.knots
-        if t >= ks[-1][0]:
+        i = bisect_right(ks, t, 1, key=_ABSCISSA)  # first knot beyond t
+        if i == len(ks):
             t0, y0 = ks[-1]
             return y0 + self._final_slope() * (t - t0)
-        lo, hi = 0, len(ks) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ks[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        t0, y0 = ks[lo]
-        t1, y1 = ks[hi]
+        (t0, y0), (t1, y1) = ks[i - 1], ks[i]
         return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
 
     def _final_slope(self) -> float:
@@ -93,10 +89,8 @@ class YoungFunction:
         if self.kind == "cosh_minus_one":
             return math.inf if t >= 710.0 else math.sinh(t)
         ks = self.knots
-        for i in range(len(ks) - 1):
-            if t < ks[i + 1][0]:
-                return (ks[i + 1][1] - ks[i][1]) / (ks[i + 1][0] - ks[i][0])
-        return self._final_slope()
+        i = min(bisect_right(ks, t, 1, key=_ABSCISSA), len(ks) - 1)
+        return (ks[i][1] - ks[i - 1][1]) / (ks[i][0] - ks[i - 1][0])
 
 
 def phi_p(p: float) -> YoungFunction:
@@ -205,8 +199,8 @@ class NormResult:
     """Norm value plus the final bracket of the one-dimensional search.
 
     For the gauge norm the bracket lives in the same units as the value and
-    its width is at most rtol * value.  For the infimum-form norm the bracket
-    is over the auxiliary scaling variable.
+    its width is at most RTOL_NORM * value.  For the infimum-form norm the
+    bracket is over the auxiliary scaling variable.
     """
 
     value: float
@@ -235,8 +229,8 @@ def _modular(model: HypergroupModel, f: SparseFunction, phi: YoungFunction,
     return total
 
 
-def luxemburg_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction,
-                   rtol: float = RTOL_NORM) -> NormResult:
+def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
+                   phi: YoungFunction) -> NormResult:
     """Gauge norm inf{k > 0 : modular(f/k) <= 1} by bracketed bisection.
 
     The bracket starts from the heuristic max|f| / phi^{-1}(1 / smallest
@@ -289,7 +283,7 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
             if fmax / lo > 1e300:
                 # modular stays below 1 for every positive scaling: norm 0
                 return NormResult(0.0, iters, (0.0, 0.0))
-    while hi - lo > rtol * hi:
+    while hi - lo > RTOL_NORM * hi:
         mid = 0.5 * (lo + hi)
         if excess(mid):
             lo = mid
@@ -300,8 +294,8 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
     return NormResult(hi, iters, (lo, hi))
 
 
-def orlicz_norm(model: HypergroupModel, f: SparseFunction, phi: YoungFunction,
-                rtol: float = RTOL_NORM) -> NormResult:
+def orlicz_norm(model: HypergroupModel, f: SparseFunction,
+                phi: YoungFunction) -> NormResult:
     """Norm through the infimum form inf_k (1 + modular(k f)) / k.
 
     The objective is convex in 1/k, hence unimodal along log k.  A log-spaced
@@ -364,7 +358,7 @@ class Delta2Report:
     grid_max_ratio: float | None
 
 
-def delta2_check(phi: YoungFunction, grid=_GRID_DEFAULT) -> Delta2Report:
+def delta2_check(phi: YoungFunction) -> Delta2Report:
     """Doubling regularity phi(2t) <= K phi(t).
 
     Proven analytically for the power kind (K = 2^p).  Otherwise grid ratios
@@ -374,7 +368,7 @@ def delta2_check(phi: YoungFunction, grid=_GRID_DEFAULT) -> Delta2Report:
     if phi.kind == "phi_p":
         return Delta2Report("proven", 2.0**phi.p, None)
     ratios = []
-    for t in grid:
+    for t in _DELTA2_GRID:
         ft = phi(t)
         if ft <= 0.0 or ft == math.inf:
             continue

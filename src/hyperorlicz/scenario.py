@@ -46,7 +46,9 @@ checked on construction), the declared sequence is dry-run over every index
 up to the horizon in both directions, and every set and function label must
 lie in the window.  Every number passes through one converter, so a value
 that is not a finite int or float (null, a word, a list, a mapping) is a
-ScenarioError too.  Failures raise ScenarioError with the offending path.
+ScenarioError too, as is a bool or, where an integer belongs, a float with
+a fractional part.  A geometric weight must be finite and positive at both
+ends of the carrier.  Failures raise ScenarioError with the offending path.
 """
 from __future__ import annotations
 
@@ -118,14 +120,16 @@ def _need(mapping, key, path, kind=None):
 
 
 def _scalar(value, kind, path):
-    """value converted by kind (int or float); a value kind cannot convert
-    to a finite number raises ScenarioError at path."""
-    try:
-        out = kind(value)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """value converted by kind (int or float); a bool, a float the
+    conversion would change, or a value kind cannot convert to a finite
+    number raises ScenarioError at path."""
+    if not isinstance(value, bool):
+        try:
+            out = kind(value)
+            if math.isfinite(out) and not (isinstance(value, float) and out != value):
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise ScenarioError(f"{path}: expected a finite {kind.__name__}, got {value!r}")
 
 
@@ -312,6 +316,15 @@ def parse_scenario(data: dict) -> Scenario:
                          "hypergroup")
     phi = _build_young(_need(data, "young", "scenario", dict), "young")
     weight = _build_weight(_need(data, "weight", "scenario", dict), "weight")
+    if weight.form == "geometric":
+        ends = (model.carrier[0], model.carrier[-1])  # monotone: these bound it
+        try:
+            ok = weight.inf_over(ends) > 0.0 and weight.sup_over(ends) < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ScenarioError(f"weight: geometric weight is not finite and "
+                                f"positive at both carrier ends {ends}")
     run = _build_run(_mapping(data.get("run") or {}, "run"), "run")
     eta = None
     if "eta" in data and data["eta"] is not None:

@@ -289,13 +289,11 @@ def test_criterion_09_doubling_shift_end_to_end(zline, doubling_weight,
 
 def test_criterion_10_necessary_probes(zline, doubling_weight, capsys):
     eta = hz.center_powers(zline, 1)
-    phi2 = hz.phi_p(2.0)
     problems = []
-    sup = hz.probe_sup_necessary(zline, doubling_weight, eta, phi2, [0],
-                                 horizon=20)
+    sup = hz.probe_sup_necessary(zline, doubling_weight, eta, [0], horizon=20)
     if sup.verdict != "holds_empirically":
         problems.append("sup-criterion probe did not hold")
-    series = hz.probe_series_necessary(zline, doubling_weight, eta, phi2,
+    series = hz.probe_series_necessary(zline, doubling_weight, eta,
                                        [0], horizon=10, series_cutoff=5)
     if series.verdict != "holds_empirically":
         problems.append("series probe did not hold")
@@ -304,9 +302,9 @@ def test_criterion_10_necessary_probes(zline, doubling_weight, capsys):
         if row.metric("combined") > bound + 1e-12:
             problems.append(f"series tail bound at n={row.n}")
     flat_sup = hz.probe_sup_necessary(zline, hz.constant_weight(1.0), eta,
-                                      phi2, [0], horizon=20)
+                                      [0], horizon=20)
     flat_series = hz.probe_series_necessary(zline, hz.constant_weight(1.0),
-                                            eta, phi2, [0], horizon=10,
+                                            eta, [0], horizon=10,
                                             series_cutoff=5)
     if flat_sup.verdict != "fails" or flat_series.verdict != "fails":
         problems.append("flat weight did not fail")

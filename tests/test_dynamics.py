@@ -128,13 +128,11 @@ def test_center_probe_periodic_element_precondition(dr05):
 
 def test_sup_probe_holds_and_fails(zline, doubling_weight):
     eta = hz.center_powers(zline, 1)
-    phi2 = hz.phi_p(2.0)
-    good = hz.probe_sup_necessary(zline, doubling_weight, eta, phi2, [0],
-                                  horizon=20)
+    good = hz.probe_sup_necessary(zline, doubling_weight, eta, [0], horizon=20)
     assert good.verdict == "holds_empirically"
     for row in good.rows:
         assert row.metric("sup_profile") == 2.0**-row.n
-    flat = hz.probe_sup_necessary(zline, hz.constant_weight(1.0), eta, phi2,
+    flat = hz.probe_sup_necessary(zline, hz.constant_weight(1.0), eta,
                                   [0], horizon=20)
     assert flat.verdict == "fails"
 
@@ -142,8 +140,7 @@ def test_sup_probe_holds_and_fails(zline, doubling_weight):
 def test_series_probe_tail_bound(zline, doubling_weight):
     eta = hz.center_powers(zline, 1)
     report = hz.probe_series_necessary(zline, doubling_weight, eta,
-                                       hz.phi_p(2.0), [0], horizon=10,
-                                       series_cutoff=5)
+                                       [0], horizon=10, series_cutoff=5)
     assert report.verdict == "holds_empirically"
     for row in report.rows:
         assert not row.flags
@@ -157,8 +154,7 @@ def test_series_probe_tail_bound(zline, doubling_weight):
 def test_series_probe_constant_weight_fails(zline):
     eta = hz.center_powers(zline, 1)
     report = hz.probe_series_necessary(zline, hz.constant_weight(1.0), eta,
-                                       hz.phi_p(2.0), [0], horizon=8,
-                                       series_cutoff=5)
+                                       [0], horizon=8, series_cutoff=5)
     assert report.verdict == "fails"
     # every term contributes the full set mass, twice per step
     assert report.rows[0].metric("combined") == pytest.approx(10.0, rel=1e-12)
@@ -167,8 +163,7 @@ def test_series_probe_constant_weight_fails(zline):
 def test_series_probe_flags_truncation(zline, doubling_weight):
     eta = hz.center_powers(zline, 1)
     report = hz.probe_series_necessary(zline, doubling_weight, eta,
-                                       hz.phi_p(2.0), [0], horizon=24,
-                                       series_cutoff=40)
+                                       [0], horizon=24, series_cutoff=40)
     assert any("series-truncated" in row.flags for row in report.rows)
     assert report.verdict == "inconclusive"
 
@@ -293,8 +288,36 @@ def test_center_probes_need_no_pairwise_check(monkeypatch, zline, dr03, dr05,
 def test_short_horizon_is_inconclusive(zline, doubling_weight):
     eta = hz.center_powers(zline, 1)
     report = hz.probe_sup_necessary(zline, doubling_weight, eta,
-                                    hz.phi_p(2.0), [0], horizon=3)
+                                    [0], horizon=3)
     assert report.verdict == "inconclusive"
+
+
+def test_sup_probe_flags_rows_past_the_window():
+    # The profile at n translates {1} twice by n, which reaches the label
+    # 2n + 1: outside the window {0..40} from n = 20.  n = 2 is skipped,
+    # as 1 * 2 meets {1}.
+    su2 = hz.su2(40)
+    eta = hz.eta_from_table(su2, {n: n for n in range(1, 31)})
+    report = hz.probe_sup_necessary(su2, hz.constant_weight(1.0), eta, [1],
+                                    horizon=30)
+    assert report.verdict == "inconclusive"
+    assert [(r.k, r.n) for r in report.rows] == list(
+        enumerate([1] + list(range(3, 31)), start=1))
+    sups = [0.5, 0.125, 0.08000000000000002, 0.05555555555555556]
+    for row in report.rows:
+        if row.n < 20:
+            inside = row.k <= len(sups)
+            assert row.members == ((1,) if inside else ())
+            assert row.measure_ratio == (1.0 if inside else 0.0)
+            assert row.metrics == (
+                ("sup_profile", sups[row.k - 1] if inside else 0.0),
+                ("eps", 2.0**-row.k))
+            assert row.flags == ()
+        else:
+            assert row.members == () and row.measure_ratio == 0.0
+            assert row.flags == ("window-overflow",)
+            [(name, value)] = row.metrics
+            assert name == "sup_profile" and math.isnan(value)
 
 
 def test_orbit_probe_reaches_target(zline, doubling_weight):

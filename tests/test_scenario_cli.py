@@ -109,6 +109,9 @@ def test_null_and_malformed_scalars_are_scenario_errors():
         (("hypergroup",), {"family": "dunkl_ramirez", "window": 8, "a": None},
          r"^hypergroup\.a: "),
         (("run",), [{"horizon": 4}], r"^run: "),
+        (("run", "horizon"), 2.7, r"^run\.horizon: "),
+        (("run", "horizon"), True, r"^run\.horizon: "),
+        (("sets", "E"), [0.9], r"^sets\.E: "),
     ] + [(("weight",), w, r"^weight\.") for w in weights]
     base = _with_int_keys(json.loads(json.dumps(DOUBLING)))
     for path, value, message in cases:
@@ -264,6 +267,21 @@ def test_cli_norm_of_a_huge_peak(tmp_path, capsys):
     path = write_scenario(tmp_path, data)
     assert run_cli(["--scenario", path, "--command", "norm"]) == 2
     assert capsys.readouterr().err.startswith("non-finite norm:")
+
+
+def test_cli_geometric_weight_beyond_float_range_exits_two(tmp_path, capsys):
+    # 2.0**1100 overflows and 0.5**1100 underflows to 0 at the carrier's top.
+    for ratio in (2.0, 0.5):
+        data = {"id": "steep-weight",
+                "hypergroup": {"family": "integers", "window": 1100},
+                "young": {"kind": "phi_p", "p": 2.0},
+                "weight": {"form": "geometric", "base": 1.0, "ratio": ratio},
+                "eta": {"generator": "center_powers", "z": 1},
+                "sets": {"E": [1050]}, "run": {"horizon": 4}}
+        path = write_scenario(tmp_path, data)
+        assert run_cli(["--scenario", path, "--command", "probe",
+                        "--args", "id=center"]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: weight: ")
 
 
 def test_cli_witness_and_orbit(tmp_path, capsys):
