@@ -44,7 +44,7 @@ AXIOM_NAMES = ("involution", "probability-mass", "identity",
                "support-identity", "adjoint", "associativity")
 
 
-def _parse_args(argv):
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperorlicz",
         description="horizon-bounded checks for weighted translation dynamics")
@@ -57,7 +57,7 @@ def _parse_args(argv):
                         choices=("records", "csv"))
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the haar command's random probes")
-    return parser.parse_args(argv)
+    return parser
 
 
 def _kv(pairs: list[str]) -> dict[str, str]:
@@ -317,7 +317,7 @@ def run_command(sc: Scenario, command: str, opts: dict[str, str],
 
 
 def main(argv=None) -> int:
-    ns = _parse_args(argv if argv is not None else sys.argv[1:])
+    ns = _parser().parse_args(argv if argv is not None else sys.argv[1:])
     try:
         opts = _kv(ns.args)
         sc = load_scenario(ns.scenario)

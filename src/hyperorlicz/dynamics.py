@@ -17,7 +17,10 @@ The transitivity witness reads its trend by the same rule: both error norms
 must vanish over the last quartile of its unflagged rows.
 
 Per-step window overflows never abort a check; the step is recorded as
-inconclusive or the row is flagged and skipped.
+inconclusive or the row is flagged and skipped.  Neither does a step whose
+values are no finite float (a weight product that overflowed, or the
+reciprocal of one that underflowed to zero): its row is flagged
+``non-finite``, and the orbit scan skips it.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import PreconditionFailed, WindowOverflow
+from .errors import NonFiniteValue, PreconditionFailed, WindowOverflow
 from .functions import (
     ZERO_FUNCTION,
     SparseFunction,
@@ -51,6 +54,13 @@ from .orlicz import YoungFunction, luxemburg_norm
 TREND_SLACK = 1e-12
 RATIO_TARGET_SLACK = 1e-9
 ZERO_LEVEL = 1e-12
+
+# Per-step failures that flag a row instead of aborting a check.
+_STEP_ERRORS = (WindowOverflow, NonFiniteValue, ZeroDivisionError)
+
+
+def _step_flag(exc: Exception) -> str:
+    return "window-overflow" if isinstance(exc, WindowOverflow) else "non-finite"
 
 
 # -- aperiodicity -----------------------------------------------------------
@@ -300,8 +310,9 @@ def _sublevel_rows(model: HypergroupModel, e: tuple[int, ...], good: Sequence[in
     eps_k; each tracked metric reports its sup over them (0 when there are
     none), after ``lead(members)`` when given, and ("eps", eps_k) comes last.
     ``names`` names the metrics in that order.  A tracked value leaving the
-    window flags the row, with no members, ratio 0 and NaN for the first
-    metric.
+    window, or one that is no finite float, flags the row
+    (``window-overflow`` or ``non-finite``), with no members, ratio 0 and
+    NaN for the first metric.
     """
     m_e = measure_of_set(model, e)
     rows: list[CriterionRow] = []
@@ -309,10 +320,14 @@ def _sublevel_rows(model: HypergroupModel, e: tuple[int, ...], good: Sequence[in
         eps = 2.0**-k
         try:
             values = tracked(n)
-        except WindowOverflow:
+            finite = all(math.isfinite(v) for vals in values for v in vals)
+            flag = None if finite else "non-finite"
+        except _STEP_ERRORS as exc:
+            flag = _step_flag(exc)
+        if flag:
             rows.append(CriterionRow(k=k, n=n, members=(), measure_ratio=0.0,
                                      metrics=((names[0], math.nan),),
-                                     flags=("window-overflow",)))
+                                     flags=(flag,)))
             continue
         inside = [i for i in range(len(e)) if all(v[i] <= eps for v in values)]
         members = tuple(e[i] for i in inside)
@@ -370,7 +385,7 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     for k, n in enumerate(good, start=1):
         fwd_sum = 0.0
         rec_sum = 0.0
-        truncated = False
+        flags: tuple[str, ...] = ()
         for s in range(1, series_cutoff + 1):
             try:
                 profile = _sup_necessary_profile(model, w, eta, e, s * n, convention)
@@ -378,10 +393,10 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
                 rec_sum += sum(model.haar[x] /
                                weight_product(model, w, eta, x, s * n, convention)
                                for x in e)
-            except WindowOverflow:
-                truncated = True
+            except _STEP_ERRORS as exc:
+                flags = ("series-truncated" if isinstance(exc, WindowOverflow)
+                         else "non-finite",)
                 break
-        flags = ("series-truncated",) if truncated else ()
         rows.append(CriterionRow(
             k=k, n=n, members=e, measure_ratio=1.0,
             metrics=(("combined", fwd_sum + rec_sum),
@@ -517,9 +532,9 @@ def build_transitivity_witness(model: HypergroupModel, f: SparseFunction,
                 model, g.restrict(keep), w, eta, row.n, convention)
             mapped = apply_weighted_translation(model, witness, w, eta, row.n,
                                                 convention)
-        except WindowOverflow:
+        except _STEP_ERRORS as exc:
             rows.append(WitnessRow(k=row.k, n=row.n, err_source=math.nan,
-                                   err_target=math.nan, flags=("window-overflow",)))
+                                   err_target=math.nan, flags=(_step_flag(exc),)))
             continue
         err_source = luxemburg_norm(model, witness - f, phi).value
         err_target = luxemburg_norm(model, mapped - g, phi).value
@@ -558,7 +573,7 @@ def orbit_density_probe(model: HypergroupModel, f: SparseFunction, w: Weight,
         try:
             orbit.append((n, apply_weighted_translation(model, f, w, eta, n,
                                                         convention)))
-        except WindowOverflow:
+        except (WindowOverflow, NonFiniteValue):
             orbit.append((n, None))
     results = []
     for idx, g in enumerate(targets):

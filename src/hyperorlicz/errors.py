@@ -27,6 +27,11 @@ class NonFiniteIntegrand(ArithmeticError):
     """The gauge integrand stays infinite for every finite scaling."""
 
 
+class NonFiniteValue(ValueError):
+    """A value that must be a finite float is not: a Haar weight beyond the
+    float range, or a function value that overflowed."""
+
+
 class ScenarioError(ValueError):
     """A scenario file failed validation."""
 

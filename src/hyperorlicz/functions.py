@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import WindowOverflow
+from .errors import NonFiniteValue, WindowOverflow
 from .hypergroups import HypergroupModel, SparseMeasure
 
 
 @dataclass(frozen=True)
 class SparseFunction:
-    """Sorted (label, value) pairs; zero values are never stored."""
+    """Sorted (label, value) pairs; zero values are never stored, and a
+    value that is not finite raises NonFiniteValue."""
 
     values: tuple[tuple[int, float], ...]
 
@@ -27,8 +28,10 @@ class SparseFunction:
         if labels != sorted(labels) or len(labels) != len(set(labels)):
             raise ValueError("values must be sorted by label and unique")
         for _, v in self.values:
-            if v == 0.0 or not math.isfinite(v):
-                raise ValueError("stored values must be finite and nonzero")
+            if not math.isfinite(v):
+                raise NonFiniteValue("stored values must be finite")
+            if v == 0.0:
+                raise ValueError("stored values must be nonzero")
 
     @classmethod
     def from_dict(cls, d: Mapping[int, float]) -> "SparseFunction":
@@ -83,20 +86,20 @@ def indicator(labels: Iterable[int]) -> SparseFunction:
 def translate(model: HypergroupModel, f: SparseFunction, y: int) -> SparseFunction:
     """Translate of f by the window point y through the point convolutions.
 
-    Only the preimages of supp f are visited.  Each output point sums its
-    terms in increasing u, the order of a scan over the whole carrier.
+    One pass over supp f visits, for each u, the preimages that the pair
+    (u, y^-) lists, and raises WindowOverflow at the first u whose
+    preimages leave the window.  Each output point sums its terms in
+    increasing u, the order of a scan over the whole carrier.
     """
     model._require_in_window(y)
-    if f.is_zero():
-        return ZERO_FUNCTION
-    if not model.translate_reach_ok(f.support(), y):
-        raise WindowOverflow(
-            f"translate by {y} has support outside the window for "
-            f"support {f.support()}")
     out: dict[int, float] = {}
     pair = model._pair
     for u, fv in f.values:
-        for x in model.preimage(u, y):
+        xs, fits = model._preimages(u, y)
+        if not fits:
+            raise WindowOverflow(
+                f"translate by {y} needs preimages of {u} outside the window")
+        for x in xs:
             m = pair(x, y)[0].get(u, 0.0)
             if m != 0.0:
                 out[x] = out.get(x, 0.0) + fv * m

@@ -4,12 +4,13 @@ A model holds a truncation window, the involution, the identity, the derived
 right-invariant measure, and the center.  The convolution of two point
 masses comes from the family's closed form the first time a pair is asked
 for, and is kept in a per-model memo together with whether its support fits
-the window.  Each family also has a preimage rule, the labels x for which
-delta_x * delta_y has an atom at u, so a translate visits only the points it
-needs instead of the whole carrier; the same rule decides whether a
-translate stays in the window.  Exact results whose support leaves the
-window raise :class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever
-truncated silently.
+the window.  A translate visits only the points it needs instead of the
+whole carrier: by the support-reversal law of hypergroups, delta_x * delta_y
+has an atom at u exactly when delta_u * delta_{y^-} has one at x, so the
+memoised pair (u, y^-) lists the preimages of u and says whether they fit
+the window.  Exact results whose support leaves the window raise
+:class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever truncated
+silently.
 
 All operations are pure.  The memo only ever adds entries equal to what any
 caller would compute, so instances can be shared between threads: a race
@@ -31,6 +32,7 @@ from .errors import (
     EPS_PROB,
     TOL_ASSOC,
     TOL_ATOM,
+    NonFiniteValue,
     NotCentral,
     WindowOverflow,
 )
@@ -127,23 +129,19 @@ class CenterReport:
 
 
 class _Family:
-    """Closed-form description of one hypergroup family (untruncated)."""
+    """Closed-form description of one hypergroup family (untruncated):
+    ``raw_convolve`` takes any two labels of the family's space, in the
+    window or not, and ``has_label`` tells which labels the space has."""
 
     signed = False  # carrier includes negative labels
+
+    def has_label(self, u: int) -> bool:
+        return self.signed or u >= 0
 
     def involution(self, x: int) -> int:
         raise NotImplementedError
 
     def raw_convolve(self, x: int, y: int) -> dict[int, float]:
-        raise NotImplementedError
-
-    def preimage(self, u: int, y: int) -> Iterable[int]:
-        """Labels x where (delta_x * delta_y)({u}) may be nonzero, unclipped.
-
-        A missing label is not allowed.  Extra labels are allowed inside
-        any window (the caller reads the atom), but a returned label outside
-        the window must carry an atom at u: the model derives from this rule
-        whether a translate stays in the window."""
         raise NotImplementedError
 
     def identity_atom_exact(self, x: int):
@@ -185,15 +183,6 @@ class _DunklRamirez(_Family):
             out[r] = top
         return out
 
-    def preimage(self, u, y):
-        # Above y only the point max at x = u reaches u; at u = y every
-        # x <= y does; below y only the diagonal x = y spreads down to u.
-        if u > y:
-            return (u,)
-        if u == y:
-            return range(0, y + 1)
-        return (y,)
-
     def identity_atom_exact(self, x):
         if x == 0:
             return Fraction(1)
@@ -213,10 +202,6 @@ class _SU2(_Family):
         den = float((m + 1) * (n + 1))
         return {k: (k + 1) / den for k in range(abs(m - n), m + n + 1, 2)}
 
-    def preimage(self, u, y):
-        # |x - y| <= u <= x + y with x + y - u even
-        return range(abs(u - y), u + y + 1, 2)
-
     def identity_atom_exact(self, x):
         return Fraction(1, (x + 1) * (x + 1))
 
@@ -232,27 +217,19 @@ class _IntegerGroup(_Family):
     def raw_convolve(self, x, y):
         return {x + y: 1.0}
 
-    def preimage(self, u, y):
-        return (u - y,)
-
     def identity_atom_exact(self, x):
         return Fraction(1)
 
 
 class _TableFamily(_Family):
-    """Finite hypergroup given by an explicit table; the carrier is the whole space.
-
-    Masses are converted and checked at load, and an inverse index from
-    (u, y) to the labels x whose row (x, y) has an atom at u gives the
-    preimage rule.
-    """
+    """Finite hypergroup given by an explicit table; the carrier is the whole
+    space.  Masses are converted and checked at load."""
 
     def __init__(self, conv, involution_map, identity):
         self._inv = involution_map
         self._identity = identity
         self._carrier = tuple(sorted(involution_map))
         self._conv: dict[tuple[int, int], dict[int, float]] = {}
-        self._preimages: dict[tuple[int, int], list[int]] = {}
         for x in self._carrier:
             for y in self._carrier:
                 row = {}
@@ -263,7 +240,6 @@ class _TableFamily(_Family):
                     if not (m > 0.0) or not math.isfinite(m):
                         raise ValueError("atom masses must be finite and strictly positive")
                     row[u] = m
-                    self._preimages.setdefault((u, y), []).append(x)
                 self._conv[(x, y)] = row
 
     def involution(self, x):
@@ -272,15 +248,15 @@ class _TableFamily(_Family):
     def raw_convolve(self, x, y):
         return self._conv[(x, y)]
 
-    def preimage(self, u, y):
-        return self._preimages.get((u, y), ())
-
     def identity_atom_exact(self, x):
         v = self._conv[(x, self._inv[x])].get(self._identity, 0.0)
         if v <= 0.0:
             raise ValueError(f"table row ({x},{self._inv[x]}) has no identity atom; "
                              "cannot derive an invariant measure")
         return Fraction(v)
+
+    def has_label(self, u):
+        return u in self._inv
 
     def carrier(self, window):
         return self._carrier
@@ -317,7 +293,11 @@ class HypergroupModel:
         # rational arithmetic so closed-form weights come out exact.
         haar: dict[int, float] = {}
         for x in self.carrier:
-            haar[x] = float(1 / family.identity_atom_exact(x))
+            try:
+                haar[x] = float(1 / family.identity_atom_exact(x))
+            except OverflowError:
+                raise NonFiniteValue(f"the Haar weight at label {x} exceeds "
+                                     "the float range") from None
         if abs(haar[self.identity] - 1.0) > TOL_ATOM:
             raise ValueError("invariant measure is not normalised at the identity")
         self.haar: dict[int, float] = haar
@@ -361,10 +341,14 @@ class HypergroupModel:
             self._pairs[(x, y)] = entry
         return entry
 
-    def preimage(self, u: int, y: int) -> Iterable[int]:
-        """Labels x where (delta_x * delta_y)({u}) may be nonzero; see
-        :meth:`_Family.preimage` for what may lie outside the window."""
-        return self._fam.preimage(u, y)
+    def _preimages(self, u: int, y: int) -> tuple[dict[int, float], bool]:
+        """(atoms, fits) of delta_u * delta_{y^-}.  By the support-reversal
+        law its atoms are the labels x where (delta_x * delta_y)({u}) is
+        nonzero, and fits says whether they are all window labels.  A label
+        outside the family's space has no preimages."""
+        if not self._fam.has_label(u):
+            return {}, True
+        return self._pair(u, self.involution(y))
 
     def raw_convolve_points(self, x: int, y: int) -> SparseMeasure:
         """Exact convolution of two point masses, support possibly off-window."""
@@ -430,8 +414,8 @@ class HypergroupModel:
     def translate_reach_ok(self, f_support: Iterable[int], y: int) -> bool:
         """True when every preimage of supp f under y is a window label, so
         the translate of f by y needs no point outside the window."""
-        labels, preimage = self._labels, self._fam.preimage
-        return all(x in labels for u in f_support for x in preimage(u, y))
+        self._require_in_window(y)
+        return all(self._preimages(u, y)[1] for u in f_support)
 
     # -- verification ------------------------------------------------------
 
@@ -544,9 +528,12 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
     """Finite hypergroup from an explicit convolution table.
 
     ``conv`` must contain every ordered pair of labels.  With ``validate``
-    (the default) the axioms are checked on load over every label and any
-    violation is a hard error; pass ``validate=False`` to build a possibly
-    broken model for diagnostic use with :meth:`HypergroupModel.verify_axioms`.
+    (the default) the axioms are checked on load over every label, and the
+    support-reversal law, which translation reads its preimages from, is
+    checked exactly; any violation is a hard error.  Pass ``validate=False``
+    to build a possibly broken model for diagnostic use with
+    :meth:`HypergroupModel.verify_axioms` only: where it breaks the reversal
+    law, its translates differ from the integral of f against its rows.
     """
     labels = sorted(involution_map)
     for x in labels:
@@ -563,4 +550,12 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
             raise ValueError(
                 f"table violates hypergroup axioms ({len(violations)} findings; "
                 f"first: {first.axiom} at {first.witness}: {first.detail})")
+        for x in labels:
+            for y in labels:
+                yi = fam.involution(y)
+                for u in fam.raw_convolve(x, y):
+                    if x not in fam.raw_convolve(u, yi):
+                        raise ValueError(
+                            f"table breaks the support-reversal law: row ({x},{y}) "
+                            f"has an atom at {u}, row ({u},{yi}) none at {x}")
     return model

@@ -48,7 +48,8 @@ lie in the window.  Every number passes through one converter, so a value
 that is not a finite int or float (null, a word, a list, a mapping) is a
 ScenarioError too, as is a bool or, where an integer belongs, a float with
 a fractional part.  A geometric weight must be finite and positive at both
-ends of the carrier.  Failures raise ScenarioError with the offending path.
+ends of the carrier, and the window must keep every Haar weight a finite
+float.  Failures raise ScenarioError with the offending path.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .errors import ScenarioError, WindowOverflow
+from .errors import NonFiniteValue, ScenarioError, WindowOverflow
 from .functions import SparseFunction
 from .hypergroups import (
     HypergroupModel,
@@ -171,7 +172,10 @@ def _build_model(section, path) -> HypergroupModel:
         a = _scalar(_need(section, "a", path), float, f"{path}.a")
         if not 0.0 < a <= 0.5:
             raise ScenarioError(f"{path}.a: must lie in (0, 1/2]")
-        return dunkl_ramirez(a, window)
+        try:
+            return dunkl_ramirez(a, window)
+        except NonFiniteValue as exc:
+            raise ScenarioError(f"{path}.window: {exc}") from exc
     if family == "table":
         _no_extras(section, {"family", "window", "identity", "involution", "table"},
                    path)
@@ -331,14 +335,11 @@ def parse_scenario(data: dict) -> Scenario:
         eta = _build_eta(data["eta"], "eta", model)
         for n in range(-run.horizon, run.horizon + 1):
             try:
-                point = eta(n)
+                eta(n)
             except WindowOverflow as exc:
                 raise ScenarioError(
                     f"eta: index {n} unreachable within horizon "
                     f"{run.horizon}: {exc}") from exc
-            if not model.in_window(point):
-                raise ScenarioError(
-                    f"eta: index {n} leaves the window (label {point})")
     sets: dict[str, tuple[int, ...]] = {}
     for name, labels in _mapping(data.get("sets") or {}, "sets").items():
         if not isinstance(labels, list) or not labels:

@@ -20,6 +20,14 @@ def test_from_dict_drops_zeros_and_sorts():
     assert f.value_at(3) == 0.0
 
 
+def test_non_finite_values_are_named():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(hz.NonFiniteValue):
+            hz.SparseFunction.from_dict({0: bad})
+    with pytest.raises(hz.NonFiniteValue):
+        hz.SparseFunction.from_dict({0: 1e308}).scale(10.0)
+
+
 def test_arithmetic():
     f = hz.SparseFunction.from_dict({0: 1.0, 1: 2.0})
     g = hz.SparseFunction.from_dict({1: -2.0, 2: 3.0})

@@ -150,6 +150,25 @@ def test_table_hypergroup_rejects_broken_identity():
         hz.table_hypergroup(conv, {0: 0, 1: 1})
 
 
+def test_table_hypergroup_requires_exact_support_reversal():
+    # delta_1 * delta_0 keeps a stray identity atom below the axiom
+    # tolerances, yet delta_0 * delta_0 has no atom at 1.  Translation reads
+    # preimages from the latter, so validation refuses the table.
+    conv = {(0, 0): {0: 1.0}, (0, 1): {1: 1.0},
+            (1, 0): {0: 1e-13, 1: 1.0 - 1e-13}, (1, 1): {0: 1.0}}
+    diagnostic = hz.table_hypergroup(conv, {0: 0, 1: 1}, validate=False)
+    assert diagnostic.verify_axioms(1) == []
+    with pytest.raises(ValueError, match="support-reversal law: row \\(1,0\\)"):
+        hz.table_hypergroup(conv, {0: 0, 1: 1})
+
+
+def test_haar_weight_beyond_float_range_is_named():
+    # (1 - a) / a^x at a = 0.3 passes the largest float at x = 590.
+    assert math.isfinite(hz.dunkl_ramirez(0.3, 589).haar[589])
+    with pytest.raises(hz.NonFiniteValue, match="label 590 "):
+        hz.dunkl_ramirez(0.3, 590)
+
+
 def test_sparse_measure_validation():
     with pytest.raises(ValueError):
         hz.SparseMeasure(((0, -0.5),))
@@ -165,6 +184,13 @@ def test_translate_reach_guards(dr03, su2m, zline):
     assert not su2m.translate_reach_ok([10], 23)
     assert zline.translate_reach_ok([-60], -4)
     assert not zline.translate_reach_ok([-60], 5)
+    # A table's carrier may skip labels; translating by one is refused, as
+    # translate refuses it.
+    conv = {(x, y): {(x + y) % 15: 1.0} for x in (0, 5, 10) for y in (0, 5, 10)}
+    table = hz.table_hypergroup(conv, {0: 0, 5: 10, 10: 5})
+    assert table.translate_reach_ok([1, 5], 10)
+    with pytest.raises(ValueError, match="label 1 lies outside"):
+        table.translate_reach_ok([5], 1)
 
 
 @settings(max_examples=15, deadline=None)

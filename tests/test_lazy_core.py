@@ -3,12 +3,14 @@
 ``EagerReference`` keeps the earlier core as the oracle: every pair of the
 carrier convolved up front into a validated SparseMeasure, fit read from the
 full support, translation scanning the whole carrier (its reach decided from
-the convolutions, not from the preimage rules), weight factors
+the untruncated convolutions, not from the model's memo), weight factors
 recomputed for every product and multiplied one at a time, hereditary pairs
 walked afresh on every call, and associativity checked by allocating
 measures and catching WindowOverflow.  The lazy core must agree with it bit
 for bit (``==`` on floats), including which calls raise.
 """
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,6 +252,20 @@ def spread_table(draw):
     return conv, {x: x for x in range(n + 1)}, 0
 
 
+def s3_table():
+    """The symmetric group S3 as a table: label i is the i-th permutation of
+    (0, 1, 2) in lexicographic order, so 0 is the identity, and the
+    convolution composes.  It is the one model here that does not commute,
+    so delta_x * delta_y and delta_y * delta_x differ."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    conv = {(index[p], index[q]): {index[tuple(p[i] for i in q)]: 1.0}
+            for p in perms for q in perms}
+    involution = {index[p]: index[tuple(sorted(range(3), key=p.__getitem__))]
+                  for p in perms}
+    return conv, involution, 0
+
+
 @st.composite
 def models(draw):
     kind = draw(st.sampled_from(("integers", "su2", "dunkl_ramirez", "table")))
@@ -261,7 +277,8 @@ def models(draw):
     elif kind == "dunkl_ramirez":
         model = hz.dunkl_ramirez(draw(st.sampled_from((0.1, 0.3, 0.5))), window)
     else:
-        conv, involution, identity = draw(st.one_of(cyclic_table(), spread_table()))
+        conv, involution, identity = draw(st.one_of(cyclic_table(), spread_table(),
+                                                    st.just(s3_table())))
         model = hz.table_hypergroup(conv, involution, identity=identity)
         return model, EagerReference(model, raw=lambda x, y: conv[(x, y)],
                                      space=model.in_window)
@@ -362,6 +379,17 @@ def test_translate_matches_full_carrier_scan(data):
         assert got == want
         if isinstance(got, SparseFunction):
             assert got.values == want.values
+
+
+def test_translate_on_a_noncommutative_table():
+    conv, involution, identity = s3_table()
+    model = hz.table_hypergroup(conv, involution, identity=identity)
+    ref = EagerReference(model, raw=lambda x, y: conv[(x, y)], space=model.in_window)
+    assert any(conv[(x, y)] != conv[(y, x)] for x in model.carrier for y in model.carrier)
+    for u in model.carrier:
+        f = SparseFunction.from_dict({u: 1.0, (u + 1) % 6: -0.5})
+        for y in model.carrier:
+            assert hz.translate(model, f, y).values == ref.translate(f, y).values
 
 
 def test_translate_off_window_support_overflows():

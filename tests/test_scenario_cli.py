@@ -284,6 +284,62 @@ def test_cli_geometric_weight_beyond_float_range_exits_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("scenario error: weight: ")
 
 
+def test_cli_haar_weight_beyond_float_range_exits_two(tmp_path, capsys):
+    # At a = 0.3 the Haar weight (1-a)/a^x leaves the float range at x = 590.
+    data = yaml.safe_load((SCENARIO_DIR / "dr_axioms.yaml").read_text())
+    data["hypergroup"]["window"] = 700
+    path = write_scenario(tmp_path, data)
+    for command in cli.COMMANDS:
+        assert run_cli(["--scenario", path, "--command", command]) == 2
+        assert capsys.readouterr().err.startswith(
+            "scenario error: hypergroup.window: the Haar weight at label 590 ")
+
+
+# The weight is finite on the carrier, but a product of n factors near
+# 2^990 is not, and one near 2^-990 underflows to zero.
+STEEP = {"id": "steep-products",
+         "hypergroup": {"family": "integers", "window": 1000},
+         "young": {"kind": "phi_p", "p": 2.0},
+         "weight": {"form": "geometric", "base": 1.0, "ratio": 2.0},
+         "eta": {"generator": "center_powers", "z": 1},
+         "sets": {"E": [990]}, "functions": {"f": {990: 1.0}},
+         "run": {"horizon": 16, "series_cutoff": 8}}
+
+
+def _probe_body(path, probe, capsys):
+    code = run_cli(["--scenario", path, "--command", "probe", "--args", f"id={probe}"])
+    records = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")[1:]]
+    return code, [r["flags"] for r in records[:-1]], records[-1]["verdict"]
+
+
+def test_cli_overflowing_weight_product_flags_rows(tmp_path, capsys):
+    path = write_scenario(tmp_path, STEEP)
+    # From n = 2 the pulled-back profile overflows and cannot be stored.
+    code, flags, verdict = _probe_body(path, "necessary-sup", capsys)
+    assert (code, verdict) == (1, "inconclusive")
+    assert flags == [[]] + [["non-finite"]] * 9
+    # The orbit skips those steps as it skips the ones past the window.
+    assert run_cli(["--scenario", path, "--command", "orbit",
+                    "--args", "targets=f"]) == 0
+    orbit = json.loads(capsys.readouterr().out.strip().split("\n")[1])
+    assert (orbit["best_n"], orbit["skipped"]) == (0, list(range(2, 17)))
+
+
+def test_cli_underflowing_weight_product_flags_rows(tmp_path, capsys):
+    # Below the identity the products underflow to zero, and the probes
+    # track their reciprocals.
+    path = write_scenario(tmp_path, dict(STEEP, sets={"E": [-990]}))
+    for probe in ("center", "hereditary"):
+        code, flags, verdict = _probe_body(path, probe, capsys)
+        assert (code, verdict) == (1, "inconclusive")
+        assert flags == [[]] + [["non-finite"]] * 9
+    # At 0 the series' products of s*n factors 2^-j underflow from s*n = 47.
+    path = write_scenario(tmp_path, dict(STEEP, sets={"E": [0]}))
+    code, flags, verdict = _probe_body(path, "necessary-series", capsys)
+    assert (code, verdict) == (1, "inconclusive")
+    assert flags == [[]] * 5 + [["non-finite"]] * 11
+
+
 def test_cli_witness_and_orbit(tmp_path, capsys):
     path = write_scenario(tmp_path, DOUBLING)
     assert run_cli(["--scenario", path, "--command", "witness"]) == 0
