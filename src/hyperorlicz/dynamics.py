@@ -379,10 +379,9 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
         raise PreconditionFailed(
             "strong-aperiodicity",
             "multiplied translates keep meeting below the horizon")
-    skipped = set(strong.inconclusive)
-    good = [n for n in range(strong.first_n, horizon + 1) if n not in skipped]
+    # Every skipped index lies below first_n, so all indices from it are good.
     rows: list[CriterionRow] = []
-    for k, n in enumerate(good, start=1):
+    for k, n in enumerate(range(strong.first_n, horizon + 1), start=1):
         fwd_sum = 0.0
         rec_sum = 0.0
         flags: tuple[str, ...] = ()

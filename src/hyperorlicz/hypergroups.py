@@ -77,13 +77,6 @@ class SparseMeasure:
     def _lookup(self) -> dict[int, float]:
         return dict(self.atoms)
 
-    def scaled(self, c: float) -> "SparseMeasure":
-        if c == 0.0:
-            return SparseMeasure(())
-        if c < 0.0:
-            raise ValueError("measures cannot carry negative mass")
-        return SparseMeasure(tuple((x, c * m) for x, m in self.atoms))
-
 
 def point_mass(label: int) -> SparseMeasure:
     return SparseMeasure(((label, 1.0),), probability=True)
@@ -112,10 +105,15 @@ def _max_deviation(a: Mapping[int, float], b: Mapping[int, float]) -> float:
     return dev
 
 
+# The axioms verify_axioms checks, in the order its findings and the axioms
+# report list them.
+AXIOMS = ("involution", "probability-mass", "identity",
+          "support-identity", "adjoint", "associativity")
+
+
 @dataclass(frozen=True)
 class AxiomViolation:
-    axiom: str                 # "probability-mass" | "identity" | "support-identity"
-    #                          | "adjoint" | "associativity" | "involution"
+    axiom: str                 # one of AXIOMS
     witness: tuple[int, ...]
     detail: str
 
@@ -223,24 +221,17 @@ class _IntegerGroup(_Family):
 
 class _TableFamily(_Family):
     """Finite hypergroup given by an explicit table; the carrier is the whole
-    space.  Masses are converted and checked at load."""
+    space.  Each row is read through :meth:`SparseMeasure.from_dict` at load,
+    so labels and masses are converted, zero masses dropped, and a mass that
+    is negative or not finite raises ValueError."""
 
     def __init__(self, conv, involution_map, identity):
         self._inv = involution_map
         self._identity = identity
         self._carrier = tuple(sorted(involution_map))
-        self._conv: dict[tuple[int, int], dict[int, float]] = {}
-        for x in self._carrier:
-            for y in self._carrier:
-                row = {}
-                for u, m in conv[(x, y)].items():
-                    if m == 0.0:
-                        continue
-                    u, m = int(u), float(m)
-                    if not (m > 0.0) or not math.isfinite(m):
-                        raise ValueError("atom masses must be finite and strictly positive")
-                    row[u] = m
-                self._conv[(x, y)] = row
+        self._conv: dict[tuple[int, int], dict[int, float]] = {
+            (x, y): dict(SparseMeasure.from_dict(conv[(x, y)]).atoms)
+            for x in self._carrier for y in self._carrier}
 
     def involution(self, x):
         return self._inv[x]
@@ -423,11 +414,14 @@ class HypergroupModel:
         """Check the defining axioms on all labels within ``triple_bound``.
 
         Probability masses, the identity law, the support-identity equivalence
-        and the adjoint law are checked on the exact (untruncated) atoms.
+        and the adjoint law are checked on the exact (untruncated) atoms, in
+        one pass over the labels x with a nested pass over the pairs (x, y).
         Associativity is checked on triples whose intermediate supports stay
-        inside the window; out-of-window triples are skipped.
+        inside the window; out-of-window triples are skipped.  Violations come
+        grouped by axiom in the order of :data:`AXIOMS`, each group in label
+        order.
         """
-        out: list[AxiomViolation] = []
+        found: dict[str, list[AxiomViolation]] = {name: [] for name in AXIOMS}
         e = self.identity
         inv = self.involution
         pair = self._pair
@@ -436,38 +430,29 @@ class HypergroupModel:
         for x in pts:
             xi = inv(x)
             if xi not in self._labels or inv(xi) != x:
-                out.append(AxiomViolation("involution", (x,),
-                                          f"involution of {x} does not fold back"))
-
-        for x in pts:
-            for y in pts:
-                dm = abs(sum(pair(x, y)[0].values()) - 1.0)
-                if dm > EPS_PROB:
-                    out.append(AxiomViolation(
-                        "probability-mass", (x, y), f"mass deviates by {dm:.3e}"))
-
-        for x in pts:
+                found["involution"].append(AxiomViolation(
+                    "involution", (x,), f"involution of {x} does not fold back"))
             for (atoms, tag) in ((pair(x, e)[0], "right"), (pair(e, x)[0], "left")):
                 if not _is_point_mass(atoms, x):
-                    out.append(AxiomViolation(
+                    found["identity"].append(AxiomViolation(
                         "identity", (x,), f"{tag} identity law fails at {x}"))
-
-        for x in pts:
             for y in pts:
-                has_e = pair(x, y)[0].get(e, 0.0) > TOL_ATOM
-                if has_e != (x == inv(y)):
-                    out.append(AxiomViolation(
+                xy = pair(x, y)[0]
+                dm = abs(sum(xy.values()) - 1.0)
+                if dm > EPS_PROB:
+                    found["probability-mass"].append(AxiomViolation(
+                        "probability-mass", (x, y), f"mass deviates by {dm:.3e}"))
+                if (xy.get(e, 0.0) > TOL_ATOM) != (x == inv(y)):
+                    found["support-identity"].append(AxiomViolation(
                         "support-identity", (x, y),
                         "identity atom present iff x equals the involution of y"))
-
-        for x in pts:
-            for y in pts:
-                lhs = {inv(u): m for u, m in pair(x, y)[0].items()}
-                dev = _max_deviation(lhs, pair(inv(y), inv(x))[0])
+                lhs = {inv(u): m for u, m in xy.items()}
+                dev = _max_deviation(lhs, pair(inv(y), xi)[0])
                 if dev > TOL_ATOM:
-                    out.append(AxiomViolation(
+                    found["adjoint"].append(AxiomViolation(
                         "adjoint", (x, y), f"adjoint law deviates by {dev:.3e}"))
 
+        out = found["associativity"]
         # (delta_x * delta_y) * delta_z against delta_x * (delta_y * delta_z),
         # summed in plain dicts; the point masses contribute exact unit
         # factors.  Each pair's fit is read from its atoms before they are
@@ -503,7 +488,7 @@ class HypergroupModel:
                                 out.append(AxiomViolation(
                                     "associativity", (x, y, z),
                                     f"triple product deviates by {dev:.3e}"))
-        return out
+        return [v for name in AXIOMS for v in found[name]]
 
 
 def dunkl_ramirez(a: float, window: int) -> HypergroupModel:

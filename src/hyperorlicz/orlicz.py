@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import RTOL_NORM, NonFiniteIntegrand
-from .functions import SparseFunction
+from .functions import SparseFunction, indicator, integrate_haar
 from .hypergroups import HypergroupModel
 
 _DELTA2_GRID = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
@@ -417,7 +417,6 @@ def l1_embedding_check(model: HypergroupModel, phi: YoungFunction) -> L1Embeddin
     via_window = True
     holds = status == "positive" or via_window
 
-    from .functions import indicator, integrate_haar  # local to avoid cycle at import
     probes = []
     step = max(1, len(model.carrier) // 6)
     for x in model.carrier[::step]:

@@ -158,7 +158,7 @@ def _int_labels(mapping, path) -> dict[int, float]:
 
 def _build_model(section, path) -> HypergroupModel:
     family = _need(section, "family", path, str)
-    window = _need(section, "window", path, int)
+    window = _scalar(_need(section, "window", path), int, f"{path}.window")
     if window < 1:
         raise ScenarioError(f"{path}.window: must be a positive integer")
     if family == "integers":

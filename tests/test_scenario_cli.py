@@ -111,6 +111,7 @@ def test_null_and_malformed_scalars_are_scenario_errors():
         (("run",), [{"horizon": 4}], r"^run: "),
         (("run", "horizon"), 2.7, r"^run\.horizon: "),
         (("run", "horizon"), True, r"^run\.horizon: "),
+        (("hypergroup", "window"), True, r"^hypergroup\.window: "),
         (("sets", "E"), [0.9], r"^sets\.E: "),
     ] + [(("weight",), w, r"^weight\.") for w in weights]
     base = _with_int_keys(json.loads(json.dumps(DOUBLING)))
@@ -359,6 +360,28 @@ def test_cli_haar_seeded(tmp_path, capsys):
                     "--seed", "5"]) == 0
     second = capsys.readouterr().out.strip().split("\n")[1:]
     assert first == second
+
+
+def test_cli_haar_on_table_labels_that_skip_integers(tmp_path, capsys):
+    # The cyclic group of order 3 on the labels {0, 5, 7}: no probe or
+    # translation may use a label between them.
+    labels = (0, 5, 7)
+    data = {
+        "id": "cyclic-three-sparse",
+        "hypergroup": {
+            "family": "table", "window": 7, "identity": 0,
+            "involution": {0: 0, 5: 7, 7: 5},
+            "table": [[labels[i], labels[j], {labels[(i + j) % 3]: 1.0}]
+                      for i in range(3) for j in range(3)],
+        },
+        "young": {"kind": "phi_p", "p": 2.0},
+        "weight": {"form": "constant", "value": 1.0},
+    }
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "haar"]) == 0
+    body = [json.loads(line) for line in capsys.readouterr().out.split("\n")[1:]
+            if line]
+    assert {r["y"] for r in body if r["record"] == "invariance"} == set(labels)
 
 
 def test_cli_out_file_and_csv(tmp_path):
