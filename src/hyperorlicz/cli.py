@@ -207,31 +207,27 @@ def _cmd_aperiodic(sc: Scenario, opts, seed: int):
     return records, (0 if verdict.holds_at_horizon else 1)
 
 
-def _probe_hereditary(sc: Scenario, e, opts):
-    if "z" in opts:
-        z = int(opts["z"])
-    else:
-        eta = _require_eta(sc)
-        if not isinstance(eta, CenterPowers):
-            raise PreconditionFailed(
-                "central-element",
-                "hereditary probe needs z= or a center-powers sequence")
-        z = eta.z
-    return probe_hereditary(sc.model, z, sc.weight, sc.phi, e, sc.run.horizon)
+def _probe_hereditary(sc: Scenario, e):
+    eta = _require_eta(sc)
+    if not isinstance(eta, CenterPowers):
+        raise PreconditionFailed("central-element",
+                                 "hereditary probe needs a center-powers sequence")
+    return probe_hereditary(sc.model, eta.z, sc.weight, sc.phi, e,
+                            sc.run.horizon)
 
 
-# Probe id -> (scenario, set, options) -> CriterionReport.  The entries look
-# the probe functions up by name when called, so patching a module attribute
-# takes effect.
+# Probe id -> (scenario, set) -> CriterionReport.  The entries look the probe
+# functions up by name when called, so patching a module attribute takes
+# effect.
 PROBES = {
-    "necessary-sup": lambda sc, e, opts: probe_sup_necessary(
+    "necessary-sup": lambda sc, e: probe_sup_necessary(
         sc.model, sc.weight, _require_eta(sc), e, sc.run.horizon,
         convention=sc.run.convention),
-    "necessary-series": lambda sc, e, opts: probe_series_necessary(
+    "necessary-series": lambda sc, e: probe_series_necessary(
         sc.model, sc.weight, _require_eta(sc), e, sc.run.horizon,
         sc.run.series_cutoff, rs_bound=sc.run.rs_bound,
         convention=sc.run.convention),
-    "center": lambda sc, e, opts: probe_center_conditions(
+    "center": lambda sc, e: probe_center_conditions(
         sc.model, sc.weight, _require_eta(sc), sc.phi, e, sc.run.horizon,
         convention=sc.run.convention),
     "hereditary": _probe_hereditary,
@@ -243,7 +239,7 @@ def _cmd_probe(sc: Scenario, opts, seed: int):
     if probe is None:
         raise ScenarioError(f"probe id must be one of {tuple(PROBES)}, "
                             f"got {opts.get('id')!r}")
-    report = probe(sc, _named_set(sc, opts), opts)
+    report = probe(sc, _named_set(sc, opts))
     records = []
     for row in report.rows:
         rec = {"record": "row", "k": row.k, "n": row.n,
@@ -304,16 +300,23 @@ def _cmd_orbit(sc: Scenario, opts, seed: int):
     return records, 0
 
 
-COMMANDS = {"axioms": _cmd_axioms, "haar": _cmd_haar, "norm": _cmd_norm,
-            "aperiodic": _cmd_aperiodic, "probe": _cmd_probe,
-            "witness": _cmd_witness, "orbit": _cmd_orbit}
+# Command -> (handler, the --args keys it reads).
+COMMANDS = {"axioms": (_cmd_axioms, ()), "haar": (_cmd_haar, ()),
+            "norm": (_cmd_norm, ("f",)), "aperiodic": (_cmd_aperiodic, ("set",)),
+            "probe": (_cmd_probe, ("id", "set")),
+            "witness": (_cmd_witness, ("f", "g")),
+            "orbit": (_cmd_orbit, ("f", "targets"))}
 
 
 def run_command(sc: Scenario, command: str, opts: dict[str, str],
                 seed: int) -> tuple[list[dict], int]:
-    handler = COMMANDS.get(command)
-    if handler is None:
+    if command not in COMMANDS:
         raise ScenarioError(f"unknown command {command!r}")
+    handler, keys = COMMANDS[command]
+    unknown = sorted(set(opts) - set(keys))
+    if unknown:
+        raise ScenarioError(f"unknown --args keys {unknown} for {command}, "
+                            f"which reads {list(keys)}")
     return handler(sc, opts, seed)
 
 

@@ -49,7 +49,7 @@ from .operators import (
     shifted_weight_product,
     weight_product,
 )
-from .orlicz import YoungFunction, luxemburg_norm
+from .orlicz import YoungFunction, delta2_check, luxemburg_norm
 
 TREND_SLACK = 1e-12
 RATIO_TARGET_SLACK = 1e-9
@@ -426,9 +426,8 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
         raise PreconditionFailed("central-sequence",
                                  "the probe needs powers of a center element")
     good = _center_indices(model, eta, e, horizon)
-    sufficiency_ok = (phi.delta2 == "proven"
-                      and w.inf_over(model.carrier) > 0.0
-                      and phi.strictly_increasing)
+    sufficiency_ok = (delta2_check(phi).state == "proven"
+                      and w.inf_over(model.carrier) > 0.0)
 
     def tracked(n):
         return ([1.0 / weight_product(model, w, eta, x, n, convention) for x in e],
@@ -463,7 +462,7 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
     if not phi.strictly_increasing:
         raise PreconditionFailed("strictly-increasing",
                                  "the criterion needs a strictly increasing gauge")
-    if phi.delta2 != "proven":
+    if delta2_check(phi).state != "proven":
         raise PreconditionFailed("doubling-regularity",
                                  "the criterion needs proven doubling regularity")
     good = _center_indices(model, CenterPowers(model, z), e, horizon)

@@ -72,6 +72,21 @@ def test_complementary_cosh_kind_analytic():
         assert complementary_eval(phi, y) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+def test_complementary_is_nonnegative_and_bounds_fenchel_young():
+    # Psi(y) >= t*y - phi(t) for every t, and Psi >= 0 (t = 0); the tails of
+    # the float range are where a closed form can cancel or overflow.
+    kinds = (hz.phi_p(1.0), hz.phi_p(3.0), hz.exp_minus_linear(),
+             hz.cosh_minus_one(),
+             hz.tabulated_young([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]))
+    for phi in kinds:
+        for y in (5e-324, 1e-300, 1e-12, 1.0, 1e300):
+            psi = complementary_eval(phi, y)
+            assert psi >= 0.0, (phi.kind, y, psi)
+            for t in (1e-6, 0.5, 1.0, 2.0, 10.0):
+                assert t * y - phi(t) <= psi + 1e-12 * psi, (phi.kind, y, t)
+        assert complementary_eval(phi, math.inf) == math.inf
+
+
 def test_complementary_tabulated_knot_scan():
     phi = hz.tabulated_young([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)])
     # slopes are 1 then 2; conjugate at y=1.5 is max(t*1.5 - phi(t)) = 0.5 at t=1

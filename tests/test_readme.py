@@ -31,6 +31,14 @@ def test_command_list_and_probe_ids_match_the_cli():
     assert [t for t in _ticked(probes) if not t.startswith("--")] == list(cli.PROBES)
 
 
+def test_args_keys_match_the_cli():
+    listing = re.search(r"`--args` keys each command reads:\n\n(.*?)\n\n",
+                        _section("CLI"), re.S).group(1)
+    shown = [(m.group(1), _ticked(m.group(2)))
+             for m in re.finditer(r"^- `([^`]+)`: (.*)$", listing, re.M)]
+    assert shown == [(c, list(keys)) for c, (_, keys) in cli.COMMANDS.items()]
+
+
 def test_flags_are_cli_options():
     options = {s for action in cli._parser()._actions for s in action.option_strings}
     shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _section("CLI")))

@@ -240,6 +240,19 @@ def test_cli_bad_probe_id(tmp_path):
                     "--args", "id=mystery"]) == 2
 
 
+def test_cli_rejects_args_keys_the_command_does_not_read(capsys):
+    # haar reads no key; the hereditary probe takes z from the eta section.
+    for name, args in (("dr_axioms.yaml", ["haar", "--args", "probes=7",
+                                           "--args", "bogus=1"]),
+                       ("doubling_shift.yaml", ["probe", "--args", "id=hereditary",
+                                                "--args", "z=1"])):
+        argv = ["--scenario", str(SCENARIO_DIR / name), "--command", *args]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scenario error: unknown --args keys ")
+
+
 def test_cli_window_overflow_exit_code(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, DOUBLING)
 
