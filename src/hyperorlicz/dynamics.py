@@ -459,9 +459,6 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
     e = _require_set(model, e_set)
     if z not in model.center_elements().members:
         raise PreconditionFailed("central-element", f"label {z} is not central")
-    if not phi.strictly_increasing:
-        raise PreconditionFailed("strictly-increasing",
-                                 "the criterion needs a strictly increasing gauge")
     if delta2_check(phi).state != "proven":
         raise PreconditionFailed("doubling-regularity",
                                  "the criterion needs proven doubling regularity")

@@ -262,8 +262,9 @@ class HypergroupModel:
     translation and for the weight factors) but flagged, and
     :meth:`convolve_points` refuses to return them.  Construction computes
     only the invariant measure and the center, O(|carrier|) convolutions.
-    The memo only ever adds entries equal to what any caller would compute,
-    so a model can be shared between threads.
+    The memos, of pairs and of :meth:`verify_axioms` findings, only ever add
+    entries equal to what any caller would compute, so a model can be shared
+    between threads.
     """
 
     def __init__(self, family: _Family, window: int, identity: int = 0):
@@ -278,6 +279,8 @@ class HypergroupModel:
             raise ValueError("identity label missing from carrier")
         # (x, y) -> (atoms of delta_x * delta_y in label order, support fits)
         self._pairs: dict[tuple[int, int], tuple[dict[int, float], bool]] = {}
+        # labels checked -> verify_axioms findings on them
+        self._findings: dict[tuple[int, ...], tuple[AxiomViolation, ...]] = {}
 
         # Right-invariant measure normalised at the identity: the reciprocal
         # of the identity atom of delta_x * delta_{x^-}, computed in exact
@@ -419,13 +422,21 @@ class HypergroupModel:
         Associativity is checked on triples whose intermediate supports stay
         inside the window; out-of-window triples are skipped.  Violations come
         grouped by axiom in the order of :data:`AXIOMS`, each group in label
-        order.
+        order.  The findings are memoised per set of labels checked, so a
+        table validated at load is not checked again; each call returns a
+        new list.
         """
+        pts = tuple(x for x in self.carrier if abs(x) <= triple_bound)
+        findings = self._findings.get(pts)
+        if findings is None:
+            findings = self._findings[pts] = self._check_axioms(pts)
+        return list(findings)
+
+    def _check_axioms(self, pts: tuple[int, ...]) -> tuple[AxiomViolation, ...]:
         found: dict[str, list[AxiomViolation]] = {name: [] for name in AXIOMS}
         e = self.identity
         inv = self.involution
         pair = self._pair
-        pts = [x for x in self.carrier if abs(x) <= triple_bound]
 
         for x in pts:
             xi = inv(x)
@@ -488,7 +499,7 @@ class HypergroupModel:
                                 out.append(AxiomViolation(
                                     "associativity", (x, y, z),
                                     f"triple product deviates by {dev:.3e}"))
-        return [v for name in AXIOMS for v in found[name]]
+        return tuple(v for name in AXIOMS for v in found[name])
 
 
 def dunkl_ramirez(a: float, window: int) -> HypergroupModel:

@@ -41,6 +41,13 @@ Grammar (top-level keys, unknown keys rejected):
       convention: iterate_exclusive | inclusive
       triple_bound: 12                 # associativity triples cap, omit for all
 
+A mapping may not repeat a key: the second ``window:`` in one section is
+an error, not a silent override (keys merged in with YAML's ``<<`` may
+still be overridden).  Files are parsed with libyaml's C parser when the
+PyYAML build has it, else with PyYAML's pure-Python parser; both resolve
+tags, integer keys and floats through the same Python constructor, so they
+give the same documents.
+
 Validation is eager: the hypergroup is built (axioms of table families are
 checked on construction), the declared sequence is dry-run over every index
 up to the horizon in both directions, and every set and function label must
@@ -54,6 +61,7 @@ float.  Failures raise ScenarioError with the offending path.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import yaml
@@ -86,6 +94,34 @@ from .orlicz import (
     phi_p,
     tabulated_young,
 )
+
+
+class _UniqueKeys:
+    """Loader mixin: a mapping that repeats an explicit key is a
+    ConstructorError naming the key, where PyYAML would keep the last value.
+    Keys merged in with ``<<`` are left to PyYAML, which lets explicit keys
+    override them."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                break  # PyYAML reports the unhashable key itself
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+# libyaml's scanner and parser when this PyYAML build has them; the
+# constructor and resolver are PyYAML's Python ones either way.
+class _Loader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    pass
 
 
 @dataclass(frozen=True)
@@ -367,7 +403,7 @@ def parse_scenario(data: dict) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:

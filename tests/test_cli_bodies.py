@@ -10,8 +10,9 @@ import hashlib
 import pathlib
 
 import pytest
+import yaml
 
-from hyperorlicz import cli
+from hyperorlicz import cli, scenario
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -49,20 +50,37 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("pair", sorted(PINNED))
-def test_cli_body_matches_pin(pair, capsys):
-    scenario, _, command = pair.partition("/")
+def _assert_pinned(pair, capsys):
+    scenario_name, _, command = pair.partition("/")
     command, _, probe_id = command.partition(":")
-    argv = ["--scenario", str(SCENARIO_DIR / f"{scenario}.yaml"),
+    argv = ["--scenario", str(SCENARIO_DIR / f"{scenario_name}.yaml"),
             "--command", command]
     if probe_id:
         argv += ["--args", f"id={probe_id}"]
     code = cli.main(argv)
     text = capsys.readouterr().out
     want_code, want_sha = PINNED[pair]
-    assert code == want_code
+    assert code == want_code, pair
     if want_sha is None:
-        assert text == ""
+        assert text == "", pair
         return
     body = "\n".join(text.split("\n")[1:-1])
-    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == want_sha
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == want_sha, pair
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED))
+def test_cli_body_matches_pin(pair, capsys):
+    _assert_pinned(pair, capsys)
+
+
+@pytest.mark.parametrize("name", sorted({p.partition("/")[0] for p in PINNED}))
+def test_pure_python_parser_gives_the_pinned_bodies(name, monkeypatch, capsys):
+    # a PyYAML build without libyaml: the same loader on the Python parser;
+    # the scenario is loaded once and every pinned command runs on it
+    monkeypatch.setattr(scenario, "_Loader", type(
+        "PureLoader", (scenario._UniqueKeys, yaml.SafeLoader), {}))
+    sc = scenario.load_scenario(str(SCENARIO_DIR / f"{name}.yaml"))
+    monkeypatch.setattr(cli, "load_scenario", lambda path: sc)
+    for pair in sorted(PINNED):
+        if pair.startswith(f"{name}/"):
+            _assert_pinned(pair, capsys)

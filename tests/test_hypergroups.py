@@ -136,6 +136,17 @@ def test_table_hypergroup_cyclic_group():
     assert model.point_product(1, 2) == 0
 
 
+def test_verify_axioms_returns_a_fresh_list_per_call():
+    # Z_3 with delta_1 * delta_1 moved onto the identity: findings to return
+    conv = {(x, y): {(x + y) % 3: 1.0} for x in range(3) for y in range(3)}
+    conv[(1, 1)] = {0: 1.0}
+    model = hz.table_hypergroup(conv, {0: 0, 1: 2, 2: 1}, validate=False)
+    first, second = model.verify_axioms(2), model.verify_axioms(2)
+    assert first == second != []
+    first.clear()
+    assert model.verify_axioms(2) == second != []
+
+
 def test_table_hypergroup_rejects_bad_mass():
     conv = {(x, y): {(x + y) % 2: 0.5} for x in range(2) for y in range(2)}
     with pytest.raises(ValueError):

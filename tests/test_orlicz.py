@@ -1,5 +1,6 @@
 """Young functions, conjugates, and both Orlicz-type norms."""
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,22 @@ def test_complementary_exp_kind_analytic():
     for y in (0.0, 0.3, 1.0, 4.0, 20.0):
         expected = (1 + y) * math.log1p(y) - y
         assert complementary_eval(phi, y) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_complementary_exp_kind_matches_its_exact_series():
+    # (1 + y) log(1 + y) - y = sum_{k>=2} (-1)^k y^k / (k(k-1)) for y <= 1,
+    # summed here in exact rationals until a term falls below 1e-30 of the
+    # sum; the float value must not lose digits where the closed form cancels.
+    phi = hz.exp_minus_linear()
+    for y in (1e-150, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5):
+        yq, exact, k = Fraction(y), Fraction(0), 2
+        while True:
+            term = (-yq) ** k / (k * (k - 1))
+            exact += term
+            if abs(term) < exact * Fraction(1, 10**30):
+                break
+            k += 1
+        assert abs(Fraction(complementary_eval(phi, y)) - exact) <= exact * 1e-15, y
 
 
 def test_complementary_cosh_kind_analytic():

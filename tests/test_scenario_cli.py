@@ -2,6 +2,7 @@
 import copy
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
-from hyperorlicz import cli
+from hyperorlicz import cli, scenario
+from hyperorlicz.hypergroups import AXIOMS
 from hyperorlicz.report import record_line, render_csv, render_records
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -190,8 +192,74 @@ def test_parse_table_family():
     assert sc.model.center_elements().members == (0, 1, 2)
 
 
+def test_axioms_on_a_validated_table_match_a_fresh_check():
+    # the command reuses the findings of the load-time check; a copy built
+    # with validate=False checks every triple from scratch
+    order = 7
+    conv = {(x, y): {(x + y) % order: 1.0}
+            for x in range(order) for y in range(order)}
+    inv = {x: -x % order for x in range(order)}
+    sc = hz.parse_scenario({
+        "id": "cyclic-seven",
+        "hypergroup": {"family": "table", "window": order, "identity": 0,
+                       "involution": inv,
+                       "table": [[x, y, m] for (x, y), m in conv.items()]},
+        "young": {"kind": "phi_p", "p": 2.0},
+        "weight": {"form": "constant", "value": 1.0},
+    })
+    fresh = replace(sc, model=hz.table_hypergroup(conv, inv, validate=False))
+    records, code = cli.run_command(sc, "axioms", {}, 0)
+    assert (records, code) == cli.run_command(fresh, "axioms", {}, 0)
+    assert code == 0 and len(records) == len(AXIOMS)
+
+
 def run_cli(args):
     return cli.main(args)
+
+
+def test_cli_repeated_key_exits_two(tmp_path, capsys):
+    # a second window: used to override the first without a word, and haar
+    # then ran on window 32 and exited 0
+    text = (SCENARIO_DIR / "doubling_shift.yaml").read_text()
+    assert text.count("  window: 64\n") == 1
+    path = tmp_path / "dup.yaml"
+    path.write_text(text.replace("  window: 64\n", "  window: 64\n  window: 32\n"))
+    assert run_cli(["--scenario", str(path), "--command", "haar"]) == 2
+    err = capsys.readouterr().err
+    assert "scenario file is not valid YAML:" in err
+    assert "found duplicate key 'window'" in err
+
+
+def test_cli_malformed_yaml_exits_two(tmp_path, capsys):
+    # the parsers word their messages differently; only the prefix is ours
+    for i, text in enumerate(("id: x\nhypergroup:\n\tfamily: integers\n",
+                              "id: {a: 1\n", "id: *nope\n",
+                              "id: a\n---\nid: b\n")):
+        path = tmp_path / f"bad{i}.yaml"
+        path.write_text(text)
+        assert run_cli(["--scenario", str(path), "--command", "haar"]) == 2, text
+        assert "scenario error: scenario file is not valid YAML: " in \
+            capsys.readouterr().err, text
+
+
+def test_merged_keys_may_still_be_overridden():
+    doc = yaml.load("base: &b {family: integers, window: 64}\n"
+                    "hypergroup:\n  <<: *b\n  window: 8\n",
+                    Loader=scenario._Loader)
+    assert doc["hypergroup"] == {"family": "integers", "window": 8}
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_c_and_python_parsers_give_equal_documents():
+    assert issubclass(scenario._Loader, yaml.CSafeLoader)
+    root = SCENARIO_DIR.parent
+    paths = sorted(SCENARIO_DIR.glob("*.yaml")) + sorted(
+        (root / "bench" / "shipped").glob("*.yaml"))
+    assert len(paths) == 6
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+            yaml.load(text, Loader=yaml.SafeLoader), path
 
 
 def test_cli_axioms_exit_zero(tmp_path, capsys):
