@@ -25,8 +25,7 @@ reciprocal of one that underflowed to zero): its row is flagged
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import NonFiniteValue, PreconditionFailed, WindowOverflow
 from .functions import (
@@ -50,6 +49,7 @@ from .operators import (
     weight_product,
 )
 from .orlicz import YoungFunction, delta2_check, luxemburg_norm
+from .records import Checked
 
 TREND_SLACK = 1e-12
 RATIO_TARGET_SLACK = 1e-9
@@ -66,8 +66,15 @@ def _step_flag(exc: Exception) -> str:
 # -- aperiodicity -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AperiodicityVerdict:
+class _AperiodicityVerdictFields(NamedTuple):
+    holds_at_horizon: bool
+    first_n: int | None
+    horizon: int
+    counterexamples: tuple[tuple[int, tuple[int, ...]], ...]
+    inconclusive: tuple[int, ...] = ()
+
+
+class AperiodicityVerdict(Checked, _AperiodicityVerdictFields):
     """Tail disjointness of a set from its sequence translates.
 
     ``first_n`` is the least index from which every tested later index stayed
@@ -76,11 +83,7 @@ class AperiodicityVerdict:
     window overflow.
     """
 
-    holds_at_horizon: bool
-    first_n: int | None
-    horizon: int
-    counterexamples: tuple[tuple[int, tuple[int, ...]], ...]
-    inconclusive: tuple[int, ...] = ()
+    __slots__ = ()
 
     def __post_init__(self):
         if self.holds_at_horizon != (self.first_n is not None):
@@ -174,8 +177,7 @@ def strongly_aperiodic_check(model: HypergroupModel, eta: EtaSequence,
     return _tail_verdict(horizon, overlaps)
 
 
-@dataclass(frozen=True)
-class CenterAperiodicityReport:
+class CenterAperiodicityReport(NamedTuple):
     direct: AperiodicityVerdict
     pairwise: AperiodicityVerdict
     agree: bool
@@ -199,8 +201,7 @@ def aperiodic_center_check(model: HypergroupModel, z: int, e_set: Iterable[int],
 # -- criterion probes -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionRow:
+class CriterionRow(NamedTuple):
     k: int
     n: int
     members: tuple[int, ...]          # the selected sublevel subset of E
@@ -215,8 +216,7 @@ class CriterionRow:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class _CriterionReportFields(NamedTuple):
     criterion: str
     verdict: str                      # "holds_empirically" | "fails" | "inconclusive"
     rows: tuple[CriterionRow, ...]
@@ -224,6 +224,10 @@ class CriterionReport:
     convention: ProductConvention
     certification: str | None = None
     notes: tuple[str, ...] = ()
+
+
+class CriterionReport(Checked, _CriterionReportFields):
+    __slots__ = ()
 
     def __post_init__(self):
         ns = [r.n for r in self.rows]
@@ -478,8 +482,7 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
 # -- constructive witnesses -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessRow:
+class WitnessRow(NamedTuple):
     k: int
     n: int
     err_source: float
@@ -487,8 +490,7 @@ class WitnessRow:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     rows: tuple[WitnessRow, ...]
     eventually_decreasing: bool
     convention: ProductConvention
@@ -549,8 +551,7 @@ def build_transitivity_witness(model: HypergroupModel, f: SparseFunction,
 # -- orbit scans ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     target_index: int
     best_n: int
     best_error: float

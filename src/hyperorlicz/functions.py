@@ -8,20 +8,23 @@ true support would stick out raises WindowOverflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NonFiniteValue, WindowOverflow
 from .hypergroups import HypergroupModel, SparseMeasure
+from .records import Checked, unsupported
 
 
-@dataclass(frozen=True)
-class SparseFunction:
+class _SparseFunctionFields(NamedTuple):
+    values: tuple[tuple[int, float], ...]
+
+
+class SparseFunction(Checked, _SparseFunctionFields):
     """Sorted (label, value) pairs; zero values are never stored, and a
     value that is not finite raises NonFiniteValue."""
 
-    values: tuple[tuple[int, float], ...]
+    __mul__ = __rmul__ = unsupported
 
     def __post_init__(self):
         labels = [v[0] for v in self.values]

@@ -23,10 +23,8 @@ table-defined model's carrier is exactly the table's label set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     EPS_PROB,
@@ -36,18 +34,22 @@ from .errors import (
     NotCentral,
     WindowOverflow,
 )
+from .records import Checked, unsupported
 
 
-@dataclass(frozen=True)
-class SparseMeasure:
+class _SparseMeasureFields(NamedTuple):
+    atoms: tuple[tuple[int, float], ...]
+    probability: bool = False
+
+
+class SparseMeasure(Checked, _SparseMeasureFields):
     """Finitely supported nonnegative measure, stored as sorted (label, mass) atoms.
 
     Atoms are strictly positive; zero masses are never stored.  When
     ``probability`` is set the total mass must be 1 within ``EPS_PROB``.
     """
 
-    atoms: tuple[tuple[int, float], ...]
-    probability: bool = False
+    __add__ = __mul__ = __rmul__ = unsupported
 
     def __post_init__(self):
         labels = [a[0] for a in self.atoms]
@@ -111,15 +113,13 @@ AXIOMS = ("involution", "probability-mass", "identity",
           "support-identity", "adjoint", "associativity")
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str                 # one of AXIOMS
     witness: tuple[int, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class CenterReport:
+class CenterReport(NamedTuple):
     """Elements whose self-convolution with their involution is the identity mass."""
 
     members: tuple[int, ...]
@@ -142,8 +142,10 @@ class _Family:
     def raw_convolve(self, x: int, y: int) -> dict[int, float]:
         raise NotImplementedError
 
-    def identity_atom_exact(self, x: int):
-        """(delta_x * delta_{x^-})({e}) in exact rational arithmetic."""
+    def haar_weight(self, x: int) -> float:
+        """The right-invariant measure at x, normalised at the identity: the
+        reciprocal of (delta_x * delta_{x^-})({e}), correctly rounded.  Where
+        it leaves the float range it is inf or raises OverflowError."""
         raise NotImplementedError
 
     def carrier(self, window: int) -> tuple[int, ...]:
@@ -181,11 +183,13 @@ class _DunklRamirez(_Family):
             out[r] = top
         return out
 
-    def identity_atom_exact(self, x):
-        if x == 0:
-            return Fraction(1)
+    def haar_weight(self, x):
+        # (1 - a) / a^x in exact rational arithmetic, rounded once; fractions
+        # is imported here so that no other family pays for it.
+        from fractions import Fraction
+
         a = Fraction(self.a)
-        return a**x / (1 - a)
+        return float((1 - a) / a**x) if x else 1.0
 
 
 class _SU2(_Family):
@@ -200,8 +204,8 @@ class _SU2(_Family):
         den = float((m + 1) * (n + 1))
         return {k: (k + 1) / den for k in range(abs(m - n), m + n + 1, 2)}
 
-    def identity_atom_exact(self, x):
-        return Fraction(1, (x + 1) * (x + 1))
+    def haar_weight(self, x):
+        return float((x + 1) * (x + 1))
 
 
 class _IntegerGroup(_Family):
@@ -215,8 +219,8 @@ class _IntegerGroup(_Family):
     def raw_convolve(self, x, y):
         return {x + y: 1.0}
 
-    def identity_atom_exact(self, x):
-        return Fraction(1)
+    def haar_weight(self, x):
+        return 1.0
 
 
 class _TableFamily(_Family):
@@ -239,12 +243,12 @@ class _TableFamily(_Family):
     def raw_convolve(self, x, y):
         return self._conv[(x, y)]
 
-    def identity_atom_exact(self, x):
+    def haar_weight(self, x):
         v = self._conv[(x, self._inv[x])].get(self._identity, 0.0)
         if v <= 0.0:
             raise ValueError(f"table row ({x},{self._inv[x]}) has no identity atom; "
                              "cannot derive an invariant measure")
-        return Fraction(v)
+        return 1.0 / v
 
     def has_label(self, u):
         return u in self._inv
@@ -283,15 +287,18 @@ class HypergroupModel:
         self._findings: dict[tuple[int, ...], tuple[AxiomViolation, ...]] = {}
 
         # Right-invariant measure normalised at the identity: the reciprocal
-        # of the identity atom of delta_x * delta_{x^-}, computed in exact
-        # rational arithmetic so closed-form weights come out exact.
+        # of the identity atom of delta_x * delta_{x^-}, correctly rounded,
+        # so closed-form weights come out exact.
         haar: dict[int, float] = {}
         for x in self.carrier:
             try:
-                haar[x] = float(1 / family.identity_atom_exact(x))
+                w = family.haar_weight(x)
             except OverflowError:
+                w = math.inf
+            if w == math.inf:
                 raise NonFiniteValue(f"the Haar weight at label {x} exceeds "
-                                     "the float range") from None
+                                     "the float range")
+            haar[x] = w
         if abs(haar[self.identity] - 1.0) > TOL_ATOM:
             raise ValueError("invariant measure is not normalised at the identity")
         self.haar: dict[int, float] = haar

@@ -26,13 +26,13 @@ from __future__ import annotations
 import enum
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NotCentral, WindowOverflow
 from .functions import SparseFunction, translate
 from .hypergroups import HypergroupModel
+from .records import Checked
 
 
 class ProductConvention(enum.Enum):
@@ -47,15 +47,7 @@ class ProductConvention(enum.Enum):
 DEFAULT_CONVENTION = ProductConvention.ITERATE_EXCLUSIVE
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Bounded positive weight given by a closed form.
-
-    form is one of "constant", "step" (low value up to the threshold, high
-    value above it), "table" (explicit values with a default elsewhere), or
-    "geometric" (base * ratio^label).
-    """
-
+class _WeightFields(NamedTuple):
     form: str
     value: float = 1.0
     threshold: int = 0
@@ -65,6 +57,15 @@ class Weight:
     default: float = 1.0
     base: float = 1.0
     ratio: float = 1.0
+
+
+class Weight(Checked, _WeightFields):
+    """Bounded positive weight given by a closed form.
+
+    form is one of "constant", "step" (low value up to the threshold, high
+    value above it), "table" (explicit values with a default elsewhere), or
+    "geometric" (base * ratio^label).
+    """
 
     def __post_init__(self):
         positives = {"constant": (self.value,), "step": (self.low, self.high),

@@ -12,21 +12,26 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import RTOL_NORM, NonFiniteIntegrand
 from .functions import SparseFunction, indicator, integrate_haar
 from .hypergroups import HypergroupModel
+from .records import Checked
 
 _DELTA2_GRID = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
 _REFUTE_RATIO = 1e6
 _TINY_PEAK = 2.0**-960  # below this the gauge search rescales the data
+# Outside these peaks the infimum search rescales the data.  Its grid of
+# log k reaches about 90 past -log max|f|, and its golden section narrows
+# log k to 1e-13, less than one ulp once |log k| passes 512.
+_SCAN_PEAKS = (2.0**-512, 2.0**512)
+_SCAN_CAP = 4000  # objective evaluations before the infimum search gives up
 _ABSCISSA = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class YoungFunction:
+class YoungFunction(NamedTuple):
     """Convex function vanishing at 0 and unbounded at infinity.
 
     kind is one of "phi_p" (t^p / p), "exp_minus_linear" (e^t - t - 1),
@@ -177,18 +182,23 @@ def complementary_eval(phi: YoungFunction, y: float) -> float:
     return y * math.asinh(y) - y / (math.hypot(1.0, y) + 1.0) * y
 
 
-@dataclass(frozen=True)
-class NormResult:
+class _NormResultFields(NamedTuple):
+    value: float
+    iterations: int
+    bracket: tuple[float, float]
+    converged: bool = True
+
+
+class NormResult(Checked, _NormResultFields):
     """Norm value plus the final bracket of the one-dimensional search.
 
     For the gauge norm the bracket lives in the same units as the value and
     its width is at most RTOL_NORM * value.  For the infimum-form norm the
-    bracket is over the auxiliary scaling variable.
+    bracket is over the auxiliary scaling variable.  ``converged`` is False
+    when the search stopped at its step cap instead of its tolerance.
     """
 
-    value: float
-    iterations: int
-    bracket: tuple[float, float]
+    __slots__ = ()
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -210,6 +220,21 @@ def _modular(model: HypergroupModel, f: SparseFunction, phi: YoungFunction,
         if total == math.inf:
             return math.inf
     return total
+
+
+def _unit_peak(f: SparseFunction) -> tuple[SparseFunction, int]:
+    """(f * 2^s, s) for the s that brings max|f| into [1/2, 1).  Only values
+    far below the peak can lose bits, and only where they underflow."""
+    shift = -math.frexp(f.max_abs())[1]
+    return SparseFunction.from_dict({x: math.ldexp(v, shift) for x, v in f.values}), shift
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, inf where that exceeds the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
@@ -234,8 +259,7 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
     fmax = f.max_abs()
     shift = 0
     if fmax < _TINY_PEAK:
-        shift = -math.frexp(fmax)[1]
-        f = SparseFunction(tuple((x, math.ldexp(v, shift)) for x, v in f.values))
+        f, shift = _unit_peak(f)
         fmax = f.max_abs()
     m_min = min(model.haar[x] for x, _ in f.values)
     try:
@@ -284,11 +308,21 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     The objective is convex in 1/k, hence unimodal along log k.  A log-spaced
     scan brackets the minimiser (extending to the right while the tail keeps
     improving, which covers linear-growth kinds whose infimum sits at
-    infinity), then golden-section refines the bracket.
+    infinity), then golden-section refines the bracket, stopping after
+    _SCAN_CAP objective evaluations with ``converged`` False.
+
+    When max|f| lies outside _SCAN_PEAKS the search runs on f times an exact
+    power of two, and the value and bracket are scaled back (to inf where
+    they leave the float range): the norm is homogeneous, and the minimising
+    k scales inversely with f.
     """
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
     fmax = f.max_abs()
+    shift = 0
+    if not _SCAN_PEAKS[0] <= fmax <= _SCAN_PEAKS[1]:
+        f, shift = _unit_peak(f)
+        fmax = f.max_abs()
 
     def objective(logk: float) -> float:
         k = math.exp(logk)
@@ -328,14 +362,15 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
             a, x1, f1 = x1, x2, f2
             x2 = a + inv_gold * (b - a)
             f2 = objective(x2)
-        if iters > 4000:
+        if iters > _SCAN_CAP:
             break
     value = min(vals[best], objective(0.5 * (a + b)), f1, f2)
-    return NormResult(value, iters, (math.exp(a), math.exp(b)))
+    bracket = (_ldexp(math.exp(a), shift), _ldexp(math.exp(b), shift))
+    return NormResult(_ldexp(value, -shift), iters, bracket,
+                      converged=b - a <= 1e-13)
 
 
-@dataclass(frozen=True)
-class Delta2Report:
+class Delta2Report(NamedTuple):
     state: str                      # "proven" | "refuted" | "unknown"
     constant: float | None          # doubling constant when proven
     grid_max_ratio: float | None
@@ -368,8 +403,7 @@ def delta2_check(phi: YoungFunction) -> Delta2Report:
     return Delta2Report("unknown", None, max(ratios))
 
 
-@dataclass(frozen=True)
-class L1EmbeddingReport:
+class L1EmbeddingReport(NamedTuple):
     """Evidence that the gauge-normed space embeds into the weighted l1 space.
 
     Not rigorous: the constant is a minimum over a finite probe set and the

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import yaml
 
@@ -124,8 +124,7 @@ class _Loader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     pass
 
 
-@dataclass(frozen=True)
-class RunSettings:
+class RunSettings(NamedTuple):
     horizon: int = 16
     k_max: int = 8
     series_cutoff: int = 40
@@ -134,8 +133,7 @@ class RunSettings:
     triple_bound: int | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     scenario_id: str
     model: HypergroupModel
     phi: YoungFunction

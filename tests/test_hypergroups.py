@@ -173,6 +173,37 @@ def test_table_hypergroup_requires_exact_support_reversal():
         hz.table_hypergroup(conv, {0: 0, 1: 1})
 
 
+def test_haar_weights_equal_the_rounded_exact_reciprocal():
+    # The Haar weight is 1 / (delta_x * delta_{x^-})({e}) rounded once; the
+    # float forms (1.0, (x+1)^2, 1.0 / v) must give the bits of that exact
+    # reciprocal taken in rational arithmetic.
+    for window in (1, 7, 60):
+        model = hz.integer_group(window)
+        assert all(model.haar[x] == float(1 / Fraction(1)) for x in model.carrier)
+    for window in (1, 16, 300):
+        model = hz.su2(window)
+        assert all(model.haar[x] == float(1 / Fraction(1, (x + 1) ** 2))
+                   for x in model.carrier)
+    for a, window in ((0.5, 40), (0.3, 20), (0.1, 200), (0.45, 500)):
+        model = hz.dunkl_ramirez(a, window)
+        q = Fraction(a)
+        assert all(model.haar[x] == float(1 / (q**x / (1 - q)) if x else 1)
+                   for x in model.carrier)
+    # The two-point hypergroup delta_1 * delta_1 = q delta_0 + (1 - q) delta_1.
+    for q in (0.3, 0.7, 1 / 3, 0.123456789, 1e-5):
+        conv = {(0, 0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 0): {1: 1.0},
+                (1, 1): {0: q, 1: 1.0 - q}}
+        model = hz.table_hypergroup(conv, {0: 0, 1: 1})
+        assert model.haar == {0: 1.0, 1: float(1 / Fraction(q))}
+
+
+def test_table_haar_weight_beyond_float_range_is_named():
+    conv = {(0, 0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 0): {1: 1.0},
+            (1, 1): {0: 1e-310, 1: 1.0}}
+    with pytest.raises(hz.NonFiniteValue, match="label 1 "):
+        hz.table_hypergroup(conv, {0: 0, 1: 1}, validate=False)
+
+
 def test_haar_weight_beyond_float_range_is_named():
     # (1 - a) / a^x at a = 0.3 passes the largest float at x = 590.
     assert math.isfinite(hz.dunkl_ramirez(0.3, 589).haar[589])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
+from hyperorlicz import orlicz
 from hyperorlicz.orlicz import complementary_eval, young_inverse
 
 COSH1 = 0.5430806348152437  # cosh(1) - 1
@@ -173,6 +174,50 @@ def test_luxemburg_norm_of_a_subnormal_peak():
             # abs=0: approx would otherwise accept any value below 1e-12.
             assert res.value == pytest.approx(peak * unit, rel=rel, abs=0), (phi, peak)
             assert res.bracket[0] <= res.value == res.bracket[1]
+
+
+def test_orlicz_norm_at_extreme_peaks():
+    # inf_k (1 + k^2 c^2 / 2) / k = sqrt(2) c for c delta_0 under phi_2.
+    # Beyond about 1e220 the unscaled search stopped at its step cap without
+    # a word, and below about 1e-300 its bracket was no float interval.
+    model = hz.integer_group(4)
+    phi = hz.phi_p(2.0)
+    for exponent in range(-320, 301, 10):
+        peak = float(f"1e{exponent}")
+        f = hz.SparseFunction.from_dict({0: peak, 2: -0.5 * peak})
+        res = hz.orlicz_norm(model, f, phi)
+        assert res.converged and res.iterations < 400, exponent
+        # phi_2 gives the l2 norm times sqrt(2); a subnormal peak keeps only
+        # a few significant bits.
+        exact = 2**0.5 * math.hypot(peak, f.value_at(2))
+        rel = 1e-12 if peak > 1e-300 else 1e-3
+        assert res.value == pytest.approx(exact, rel=rel, abs=0), exponent
+        lo, hi = res.bracket
+        assert 0.0 <= lo <= hi
+
+
+def test_orlicz_norm_rescaling_keeps_the_bits_inside_the_scan_range():
+    # Data rescaled by an exact power of two (peak 0.75) searched alone, and
+    # at peaks where the search needs no rescaling, agree to the last bit.
+    model = hz.su2(6)
+    for phi in (hz.phi_p(1.5), hz.cosh_minus_one(), hz.exp_minus_linear()):
+        f = hz.SparseFunction.from_dict({1: 0.75, 4: -0.25})
+        base = hz.orlicz_norm(model, f, phi)
+        for shift in (-1000, 1000):
+            res = hz.orlicz_norm(model, hz.SparseFunction.from_dict(
+                {x: math.ldexp(v, shift) for x, v in f.values}), phi)
+            assert res.iterations == base.iterations
+            assert res.value == math.ldexp(base.value, shift)
+
+
+def test_orlicz_norm_reports_a_search_stopped_at_its_cap(monkeypatch):
+    model = hz.integer_group(4)
+    f = hz.indicator([0])
+    assert hz.orlicz_norm(model, f, hz.phi_p(2.0)).converged
+    monkeypatch.setattr(orlicz, "_SCAN_CAP", 80)
+    res = hz.orlicz_norm(model, f, hz.phi_p(2.0))
+    assert not res.converged and res.iterations == 81
+    assert res.value == pytest.approx(2**0.5, rel=1e-3)
 
 
 def test_orlicz_golden_values(dr05):

@@ -2,7 +2,6 @@
 import copy
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 import yaml
@@ -207,7 +206,7 @@ def test_axioms_on_a_validated_table_match_a_fresh_check():
         "young": {"kind": "phi_p", "p": 2.0},
         "weight": {"form": "constant", "value": 1.0},
     })
-    fresh = replace(sc, model=hz.table_hypergroup(conv, inv, validate=False))
+    fresh = sc._replace(model=hz.table_hypergroup(conv, inv, validate=False))
     records, code = cli.run_command(sc, "axioms", {}, 0)
     assert (records, code) == cli.run_command(fresh, "axioms", {}, 0)
     assert code == 0 and len(records) == len(AXIOMS)
@@ -292,6 +291,16 @@ def test_cli_probe_flat_weight_fails(tmp_path):
     path = write_scenario(tmp_path, data)
     assert run_cli(["--scenario", path, "--command", "probe",
                     "--args", "id=center"]) == 1
+
+
+def test_cli_norm_of_a_tiny_function_exits_zero(tmp_path, capsys):
+    data = _with_int_keys(json.loads(json.dumps(DOUBLING)))
+    data["functions"] = {"f": {0: 1.0e-300}}
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "norm"]) == 0
+    norm = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert norm["infimum_form"] == pytest.approx(2**0.5 * 1e-300, rel=1e-11)
+    assert norm["sandwich_ok"]
 
 
 def test_cli_missing_eta_is_precondition_failure(tmp_path):
