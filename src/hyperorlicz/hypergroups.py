@@ -184,12 +184,10 @@ class _DunklRamirez(_Family):
         return out
 
     def haar_weight(self, x):
-        # (1 - a) / a^x in exact rational arithmetic, rounded once; fractions
-        # is imported here so that no other family pays for it.
-        from fractions import Fraction
-
-        a = Fraction(self.a)
-        return float((1 - a) / a**x) if x else 1.0
+        # With a = p/q exactly, (1 - a) / a^x = (q - p) q^(x-1) / p^x: a
+        # ratio of integers, which int division rounds once.
+        p, q = self.a.as_integer_ratio()
+        return (q - p) * q ** (x - 1) / p**x if x else 1.0
 
 
 class _SU2(_Family):
