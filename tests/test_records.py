@@ -202,15 +202,9 @@ def test_cached_members_still_work():
     assert w._memo["k"] == {1: 3.0} and copy.copy(w) == w
 
 
-def _fresh(code):
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env={"PYTHONPATH": SRC}, check=True)
-    return out.stdout.split()
-
-
 def test_import_and_builds_load_no_dataclasses_inspect_or_fractions():
     heavy = {"dataclasses", "inspect", "fractions", "decimal"}
-    loaded = _fresh(
+    code = (
         "import sys\n"
         f"heavy = {sorted(heavy)!r}\n"
         "before = set(sys.modules)\n"
@@ -221,4 +215,6 @@ def test_import_and_builds_load_no_dataclasses_inspect_or_fractions():
         " {0: 0, 1: 1})\n"
         "hz.dunkl_ramirez(0.3, 4)\n"
         "print('fractions' in sys.modules)\n")
-    assert loaded == ["none", "False"]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={"PYTHONPATH": SRC}, check=True)
+    assert out.stdout.split() == ["none", "False"]
