@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the requested check holds (or the command is purely
 informational), 1 when it fails or stays inconclusive, 2 on scenario or
-precondition errors and on a norm too large for a float, 3 when a window
-overflow aborts the run.
+precondition errors, on a norm too large for a float and on an --out file
+that cannot be written, 3 when a window overflow aborts the run.
 
 Output is a header line (run metadata: timestamp and body hash) followed by
 canonical JSON record lines; bodies are byte-identical across repeated runs.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import nullcontext
 
 from .dynamics import (
     aperiodic_center_check,
@@ -345,11 +346,13 @@ def main(argv=None) -> int:
         text = render_csv(records)
     else:
         text = render_records(ns.command, sc.scenario_id, records)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
+    try:
+        sink = open(ns.out, "w", encoding="utf-8") if ns.out else nullcontext(sys.stdout)
+        with sink as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

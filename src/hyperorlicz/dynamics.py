@@ -25,6 +25,7 @@ reciprocal of one that underflowed to zero): its row is flagged
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import NonFiniteValue, PreconditionFailed, WindowOverflow
@@ -107,20 +108,32 @@ def _tail_verdict(horizon: int,
     )
 
 
-def _overlaps(model: HypergroupModel, eta: EtaSequence, e: Sequence[int],
-              horizon: int, signs: tuple[int, ...]) -> dict[int, set[int] | None]:
-    """For n = 1..horizon, the labels E shares with E translated by the
-    (s n)-th sequence points over the signs s, or None when a translate
-    leaves the window."""
+def _translates(model: HypergroupModel, eta: EtaSequence,
+                e: Sequence[int]) -> Callable[[int], frozenset[int] | None]:
+    """idx -> E translated by eta(idx), None off the window; each computed once."""
+    @cache
+    def translated(idx: int) -> frozenset[int] | None:
+        try:
+            return model.set_convolve(e, [eta(idx)])
+        except WindowOverflow:
+            return None
+    return translated
+
+
+def _overlaps(translated: Callable, e: Sequence[int], horizon: int,
+              signs: tuple[int, ...]) -> dict[int, set[int] | None]:
+    """For n = 1..horizon, the labels E shares with its translates at the
+    indices s n over the signs s, or None where one leaves the window."""
     eset = set(e)
     out: dict[int, set[int] | None] = {}
     for n in range(1, horizon + 1):
         overlap: set[int] | None = set()
-        try:
-            for sign in signs:
-                overlap |= eset & model.set_convolve(e, [eta(sign * n)])
-        except WindowOverflow:
-            overlap = None
+        for sign in signs:
+            shifted = translated(sign * n)
+            if shifted is None:
+                overlap = None
+                break
+            overlap |= eset & shifted
         out[n] = overlap
     return out
 
@@ -139,7 +152,8 @@ def aperiodic_sequence_check(model: HypergroupModel, eta: EtaSequence,
     """Disjointness of E from E translated by the n-th and (-n)-th sequence
     points, for every n up to the horizon."""
     e = _require_set(model, e_set)
-    return _tail_verdict(horizon, _overlaps(model, eta, e, horizon, (1, -1)))
+    overlaps = _overlaps(_translates(model, eta, e), e, horizon, (1, -1))
+    return _tail_verdict(horizon, overlaps)
 
 
 def strongly_aperiodic_check(model: HypergroupModel, eta: EtaSequence,
@@ -149,16 +163,12 @@ def strongly_aperiodic_check(model: HypergroupModel, eta: EtaSequence,
     sequence points over distinct multipliers bounded by rs_bound, with the
     multiplied indices kept within the horizon."""
     e = _require_set(model, e_set)
-    cache: dict[int, frozenset[int] | None] = {}
+    return _pairwise_verdict(_translates(model, eta, e), horizon, rs_bound)
 
-    def translated(idx: int):
-        if idx not in cache:
-            try:
-                cache[idx] = model.set_convolve(e, [eta(idx)])
-            except WindowOverflow:
-                cache[idx] = None
-        return cache[idx]
 
+def _pairwise_verdict(translated: Callable, horizon: int,
+                      rs_bound: int) -> AperiodicityVerdict:
+    """The verdict of strongly_aperiodic_check from E's translates."""
     overlaps: dict[int, set[int] | None] = {}
     for n in range(1, horizon + 1):
         overlap: set[int] = set()
@@ -187,12 +197,13 @@ def aperiodic_center_check(model: HypergroupModel, z: int, e_set: Iterable[int],
                            horizon: int, rs_bound: int) -> CenterAperiodicityReport:
     """Aperiodicity of a center element along its powers, checked two ways:
     directly (E against E shifted by the n-th power) and through pairwise
-    disjointness of multiplied shifts.  Negative powers use the involution."""
-    eta = CenterPowers(model, z)
-    # The direct reading uses positive shifts only.
+    disjointness of multiplied shifts.  Negative powers use the involution;
+    both readings share one memo of translates."""
     e = _require_set(model, e_set)
-    direct = _tail_verdict(horizon, _overlaps(model, eta, e, horizon, (1,)))
-    pairwise = strongly_aperiodic_check(model, eta, e_set, horizon, rs_bound)
+    translated = _translates(model, CenterPowers(model, z), e)
+    # The direct reading uses positive shifts only.
+    direct = _tail_verdict(horizon, _overlaps(translated, e, horizon, (1,)))
+    pairwise = _pairwise_verdict(translated, horizon, rs_bound)
     return CenterAperiodicityReport(
         direct=direct, pairwise=pairwise,
         agree=direct.holds_at_horizon == pairwise.holds_at_horizon)
@@ -277,12 +288,13 @@ def _center_indices(model: HypergroupModel, eta: CenterPowers, e: Sequence[int],
     n-th and (-n)-th powers of the center element, after the
     center-aperiodicity gate: the forward translates must be disjoint from E
     at the horizon.  One forward and one backward pass serve both."""
-    forward = _overlaps(model, eta, e, horizon, (1,))
+    translated = _translates(model, eta, e)
+    forward = _overlaps(translated, e, horizon, (1,))
     if not _tail_verdict(horizon, forward).holds_at_horizon:
         raise PreconditionFailed(
             "center-aperiodicity",
             f"powers of {eta.z} keep meeting the set below the horizon")
-    backward = _overlaps(model, eta, e, horizon, (-1,))
+    backward = _overlaps(translated, e, horizon, (-1,))
     good = [n for n in forward if forward[n] == set() and backward[n] == set()]
     if not good:
         raise PreconditionFailed("aperiodicity", "no separating index below horizon")
@@ -352,8 +364,8 @@ def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     indicator must vanish in sup norm on sublevel subsets that exhaust E."""
     e = _require_set(model, e_set)
     # The finite window gives the L^1 embedding, so it needs no check here.
-    good = [n for n, overlap in _overlaps(model, eta, e, horizon, (1,)).items()
-            if overlap == set()]
+    overlaps = _overlaps(_translates(model, eta, e), e, horizon, (1,))
+    good = [n for n, overlap in overlaps.items() if overlap == set()]
     if not good:
         raise PreconditionFailed(
             "aperiodicity", "no index below the horizon separates the set")

@@ -72,9 +72,6 @@ class SparseFunction(Checked, _SparseFunctionFields):
         keep = set(labels)
         return SparseFunction(tuple((x, v) for x, v in self.values if x in keep))
 
-    def abs_values(self) -> "SparseFunction":
-        return SparseFunction(tuple((x, abs(v)) for x, v in self.values))
-
     def max_abs(self) -> float:
         return max((abs(v) for _, v in self.values), default=0.0)
 

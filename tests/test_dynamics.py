@@ -65,6 +65,30 @@ def test_center_shift_holds(zline):
     assert rep.agree
 
 
+def test_center_check_translates_each_index_once(monkeypatch):
+    # The direct and pairwise readings share one memo of E's translates, so
+    # each index r n (|r| <= 3, within the horizon) is translated once, and
+    # E is checked once.  The pairwise reading kept its own memo and redid
+    # the direct reading's 12 translates.
+    model = hz.integer_group(64)
+    points = []
+    convolve = hz.HypergroupModel.set_convolve
+
+    def counted(self, a, b):
+        points.extend(b)
+        return convolve(self, a, b)
+
+    monkeypatch.setattr(hz.HypergroupModel, "set_convolve", counted)
+    checked = []
+    require = dynamics._require_set
+    monkeypatch.setattr(dynamics, "_require_set",
+                        lambda m, e: checked.append(e) or require(m, e))
+    rep = hz.aperiodic_center_check(model, 1, [0], horizon=12, rs_bound=3)
+    assert rep.direct.holds_at_horizon and rep.pairwise.holds_at_horizon
+    assert sorted(points) == list(range(-12, 13))
+    assert len(checked) == 1
+
+
 def test_verdict_dataclass_validation():
     with pytest.raises(ValueError):
         AperiodicityVerdict(holds_at_horizon=True, first_n=None, horizon=8,

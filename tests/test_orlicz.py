@@ -1,4 +1,5 @@
 """Young functions, conjugates, and both Orlicz-type norms."""
+import functools
 import math
 from fractions import Fraction
 
@@ -83,6 +84,20 @@ def test_complementary_exp_kind_matches_its_exact_series():
         assert abs(Fraction(complementary_eval(phi, y)) - exact) <= exact * 1e-15, y
 
 
+def test_exp_kind_matches_its_exact_series():
+    # e^t - 1 - t = sum_{k>=2} t^k / k!, summed here in exact rationals until
+    # a term falls below 1e-30 of the sum.  expm1(t) - t cancelled at small t:
+    # 6e-10 relative off at t = 7.5e-7, and 0.0 below about 1e-16.
+    phi = hz.exp_minus_linear()
+    for t in (1e-150, 1e-20, 1e-12, 7.5e-7, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.75):
+        tq, term, exact, k = Fraction(t), Fraction(t) ** 2 / 2, Fraction(0), 2
+        while term >= exact * Fraction(1, 10**30):
+            exact += term
+            k += 1
+            term = term * tq / k
+        assert abs(Fraction(phi(t)) - exact) <= exact * 4e-16, t
+
+
 def test_complementary_cosh_kind_analytic():
     phi = hz.cosh_minus_one()
     for y in (0.0, 0.5, 2.0, 10.0):
@@ -162,6 +177,17 @@ def test_luxemburg_caps_scale_with_the_data():
         hz.luxemburg_norm(heavy, hz.indicator([300]), steep)
 
 
+def test_luxemburg_norm_beyond_the_float_range_on_a_heavy_point():
+    # The search starts at max|f| / phi^{-1}(1 / m) = 7e316 here, which was
+    # inf: halving inf never met the lower cap, and the search never ended.
+    # Whenever that start overflows the norm does too, so it is named.
+    model = hz.dunkl_ramirez(0.1, 24)
+    with pytest.raises(hz.NonFiniteIntegrand):
+        hz.luxemburg_norm(model, hz.SparseFunction.from_dict({24: 1e305}), hz.phi_p(2.0))
+    res = hz.luxemburg_norm(model, hz.SparseFunction.from_dict({24: 1e290}), hz.phi_p(2.0))
+    assert res.value == pytest.approx(1e290 / math.sqrt(2 / model.haar[24]), rel=1e-11)
+
+
 def test_luxemburg_norm_of_a_subnormal_peak():
     # Scaling by 1 / k overflows for k below about 5.6e-309; the norm of a
     # subnormal peak is still the peak times the norm of the unit peak.
@@ -210,6 +236,23 @@ def test_orlicz_norm_rescaling_keeps_the_bits_inside_the_scan_range():
             assert res.value == math.ldexp(base.value, shift)
 
 
+def test_orlicz_norm_finds_a_minimiser_left_of_its_grid():
+    # The scan starts at k = 1e-9 / max|f|.  On a point of Haar mass m the
+    # minimiser of (1 + m k^2 / 2) / k is k = sqrt(2 / m), left of that start
+    # once m passes 2e18, and the norm is sqrt(2 m).  The search stopped at
+    # the start and returned 4.5e14 for sqrt(2e24) = 1.41e12.
+    model = hz.dunkl_ramirez(0.1, 24)
+    for x in (20, 24):
+        mass = model.haar[x]
+        res = hz.orlicz_norm(model, hz.indicator([x]), hz.phi_p(2.0))
+        assert res.converged
+        assert res.value == pytest.approx(math.sqrt(2 * mass), rel=1e-12, abs=0), x
+        # the bracket narrows to where float noise flattens the objective
+        lo, hi = res.bracket
+        assert hi < 1e-9
+        assert lo == pytest.approx(math.sqrt(2 / mass), rel=1e-6)
+
+
 def test_orlicz_norm_reports_a_search_stopped_at_its_cap(monkeypatch):
     model = hz.integer_group(4)
     f = hz.indicator([0])
@@ -241,10 +284,17 @@ def test_sandwich_between_gauge_and_infimum_form(dr03):
 def test_delta2_states():
     assert hz.delta2_check(hz.phi_p(3.0)).state == "proven"
     assert hz.delta2_check(hz.phi_p(3.0)).constant == 8.0
+    assert hz.delta2_check(hz.phi_p(1023.0)).constant == 2.0**1023
     assert hz.delta2_check(hz.exp_minus_linear()).state == "refuted"
     assert hz.delta2_check(hz.cosh_minus_one()).state == "refuted"
     tab = hz.tabulated_young([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)])
     assert hz.delta2_check(tab).state == "unknown"
+
+
+def test_delta2_constant_beyond_the_float_range():
+    # 2.0**p raised OverflowError past p = 1024; Delta-2 still holds.
+    for p in (1024.0, 1100.0, 1e6):
+        assert hz.delta2_check(hz.phi_p(p)) == ("proven", math.inf, None), p
 
 
 def test_l1_embedding_report(dr05):
@@ -257,6 +307,103 @@ def test_l1_embedding_report(dr05):
     assert exp.via_finite_window
     quad = hz.l1_embedding_check(dr05, hz.phi_p(2.0))
     assert quad.holds and quad.via_finite_window
+
+
+# Psi^{-1}(1 / m(X)) against A(1_X) / m(X): windows from a few labels to
+# Haar masses of 1e42, where the minimiser sits far left of the scan's start.
+EMBEDDING_MODELS = {
+    "integers-8": lambda: hz.integer_group(8),
+    "integers-256": lambda: hz.integer_group(256),
+    "su2-8": lambda: hz.su2(8),
+    "su2-128": lambda: hz.su2(128),
+    "dr0.5-12": lambda: hz.dunkl_ramirez(0.5, 12),
+    "dr0.5-32": lambda: hz.dunkl_ramirez(0.5, 32),
+    "dr0.3-24": lambda: hz.dunkl_ramirez(0.3, 24),
+    "dr0.1-24": lambda: hz.dunkl_ramirez(0.1, 24),
+    "dr0.2-60": lambda: hz.dunkl_ramirez(0.2, 60),
+}
+EMBEDDING_YOUNG = (
+    hz.phi_p(1.0), hz.phi_p(1.5), hz.phi_p(2.0), hz.phi_p(4.0),
+    hz.exp_minus_linear(), hz.cosh_minus_one(),
+    hz.tabulated_young([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)]),
+    hz.tabulated_young([(0.0, 0.0), (0.5, 0.1), (1.0, 1.0), (3.0, 7.0)]),
+)
+
+
+@functools.cache
+def _embedding_model(name):
+    return EMBEDDING_MODELS[name]()
+
+
+@functools.cache
+def _embedding_constant(name, phi):
+    return hz.l1_embedding_check(_embedding_model(name), phi).constant_estimate
+
+
+def _psi_inverse(phi, y):
+    """sup {s : Psi(s) <= y} for y > 0, Psi the complementary function."""
+    if phi.kind == "phi_p":
+        if phi.p == 1.0:
+            return 1.0  # Psi is 0 up to 1 and infinite beyond
+        q = phi.p / (phi.p - 1.0)
+        return (q * y) ** (1.0 / q)
+    lo, hi = 0.0, 1.0
+    while complementary_eval(phi, hi) <= y:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if complementary_eval(phi, mid) <= y:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_embedding_constant_is_the_closed_form():
+    for name in EMBEDDING_MODELS:
+        model = _embedding_model(name)
+        mass = sum(model.haar[x] for x in model.carrier)
+        for phi in EMBEDDING_YOUNG:
+            expected = _psi_inverse(phi, 1.0 / mass)
+            assert _embedding_constant(name, phi) == pytest.approx(expected, rel=1e-9), \
+                (name, phi)
+
+
+def test_embedding_constant_takes_one_norm_search(monkeypatch, dr05):
+    calls = []
+    search = orlicz.orlicz_norm
+
+    def counted(model, f, phi):
+        calls.append(f)
+        return search(model, f, phi)
+
+    monkeypatch.setattr(orlicz, "orlicz_norm", counted)
+    phi = hz.phi_p(1.5)
+    report = hz.l1_embedding_check(dr05, phi)
+    whole = hz.indicator(dr05.carrier)
+    assert calls == [whole]
+    assert report.constant_estimate == \
+        search(dr05, whole, phi).value / hz.integrate_haar(dr05, whole)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_embedding_constant_bounds_every_ratio(data):
+    # Hoelder: A(g) >= Psi^{-1}(1 / m(X)) ||g||_1 for every g, the property
+    # that lets the constant come from 1_X alone.
+    name = data.draw(st.sampled_from(sorted(EMBEDDING_MODELS)))
+    phi = data.draw(st.sampled_from(EMBEDDING_YOUNG))
+    model = _embedding_model(name)
+    labels = data.draw(st.lists(st.sampled_from(model.carrier), min_size=1,
+                                max_size=6, unique=True))
+    values = data.draw(st.lists(
+        st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)),
+                  st.floats(min_value=-200.0, max_value=200.0)),
+        min_size=len(labels), max_size=len(labels)))
+    g = hz.SparseFunction.from_dict(dict(zip(labels, values)))
+    l1 = sum(abs(v) * model.haar[x] for x, v in g.values)
+    ratio = hz.orlicz_norm(model, g, phi).value / l1
+    assert ratio >= _embedding_constant(name, phi) * (1 - 1e-9)
 
 
 @settings(max_examples=25, deadline=None)

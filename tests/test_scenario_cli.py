@@ -303,6 +303,61 @@ def test_cli_norm_of_a_tiny_function_exits_zero(tmp_path, capsys):
     assert norm["sandwich_ok"]
 
 
+def test_cli_doubling_constant_beyond_the_float_range(tmp_path, capsys):
+    # 2^p leaves the float range past p = 1024; these four commands ended in
+    # an OverflowError traceback with exit 1, the code for "verdict fails".
+    text = (SCENARIO_DIR / "doubling_shift.yaml").read_text()
+    assert text.count("  p: 2.0\n") == 1
+    for p in ("1100.0", "1.0e+6"):
+        path = tmp_path / f"p{p}.yaml"
+        path.write_text(text.replace("  p: 2.0\n", f"  p: {p}\n"))
+        capsys.readouterr()
+        assert run_cli(["--scenario", str(path), "--command", "norm"]) == 0, p
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert {"record": "delta2", "state": "proven", "constant": "inf",
+                "grid_max_ratio": None} in records
+        assert all(r["sandwich_ok"] for r in records if r["record"] == "norm")
+        for probe in ("center", "hereditary"):
+            assert run_cli(["--scenario", str(path), "--command", "probe",
+                            "--args", f"id={probe}"]) == 0, (p, probe)
+            verdict = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert verdict["verdict"] == "holds_empirically"
+        assert run_cli(["--scenario", str(path), "--command", "witness"]) == 0, p
+        assert '"eventually_decreasing":true' in capsys.readouterr().out
+
+
+def test_cli_norm_on_a_point_of_large_haar_mass(tmp_path, capsys):
+    # The infimum-form search started right of the minimiser: the norm read
+    # 4.5e14 against a gauge of 6.7e11, and the command printed
+    # sandwich_ok false and exited 1.
+    data = {"id": "heavy-point",
+            "hypergroup": {"family": "dunkl_ramirez", "window": 24, "a": 0.1},
+            "young": {"kind": "phi_p", "p": 2.0},
+            "weight": {"form": "constant", "value": 1.0},
+            "functions": {"f": {24: 1.0}}, "run": {"horizon": 8}}
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "norm"]) == 0
+    norm = json.loads(capsys.readouterr().out.splitlines()[1])
+    mass = hz.dunkl_ramirez(0.1, 24).haar[24]
+    assert norm["infimum_form"] == pytest.approx((2 * mass) ** 0.5, rel=1e-11)
+    assert norm["sandwich_ok"]
+
+
+def test_cli_out_path_that_cannot_be_written_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    path = str(SCENARIO_DIR / "doubling_shift.yaml")
+    assert run_cli(["--scenario", path, "--command", "haar", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write output: ")
+    assert str(out) in captured.err
+    assert captured.out == "" and not out.parent.exists()
+    # a writable path still gets the report, and stdout stays empty
+    good = tmp_path / "x.json"
+    assert run_cli(["--scenario", path, "--command", "haar", "--out", str(good)]) == 0
+    assert capsys.readouterr().out == ""
+    assert good.read_text().startswith('{"command":"haar"')
+
+
 def test_cli_missing_eta_is_precondition_failure(tmp_path):
     data = json.loads(json.dumps(DOUBLING))
     data = _with_int_keys(data)
