@@ -473,7 +473,7 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
     forward products and reciprocal backward products must both vanish on
     sublevel subsets exhausting E."""
     e = _require_set(model, e_set)
-    if z not in model.center_elements().members:
+    if not model.is_central(z):
         raise PreconditionFailed("central-element", f"label {z} is not central")
     if delta2_check(phi).state != "proven":
         raise PreconditionFailed("doubling-regularity",

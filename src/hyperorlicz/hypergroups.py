@@ -1,10 +1,11 @@
 """Discrete hypergroup models whose convolutions are computed on demand.
 
-A model holds a truncation window, the involution, the identity, the derived
-right-invariant measure, and the center.  The convolution of two point
-masses comes from the family's closed form the first time a pair is asked
-for, and is kept in a per-model memo together with whether its support fits
-the window.  A translate visits only the points it needs instead of the
+A model holds a truncation window, the involution, the identity and the
+derived right-invariant measure.  The convolution of two point masses comes
+from the family's closed form the first time a pair is asked for, and is
+kept in a per-model memo together with whether its support fits the window;
+whether a label is central is likewise decided when first asked, from two
+of those pairs.  A translate visits only the points it needs instead of the
 whole carrier: by the support-reversal law of hypergroups, delta_x * delta_y
 has an atom at u exactly when delta_u * delta_{y^-} has one at x, so the
 memoised pair (u, y^-) lists the preimages of u and says whether they fit
@@ -263,10 +264,10 @@ class HypergroupModel:
     support leaves the window are kept (the exact atoms are still needed for
     translation and for the weight factors) but flagged, and
     :meth:`convolve_points` refuses to return them.  Construction computes
-    only the invariant measure and the center, O(|carrier|) convolutions.
-    The memos, of pairs and of :meth:`verify_axioms` findings, only ever add
-    entries equal to what any caller would compute, so a model can be shared
-    between threads.
+    only the invariant measure, one closed-form weight per label and no
+    convolution.  The memos, of pairs, of :meth:`is_central` answers and of
+    :meth:`verify_axioms` findings, only ever add entries equal to what any
+    caller would compute, so a model can be shared between threads.
     """
 
     def __init__(self, family: _Family, window: int, identity: int = 0):
@@ -283,6 +284,8 @@ class HypergroupModel:
         self._pairs: dict[tuple[int, int], tuple[dict[int, float], bool]] = {}
         # labels checked -> verify_axioms findings on them
         self._findings: dict[tuple[int, ...], tuple[AxiomViolation, ...]] = {}
+        # label -> whether it is central, filled in by is_central
+        self._central: dict[int, bool] = {}
 
         # Right-invariant measure normalised at the identity: the reciprocal
         # of the identity atom of delta_x * delta_{x^-}, correctly rounded,
@@ -300,14 +303,6 @@ class HypergroupModel:
         if abs(haar[self.identity] - 1.0) > TOL_ATOM:
             raise ValueError("invariant measure is not normalised at the identity")
         self.haar: dict[int, float] = haar
-
-        members = tuple(
-            x for x in self.carrier
-            if _is_point_mass(self._pair(x, self.involution(x))[0], self.identity)
-            and _is_point_mass(self._pair(self.involution(x), x)[0], self.identity)
-        )
-        self._center = CenterReport(members=members, horizon=self.window)
-        self._central = frozenset(members)    # membership tests on hot paths
 
     # -- basic structure ---------------------------------------------------
 
@@ -393,12 +388,27 @@ class HypergroupModel:
 
     # -- center ------------------------------------------------------------
 
+    def is_central(self, z: int) -> bool:
+        """Whether z is a window label with delta_z * delta_{z^-} and
+        delta_{z^-} * delta_z both the identity point mass.  The answer is
+        memoised per label; a label outside the window is not central."""
+        if z not in self._labels:
+            return False
+        central = self._central.get(z)
+        if central is None:
+            zi = self.involution(z)
+            central = self._central[z] = (
+                _is_point_mass(self._pair(z, zi)[0], self.identity)
+                and _is_point_mass(self._pair(zi, z)[0], self.identity))
+        return central
+
     def center_elements(self) -> CenterReport:
-        return self._center
+        return CenterReport(members=tuple(filter(self.is_central, self.carrier)),
+                            horizon=self.window)
 
     def point_product(self, x: int, z: int) -> int:
         """The single support point of delta_x * delta_z for central z."""
-        if z not in self._central:
+        if not self.is_central(z):
             raise NotCentral(f"label {z} is not in the center")
         self._require_in_window(x)
         supp = tuple(self._pair(x, z)[0])
@@ -528,7 +538,9 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
                      validate: bool = True) -> HypergroupModel:
     """Finite hypergroup from an explicit convolution table.
 
-    ``conv`` must contain every ordered pair of labels.  With ``validate``
+    ``conv`` must contain every ordered pair of labels, its rows may put
+    mass only on labels, and the involution must map labels to labels; any
+    other table raises ValueError.  With ``validate``
     (the default) the axioms are checked on load over every label, and the
     support-reversal law, which translation reads its preimages from, is
     checked exactly; any violation is a hard error.  Pass ``validate=False``
@@ -538,10 +550,17 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
     """
     labels = sorted(involution_map)
     for x in labels:
+        if involution_map[x] not in involution_map:
+            raise ValueError(f"the involution maps {x} outside the labels")
         for y in labels:
             if (x, y) not in conv:
                 raise ValueError(f"table is missing the pair ({x},{y})")
     fam = _TableFamily(conv, dict(involution_map), identity)
+    for (x, y), atoms in fam._conv.items():
+        for u in atoms:
+            if u not in involution_map:
+                raise ValueError(f"table row ({x},{y}) has an atom at {u} "
+                                 "outside the labels")
     window = max(abs(x) for x in labels) if labels else 1
     model = HypergroupModel(fam, max(window, 1), identity)
     if validate:

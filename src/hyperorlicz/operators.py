@@ -130,40 +130,39 @@ def geometric_weight(base: float, ratio: float) -> Weight:
 
 class EtaSequence:
     """Two-sided sequence of window points with a(0) the identity and
-    a(-n) the involution of a(n)."""
+    a(-n) the involution of a(n); a subclass gives a(n) for n >= 1."""
 
-    is_central = False
+    model: HypergroupModel
 
     def __call__(self, n: int) -> int:
+        if n == 0:
+            return self.model.identity
+        a = self._forward(abs(n))
+        return a if n > 0 else self.model.involution(a)
+
+    def _forward(self, n: int) -> int:
         raise NotImplementedError
 
 
 class CenterPowers(EtaSequence):
     """a(n) = n-th power of a fixed center element."""
 
-    is_central = True
-
     def __init__(self, model: HypergroupModel, z: int):
-        if z not in model._central:
+        if not model.is_central(z):
             raise NotCentral(f"label {z} is not central")
         self.model = model
         self.z = z
-        self._pos = [model.identity]          # powers of z
-        self._neg = [model.identity]          # powers of the involution of z
+        self._powers = [model.identity]
 
-    def __call__(self, n: int) -> int:
-        cache = self._pos if n >= 0 else self._neg
-        k = abs(n)
-        if k < len(cache):
-            return cache[k]
-        base = self.z if n >= 0 else self.model.involution(self.z)
-        while len(cache) <= k:
-            cache.append(self.model.point_product(cache[-1], base))
-        return cache[k]
+    def _forward(self, n: int) -> int:
+        powers = self._powers
+        while len(powers) <= n:
+            powers.append(self.model.point_product(powers[-1], self.z))
+        return powers[n]
 
 
 class TableEta(EtaSequence):
-    """Explicit entries for positive indices; negatives go through the involution."""
+    """Explicit entries for positive indices."""
 
     def __init__(self, model: HypergroupModel, entries: Mapping[int, int]):
         self.model = model
@@ -172,15 +171,12 @@ class TableEta(EtaSequence):
             if k < 1:
                 raise ValueError("table entries are indexed from 1")
             model._require_in_window(v)
-        self.is_central = all(v in model._central for v in self._entries.values())
 
-    def __call__(self, n: int) -> int:
-        if n == 0:
-            return self.model.identity
-        entry = self._entries.get(abs(n))
+    def _forward(self, n: int) -> int:
+        entry = self._entries.get(n)
         if entry is None:
             raise WindowOverflow(f"sequence index {n} beyond the declared table")
-        return entry if n > 0 else self.model.involution(entry)
+        return entry
 
 
 def center_powers(model: HypergroupModel, z: int) -> CenterPowers:
@@ -229,9 +225,7 @@ def shifted_weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
                            x: int, n: int,
                            convention: ProductConvention = DEFAULT_CONVENTION) -> float:
     """The step-n product evaluated at the point x shifted by the n-th
-    sequence element (central sequences only)."""
-    if not eta.is_central:
-        raise NotCentral("shifted products need a central sequence")
+    sequence element, which must be central."""
     return weight_product(model, w, eta, model.point_product(x, eta(n)), n, convention)
 
 
@@ -270,10 +264,9 @@ def apply_right_inverse(model: HypergroupModel, f: SparseFunction, w: Weight,
                         eta: EtaSequence, n: int,
                         convention: ProductConvention = DEFAULT_CONVENTION
                         ) -> SparseFunction:
-    """Right inverse of the step-n operator along a central sequence:
-    divide by the weight product and shift the support back."""
-    if not isinstance(eta, CenterPowers):
-        raise NotCentral("the right inverse needs a center-powers sequence")
+    """Right inverse of the step-n operator: divide by the weight product
+    and shift the support back by the (-n)-th sequence element, which must
+    be central."""
     out: dict[int, float] = {}
     for u, fv in f.values:
         x = model.point_product(u, eta(-n))
@@ -307,7 +300,7 @@ def hereditary_weight_pair(model: HypergroupModel, x: int, z: int, w: Weight,
     """Forward product over shifts by powers of z (indices 1..n) and the
     reciprocal backward product over shifts by powers of the involution
     (indices 0..n-1), each multiplied left to right in walk order."""
-    if z not in model._central:
+    if not model.is_central(z):
         raise NotCentral(f"label {z} is not central")
     if n < 0:
         raise ValueError("step index must be nonnegative")

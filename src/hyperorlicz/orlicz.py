@@ -24,6 +24,7 @@ _DELTA2_GRID = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
 _REFUTE_RATIO = 1e6
 _TINY_PEAK = 2.0**-960  # below this the gauge search rescales the data
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the gauge search starts at most here
+_LOG_MAX = math.log(_FLOAT_MAX)  # the infimum search scans log k up to here
 # Outside these peaks the infimum search rescales the data.  Its grid of
 # log k reaches about 90 past -log max|f|, and its golden section narrows
 # log k to 1e-13, less than one ulp once |log k| passes 512.
@@ -136,14 +137,16 @@ def young_inverse(phi: YoungFunction, y: float) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise NonFiniteIntegrand("young function never reaches the target level")
+    # Halving [0, hi] down to a relative width of 1e-14 at a root as small
+    # as the least normal float takes about 1070 steps.
     lo = 0.0
-    for _ in range(200):
+    for _ in range(1100):
         mid = 0.5 * (lo + hi)
         if phi(mid) >= y:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-14 * max(hi, 1.0):
+        if hi - lo <= 1e-14 * hi:
             break
     return hi
 
@@ -312,9 +315,11 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
 
     The objective is convex in 1/k, hence unimodal along log k.  A log-spaced
     scan brackets the minimiser: it extends to the right while the tail keeps
-    improving (linear-growth kinds have their infimum at infinity), and once
-    to the left, down to the bound k >= 1 / objective, when its first point
-    is best.  Golden section then refines the bracket, stopping after
+    improving (linear-growth kinds have their infimum at infinity), up to
+    k = 1e18 / max|f|; once more from k = 1 / (2 N), N the gauge norm, when
+    its last point is still best there and that bound lies beyond it; and
+    once to the left, down to the bound k >= 1 / objective, when its first
+    point is best.  Golden section then refines the bracket, stopping after
     _SCAN_CAP objective evaluations with ``converged`` False.
 
     When max|f| lies outside _SCAN_PEAKS the search runs on f times an exact
@@ -339,6 +344,7 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     npts = 61
     iters = 0
     left_open = True  # whether the minimiser may lie left of the grid
+    right_open = True  # whether it may lie right of the capped grid
     while True:
         step = (hi - lo) / (npts - 1)
         vals = []
@@ -349,6 +355,15 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
         if best == npts - 1 and math.exp(hi) < 1e18 / fmax:
             lo, hi = hi - 2.0 * step, hi + (hi - lo)
             continue
+        if best == npts - 1 and right_open:
+            # The objective is at least 1/k and its infimum at most twice the
+            # gauge norm N, so the minimiser has k >= 1 / (2 N).
+            right_open = False
+            gauge = luxemburg_norm(model, f, phi).value
+            start = -math.log(2.0 * gauge) if gauge > 0.0 else -math.inf
+            if hi < start < _LOG_MAX:
+                lo, hi, left_open = start, min(start + (hi - lo), _LOG_MAX), False
+                continue
         # The objective is at least 1/k, so the minimiser has k >= 1 / vals[0].
         floor = -math.log(vals[0])
         if best == 0 and left_open and -math.inf < floor < lo:

@@ -190,128 +190,92 @@ def _int_labels(mapping, path) -> dict[int, float]:
     return out
 
 
-def _build_model(section, path) -> HypergroupModel:
-    family = _need(section, "family", path, str)
-    window = _scalar(_need(section, "window", path), int, f"{path}.window")
-    if window < 1:
-        raise ScenarioError(f"{path}.window: must be a positive integer")
-    if family == "integers":
-        _no_extras(section, {"family", "window"}, path)
-        return integer_group(window)
-    if family == "su2":
-        _no_extras(section, {"family", "window"}, path)
-        return su2(window)
-    if family == "dunkl_ramirez":
-        _no_extras(section, {"family", "window", "a"}, path)
-        a = _scalar(_need(section, "a", path), float, f"{path}.a")
-        if not 0.0 < a <= 0.5:
-            raise ScenarioError(f"{path}.a: must lie in (0, 1/2]")
-        try:
-            return dunkl_ramirez(a, window)
-        except NonFiniteValue as exc:
-            raise ScenarioError(f"{path}.window: {exc}") from exc
-    if family == "table":
-        _no_extras(section, {"family", "window", "identity", "involution", "table"},
-                   path)
-        identity = _scalar(section.get("identity", 0), int, f"{path}.identity")
-        involution_raw = _need(section, "involution", path, dict)
-        involution = {_scalar(k, int, f"{path}.involution"):
-                      _scalar(v, int, f"{path}.involution.{k}")
-                      for k, v in involution_raw.items()}
-        rows = _need(section, "table", path, list)
-        conv = {}
-        for i, row in enumerate(rows):
-            if not (isinstance(row, list) and len(row) == 3
-                    and isinstance(row[2], dict)):
-                raise ScenarioError(
-                    f"{path}.table[{i}]: expected [x, y, {{label: mass}}]")
-            conv[(_scalar(row[0], int, f"{path}.table[{i}][0]"),
-                  _scalar(row[1], int, f"{path}.table[{i}][1]"))] = _int_labels(
-                row[2], f"{path}.table[{i}]")
-        try:
-            return table_hypergroup(conv, involution, identity=identity)
-        except (ValueError, KeyError) as exc:
-            raise ScenarioError(f"{path}: table rejected: {exc}") from exc
-    raise ScenarioError(f"{path}.family: unknown family {family!r}")
+def _number(section, key, path, kind=float):
+    """The required number at path.key, converted by kind."""
+    return _scalar(_need(section, key, path), kind, f"{path}.{key}")
 
 
-def _build_young(section, path) -> YoungFunction:
-    kind = _need(section, "kind", path, str)
-    if kind == "phi_p":
-        _no_extras(section, {"kind", "p"}, path)
-        p = _scalar(_need(section, "p", path), float, f"{path}.p")
-        if p < 1.0:
-            raise ScenarioError(f"{path}.p: must be >= 1")
-        return phi_p(p)
-    if kind == "exp_minus_linear":
-        _no_extras(section, {"kind"}, path)
-        return exp_minus_linear()
-    if kind == "cosh_minus_one":
-        _no_extras(section, {"kind"}, path)
-        return cosh_minus_one()
-    if kind == "tabulated":
-        _no_extras(section, {"kind", "knots"}, path)
-        knots = []
-        for i, knot in enumerate(_need(section, "knots", path, list)):
-            if not (isinstance(knot, list) and len(knot) == 2):
-                raise ScenarioError(f"{path}.knots[{i}]: expected [t, value]")
-            knots.append(tuple(_scalar(v, float, f"{path}.knots[{i}]") for v in knot))
-        try:
-            return tabulated_young(knots)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.knots: {exc}") from exc
-    raise ScenarioError(f"{path}.kind: unknown kind {kind!r}")
+def _table_model(section, path, window) -> HypergroupModel:
+    identity = _scalar(section.get("identity", 0), int, f"{path}.identity")
+    involution = {_scalar(k, int, f"{path}.involution"):
+                  _scalar(v, int, f"{path}.involution.{k}")
+                  for k, v in _need(section, "involution", path, dict).items()}
+    conv = {}
+    for i, row in enumerate(_need(section, "table", path, list)):
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[2], dict)):
+            raise ScenarioError(f"{path}.table[{i}]: expected [x, y, {{label: mass}}]")
+        conv[(_scalar(row[0], int, f"{path}.table[{i}][0]"),
+              _scalar(row[1], int, f"{path}.table[{i}][1]"))] = _int_labels(
+            row[2], f"{path}.table[{i}]")
+    return table_hypergroup(conv, involution, identity=identity)
 
 
-def _build_weight(section, path) -> Weight:
-    form = _need(section, "form", path, str)
+def _tabulated(section, path) -> YoungFunction:
+    knots = []
+    for i, knot in enumerate(_need(section, "knots", path, list)):
+        if not (isinstance(knot, list) and len(knot) == 2):
+            raise ScenarioError(f"{path}.knots[{i}]: expected [t, value]")
+        knots.append(tuple(_scalar(v, float, f"{path}.knots[{i}]") for v in knot))
+    return tabulated_young(knots)
 
-    def number(key, kind=float):
-        return _scalar(_need(section, key, path), kind, f"{path}.{key}")
 
+# Section -> (the key naming its kind, kind -> (the other keys a section of
+# that kind may have, its constructor from (section, path, *context))).
+# The library constructors check the parameter ranges.
+_KINDS = {
+    "hypergroup": ("family", {
+        "integers": (("window",), lambda s, path, window: integer_group(window)),
+        "su2": (("window",), lambda s, path, window: su2(window)),
+        "dunkl_ramirez": (("window", "a"), lambda s, path, window: dunkl_ramirez(
+            _number(s, "a", path), window)),
+        "table": (("window", "identity", "involution", "table"), _table_model),
+    }),
+    "young": ("kind", {
+        "phi_p": (("p",), lambda s, path: phi_p(_number(s, "p", path))),
+        "exp_minus_linear": ((), lambda s, path: exp_minus_linear()),
+        "cosh_minus_one": ((), lambda s, path: cosh_minus_one()),
+        "tabulated": (("knots",), _tabulated),
+    }),
+    "weight": ("form", {
+        "constant": (("value",), lambda s, path: constant_weight(
+            _number(s, "value", path))),
+        "step": (("threshold", "low", "high"), lambda s, path: step_weight(
+            _number(s, "threshold", path, int), _number(s, "low", path),
+            _number(s, "high", path))),
+        "table": (("entries", "default"), lambda s, path: table_weight(
+            _int_labels(_need(s, "entries", path, dict), f"{path}.entries"),
+            _scalar(s.get("default", 1.0), float, f"{path}.default"))),
+        "geometric": (("base", "ratio"), lambda s, path: geometric_weight(
+            _number(s, "base", path), _number(s, "ratio", path))),
+    }),
+    "eta": ("generator", {
+        "center_powers": (("z",), lambda s, path, model: center_powers(
+            model, _number(s, "z", path, int))),
+        "table": (("entries",), lambda s, path, model: eta_from_table(model, {
+            _scalar(k, int, f"{path}.entries"): _scalar(v, int, f"{path}.entries.{k}")
+            for k, v in _need(s, "entries", path, dict).items()})),
+    }),
+}
+
+
+def _build(section, path, *context):
+    """The object the section at path declares, built by the constructor
+    _KINDS gives for its kind.  A ValueError the constructor raises is a
+    ScenarioError at path, or at path.window for a Haar weight that the
+    window takes beyond the float range."""
+    key, kinds = _KINDS[path]
+    name = _need(section, key, path, str)
+    if name not in kinds:
+        raise ScenarioError(f"{path}.{key}: unknown {key} {name!r}")
+    keys, construct = kinds[name]
+    _no_extras(section, {key, *keys}, path)
     try:
-        if form == "constant":
-            _no_extras(section, {"form", "value"}, path)
-            return constant_weight(number("value"))
-        if form == "step":
-            _no_extras(section, {"form", "threshold", "low", "high"}, path)
-            return step_weight(number("threshold", int), number("low"),
-                               number("high"))
-        if form == "table":
-            _no_extras(section, {"form", "entries", "default"}, path)
-            entries = _int_labels(_need(section, "entries", path, dict),
-                                  f"{path}.entries")
-            return table_weight(entries, _scalar(section.get("default", 1.0),
-                                                 float, f"{path}.default"))
-        if form == "geometric":
-            _no_extras(section, {"form", "base", "ratio"}, path)
-            return geometric_weight(number("base"), number("ratio"))
+        return construct(section, path, *context)
     except ScenarioError:
         raise
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"{path}.form: unknown form {form!r}")
-
-
-def _build_eta(section, path, model: HypergroupModel) -> EtaSequence:
-    generator = _need(section, "generator", path, str)
-    try:
-        if generator == "center_powers":
-            _no_extras(section, {"generator", "z"}, path)
-            return center_powers(model, _scalar(_need(section, "z", path), int,
-                                                f"{path}.z"))
-        if generator == "table":
-            _no_extras(section, {"generator", "entries"}, path)
-            raw = _need(section, "entries", path, dict)
-            entries = {_scalar(k, int, f"{path}.entries"):
-                       _scalar(v, int, f"{path}.entries.{k}")
-                       for k, v in raw.items()}
-            return eta_from_table(model, entries)
-    except ScenarioError:
-        raise
-    except (ValueError, WindowOverflow) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"{path}.generator: unknown generator {generator!r}")
+        where = ".window" if isinstance(exc, NonFiniteValue) else ""
+        raise ScenarioError(f"{path}{where}: {exc}") from exc
 
 
 def _build_run(section, path) -> RunSettings:
@@ -350,10 +314,13 @@ def parse_scenario(data: dict) -> Scenario:
     scenario_id = _need(data, "id", "scenario", str)
     if not scenario_id:
         raise ScenarioError("scenario.id: must be nonempty")
-    model = _build_model(_need(data, "hypergroup", "scenario", dict),
-                         "hypergroup")
-    phi = _build_young(_need(data, "young", "scenario", dict), "young")
-    weight = _build_weight(_need(data, "weight", "scenario", dict), "weight")
+    section = _need(data, "hypergroup", "scenario", dict)
+    window = _number(section, "window", "hypergroup", int)
+    if window < 1:
+        raise ScenarioError("hypergroup.window: must be a positive integer")
+    model = _build(section, "hypergroup", window)
+    phi = _build(_need(data, "young", "scenario", dict), "young")
+    weight = _build(_need(data, "weight", "scenario", dict), "weight")
     if weight.form == "geometric":
         ends = (model.carrier[0], model.carrier[-1])  # monotone: these bound it
         try:
@@ -366,7 +333,7 @@ def parse_scenario(data: dict) -> Scenario:
     run = _build_run(_mapping(data.get("run") or {}, "run"), "run")
     eta = None
     if "eta" in data and data["eta"] is not None:
-        eta = _build_eta(data["eta"], "eta", model)
+        eta = _build(data["eta"], "eta", model)
         for n in range(-run.horizon, run.horizon + 1):
             try:
                 eta(n)

@@ -65,6 +65,16 @@ def test_center_shift_holds(zline):
     assert rep.agree
 
 
+def test_center_pairwise_check_skips_translates_off_the_window():
+    # E = {8} in -10..10: at every n some multiple r n with |r| <= 3 takes 8
+    # off the window and no translates overlap, so each index is skipped
+    rep = hz.aperiodic_center_check(hz.integer_group(10), 1, [8], 8, 3)
+    assert rep.pairwise.inconclusive == tuple(range(1, 9))
+    assert rep.pairwise.counterexamples == ()
+    assert not rep.pairwise.holds_at_horizon
+    assert rep.direct.inconclusive == tuple(range(3, 9))
+
+
 def test_center_check_translates_each_index_once(monkeypatch):
     # The direct and pairwise readings share one memo of E's translates, so
     # each index r n (|r| <= 3, within the horizon) is translated once, and

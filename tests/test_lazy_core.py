@@ -512,7 +512,7 @@ def test_mixed_masses_are_reported_not_raised():
         hz.table_hypergroup(conv, {0: 0, 1: 1})
 
 
-def test_build_makes_linear_convolutions(monkeypatch):
+def test_build_computes_no_convolution(monkeypatch):
     calls = []
     original = hypergroups._IntegerGroup.raw_convolve
 
@@ -523,5 +523,7 @@ def test_build_makes_linear_convolutions(monkeypatch):
     monkeypatch.setattr(hypergroups._IntegerGroup, "raw_convolve", counting)
     model = hz.integer_group(1000)
     assert len(model.carrier) == 2001
-    assert len(calls) <= 2 * len(model.carrier)
+    assert calls == []
+    # the center is decided on demand, two convolutions per label asked about
+    assert model.is_central(7) and calls == [(7, -7), (-7, 7)]
     assert model.center_elements().members == model.carrier

@@ -34,6 +34,13 @@ def test_young_inverse_roundtrip():
             assert phi(t) == pytest.approx(target, rel=1e-9)
 
 
+def test_young_inverse_is_relative_at_small_levels():
+    # the bisection stops at a width relative to the root, not at 1e-14
+    for level in (1e-8, 1e-24, 1e-300):
+        assert young_inverse(hz.phi_p(2.0), level) == pytest.approx(
+            math.sqrt(2.0 * level), rel=1e-14)
+
+
 def test_tabulated_young_interpolation_and_validation():
     phi = hz.tabulated_young([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)])
     assert phi(0.5) == 0.25
@@ -251,6 +258,25 @@ def test_orlicz_norm_finds_a_minimiser_left_of_its_grid():
         lo, hi = res.bracket
         assert hi < 1e-9
         assert lo == pytest.approx(math.sqrt(2 / mass), rel=1e-6)
+
+
+def test_orlicz_norm_finds_a_minimiser_right_of_its_capped_grid():
+    # With knots at 1e150 the objective (1 + phi(k)) / k falls to 2e-150 at
+    # k = 1e150, right of the scan's cap at k = 1e18.  The search stopped
+    # there and returned 1.0e-33; the bound k >= 1 / (2 N), N = 1e-150 the
+    # gauge norm, moves the scan to the minimiser.
+    model = hz.integer_group(4)
+    f = hz.indicator([0])
+    phi = hz.tabulated_young([(0.0, 0.0), (1e150, 1.0), (2e150, 3.0)])
+    res = hz.orlicz_norm(model, f, phi)
+    assert res.converged
+    assert res.value == pytest.approx(2e-150, rel=1e-12)
+    gauge = hz.luxemburg_norm(model, f, phi).value
+    assert gauge <= res.value <= 2 * gauge
+    # phi_1 has its infimum at k -> infinity, so its scan ends at the cap
+    # too; there 1 / (2 N) = 1/2 lies inside the grid, and the scan stays
+    res = hz.orlicz_norm(model, f, hz.phi_p(1.0))
+    assert (res.value, res.iterations) == (1.0, 186)
 
 
 def test_orlicz_norm_reports_a_search_stopped_at_its_cap(monkeypatch):

@@ -1,7 +1,10 @@
 """Scenario parsing, CLI commands, exit codes, output determinism."""
 import copy
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -191,6 +194,109 @@ def test_parse_table_family():
     assert sc.model.center_elements().members == (0, 1, 2)
 
 
+MINIMAL = {"id": "minimal",
+           "hypergroup": {"family": "integers", "window": 4},
+           "young": {"kind": "phi_p", "p": 2.0},
+           "weight": {"form": "constant", "value": 1.0},
+           "run": {"horizon": 2}}
+Z3_TABLE = {"family": "table", "window": 2, "identity": 0,
+            "involution": {0: 0, 1: 2, 2: 1},
+            "table": [[x, y, {(x + y) % 3: 1.0}] for x in range(3)
+                      for y in range(3)]}
+Z3 = hz.table_hypergroup({(x, y): {(x + y) % 3: 1.0} for x in range(3)
+                          for y in range(3)}, {0: 0, 1: 2, 2: 1})
+
+
+def _model_of(sc):
+    return sc.model.carrier, sc.model.haar
+
+
+# (section, declaration, what to read off the scenario, what it must be):
+# every kind of every section that has kinds
+SECTION_KINDS = [
+    ("hypergroup", {"family": "integers", "window": 4}, _model_of,
+     (tuple(range(-4, 5)), hz.integer_group(4).haar)),
+    ("hypergroup", {"family": "su2", "window": 4}, _model_of,
+     (tuple(range(5)), hz.su2(4).haar)),
+    ("hypergroup", {"family": "dunkl_ramirez", "window": 4, "a": 0.25}, _model_of,
+     (tuple(range(5)), hz.dunkl_ramirez(0.25, 4).haar)),
+    ("hypergroup", Z3_TABLE, _model_of, ((0, 1, 2), Z3.haar)),
+    ("young", {"kind": "phi_p", "p": 1.5}, lambda sc: sc.phi, hz.phi_p(1.5)),
+    ("young", {"kind": "exp_minus_linear"}, lambda sc: sc.phi,
+     hz.exp_minus_linear()),
+    ("young", {"kind": "cosh_minus_one"}, lambda sc: sc.phi, hz.cosh_minus_one()),
+    ("young", {"kind": "tabulated", "knots": [[0.0, 0.0], [1.0, 0.5]]},
+     lambda sc: sc.phi, hz.tabulated_young([(0.0, 0.0), (1.0, 0.5)])),
+    ("weight", {"form": "constant", "value": 1.5}, lambda sc: sc.weight,
+     hz.constant_weight(1.5)),
+    ("weight", {"form": "step", "threshold": 1, "low": 2.0, "high": 0.5},
+     lambda sc: sc.weight, hz.step_weight(1, 2.0, 0.5)),
+    ("weight", {"form": "table", "entries": {0: 2.0, 1: 0.5}, "default": 3.0},
+     lambda sc: sc.weight, hz.table_weight({0: 2.0, 1: 0.5}, 3.0)),
+    ("weight", {"form": "geometric", "base": 2.0, "ratio": 0.5},
+     lambda sc: sc.weight, hz.geometric_weight(2.0, 0.5)),
+    ("eta", {"generator": "center_powers", "z": -1},
+     lambda sc: [sc.eta(n) for n in range(-2, 3)], [2, 1, 0, -1, -2]),
+    ("eta", {"generator": "table", "entries": {1: 3, 2: -1}},
+     lambda sc: [sc.eta(n) for n in range(-2, 3)], [1, -3, 0, 3, -1]),
+]
+
+
+@pytest.mark.parametrize(
+    "section,declaration,read,expected", SECTION_KINDS,
+    ids=[f"{s}-{next(iter(d.values()))}" for s, d, _, _ in SECTION_KINDS])
+def test_each_kind_of_each_section_parses(section, declaration, read, expected):
+    data = copy.deepcopy(MINIMAL)
+    data[section] = copy.deepcopy(declaration)
+    assert read(hz.parse_scenario(data)) == expected
+
+
+@pytest.mark.parametrize("section,key", [("hypergroup", "family"), ("young", "kind"),
+                                         ("weight", "form"), ("eta", "generator")])
+def test_an_unknown_kind_names_its_key(section, key):
+    data = copy.deepcopy(MINIMAL)
+    data[section] = {**MINIMAL.get(section, {}), key: "nonesuch"}
+    with pytest.raises(hz.ScenarioError) as err:
+        hz.parse_scenario(data)
+    assert str(err.value) == f"{section}.{key}: unknown {key} 'nonesuch'"
+
+
+def test_parameter_ranges_are_checked_by_the_library_constructors():
+    cases = [
+        ("hypergroup", {"family": "dunkl_ramirez", "window": 4, "a": 0.75},
+         "hypergroup: parameter a must lie in (0, 1/2]"),
+        ("young", {"kind": "phi_p", "p": 0.5}, "young: exponent must satisfy p >= 1"),
+        ("young", {"kind": "tabulated", "knots": [[0.0, 0.0], [1.0, 0.0]]},
+         "young: final slope must be positive so the function is unbounded"),
+        ("weight", {"form": "step", "threshold": 0, "low": -1.0, "high": 0.5},
+         "weight: weight parameters must be finite and positive"),
+        ("eta", {"generator": "table", "entries": {0: 1}},
+         "eta: table entries are indexed from 1"),
+        ("eta", {"generator": "center_powers", "z": 9}, "eta: label 9 is not central"),
+    ]
+    for section, declaration, message in cases:
+        data = copy.deepcopy(MINIMAL)
+        data[section] = declaration
+        with pytest.raises(hz.ScenarioError) as err:
+            hz.parse_scenario(data)
+        assert str(err.value) == message
+
+
+def test_a_table_off_its_labels_is_a_scenario_error():
+    bad_involution = copy.deepcopy(Z3_TABLE)
+    bad_involution["involution"][1] = 7
+    bad_row = copy.deepcopy(Z3_TABLE)
+    bad_row["table"][1] = [0, 1, {5: 1.0}]
+    for table, message in (
+            (bad_involution, "the involution maps 1 outside the labels"),
+            (bad_row, "table row (0,1) has an atom at 5 outside the labels")):
+        data = copy.deepcopy(MINIMAL)
+        data["hypergroup"] = table
+        with pytest.raises(hz.ScenarioError) as err:
+            hz.parse_scenario(data)
+        assert str(err.value) == f"hypergroup: {message}"
+
+
 def test_axioms_on_a_validated_table_match_a_fresh_check():
     # the command reuses the findings of the load-time check; a copy built
     # with validate=False checks every triple from scratch
@@ -324,6 +430,48 @@ def test_cli_doubling_constant_beyond_the_float_range(tmp_path, capsys):
             assert verdict["verdict"] == "holds_empirically"
         assert run_cli(["--scenario", str(path), "--command", "witness"]) == 0, p
         assert '"eventually_decreasing":true' in capsys.readouterr().out
+
+
+def test_cli_norm_under_a_young_function_far_from_unit_scale(tmp_path, capsys):
+    data = _with_int_keys(json.loads(json.dumps(DOUBLING)))
+    data["hypergroup"]["window"] = 16
+    data["young"] = {"kind": "tabulated",
+                     "knots": [[0.0, 0.0], [1e150, 1.0], [2e150, 3.0]]}
+    data["functions"] = {"f": {0: 1.0}}
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "norm"]) == 0
+    norm = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert norm["infimum_form"] == pytest.approx(2e-150, rel=1e-12)
+    assert norm["sandwich_ok"]
+
+
+def test_cli_aperiodic_lists_skipped_indices(tmp_path, capsys):
+    # E = {8} in -10..10: translates by 3 and more leave the window
+    data = _with_int_keys(json.loads(json.dumps(DOUBLING)))
+    data["hypergroup"]["window"] = 10
+    data["sets"] = {"E": [8]}
+    data["run"]["horizon"] = 8
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "aperiodic"]) == 1
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    skipped = [(r["check"], r["n"]) for r in records if r["record"] == "skipped"]
+    assert skipped == ([("direct", n) for n in range(3, 9)]
+                       + [("pairwise", n) for n in range(1, 9)])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(hz.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyperorlicz", "--scenario",
+         str(SCENARIO_DIR / "doubling_shift.yaml"), "--command", "haar"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header = json.loads(proc.stdout.splitlines()[0])
+    assert (header["record"], header["command"], header["scenario"]) == (
+        "header", "haar", "doubling-shift")
 
 
 def test_cli_norm_on_a_point_of_large_haar_mass(tmp_path, capsys):
