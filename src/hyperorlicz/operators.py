@@ -130,15 +130,25 @@ def geometric_weight(base: float, ratio: float) -> Weight:
 
 class EtaSequence:
     """Two-sided sequence of window points with a(0) the identity and
-    a(-n) the involution of a(n); a subclass gives a(n) for n >= 1."""
+    a(-n) the involution of a(n); a subclass gives a(n) for n >= 1.  Each
+    point is memoised once reached; the memo only ever adds entries equal
+    to what any caller would compute."""
 
-    model: HypergroupModel
+    def __init__(self, model: HypergroupModel):
+        self.model = model
+        self._points: dict[int, int] = {}
 
     def __call__(self, n: int) -> int:
-        if n == 0:
-            return self.model.identity
-        a = self._forward(abs(n))
-        return a if n > 0 else self.model.involution(a)
+        a = self._points.get(n)
+        if a is None:
+            if n == 0:
+                a = self.model.identity
+            else:
+                a = self._forward(abs(n))
+                if n < 0:
+                    a = self.model.involution(a)
+            self._points[n] = a
+        return a
 
     def _forward(self, n: int) -> int:
         raise NotImplementedError
@@ -150,7 +160,7 @@ class CenterPowers(EtaSequence):
     def __init__(self, model: HypergroupModel, z: int):
         if not model.is_central(z):
             raise NotCentral(f"label {z} is not central")
-        self.model = model
+        super().__init__(model)
         self.z = z
         self._powers = [model.identity]
 
@@ -165,7 +175,7 @@ class TableEta(EtaSequence):
     """Explicit entries for positive indices."""
 
     def __init__(self, model: HypergroupModel, entries: Mapping[int, int]):
-        self.model = model
+        super().__init__(model)
         self._entries = {int(k): int(v) for k, v in entries.items()}
         for k, v in self._entries.items():
             if k < 1:

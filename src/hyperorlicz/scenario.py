@@ -56,7 +56,9 @@ that is not a finite int or float (null, a word, a list, a mapping) is a
 ScenarioError too, as is a bool or, where an integer belongs, a float with
 a fractional part.  A geometric weight must be finite and positive at both
 ends of the carrier, and the window must keep every Haar weight a finite
-float.  Failures raise ScenarioError with the offending path.
+float.  Parameter ranges are checked by the library constructors alone: a
+ValueError one raises is a ScenarioError at its section.  Failures raise
+ScenarioError with the offending path.
 """
 from __future__ import annotations
 
@@ -258,16 +260,20 @@ _KINDS = {
 }
 
 
+def _kind(table, name, path, key):
+    """table[name], or a ScenarioError at path.key naming the unknown kind."""
+    if not isinstance(name, str) or name not in table:
+        raise ScenarioError(f"{path}.{key}: unknown {key} {name!r}")
+    return table[name]
+
+
 def _build(section, path, *context):
     """The object the section at path declares, built by the constructor
     _KINDS gives for its kind.  A ValueError the constructor raises is a
     ScenarioError at path, or at path.window for a Haar weight that the
     window takes beyond the float range."""
     key, kinds = _KINDS[path]
-    name = _need(section, key, path, str)
-    if name not in kinds:
-        raise ScenarioError(f"{path}.{key}: unknown {key} {name!r}")
-    keys, construct = kinds[name]
+    keys, construct = _kind(kinds, _need(section, key, path, str), path, key)
     _no_extras(section, {key, *keys}, path)
     try:
         return construct(section, path, *context)
@@ -281,12 +287,9 @@ def _build(section, path, *context):
 def _build_run(section, path) -> RunSettings:
     _no_extras(section, {"horizon", "k_max", "series_cutoff", "rs_bound",
                       "convention", "triple_bound"}, path)
-    conv_name = section.get("convention", DEFAULT_CONVENTION.value)
-    try:
-        convention = ProductConvention(conv_name)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.convention: unknown convention "
-                            f"{conv_name!r}") from exc
+    convention = _kind({c.value: c for c in ProductConvention},
+                       section.get("convention", DEFAULT_CONVENTION.value),
+                       path, "convention")
 
     def count(key, default):
         return _scalar(section.get(key, default), int, f"{path}.{key}")

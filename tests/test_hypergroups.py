@@ -88,6 +88,8 @@ def test_center_membership(all_models):
     assert all_models["su2"].center_elements().members == (0,)
     z = all_models["integers"]
     assert z.center_elements().members == tuple(range(-64, 65))
+    # a label off the carrier is not central, and asking raises nothing
+    assert not z.is_central(65) and not all_models["su2"].is_central(-1)
 
 
 def test_haar_constant_on_center_orbits(dr05):
@@ -131,6 +133,7 @@ def test_table_hypergroup_cyclic_group():
     inv = {0: 0, 1: 2, 2: 1}
     model = hz.table_hypergroup(conv, inv)
     assert model.center_elements().members == (0, 1, 2)
+    assert not model.is_central(3)
     assert model.haar == {0: 1.0, 1: 1.0, 2: 1.0}
     assert model.verify_axioms(3) == []
     assert model.point_product(1, 2) == 0

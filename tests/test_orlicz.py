@@ -262,9 +262,8 @@ def test_orlicz_norm_finds_a_minimiser_left_of_its_grid():
 
 def test_orlicz_norm_finds_a_minimiser_right_of_its_capped_grid():
     # With knots at 1e150 the objective (1 + phi(k)) / k falls to 2e-150 at
-    # k = 1e150, right of the scan's cap at k = 1e18.  The search stopped
-    # there and returned 1.0e-33; the bound k >= 1 / (2 N), N = 1e-150 the
-    # gauge norm, moves the scan to the minimiser.
+    # k = 1e150, far right of the scan's cap at k = 1e18; the bound
+    # k >= 1 / (2 N), N = 1e-150 the gauge norm, reaches it.
     model = hz.integer_group(4)
     f = hz.indicator([0])
     phi = hz.tabulated_young([(0.0, 0.0), (1e150, 1.0), (2e150, 3.0)])

@@ -252,7 +252,8 @@ def test_each_kind_of_each_section_parses(section, declaration, read, expected):
 
 
 @pytest.mark.parametrize("section,key", [("hypergroup", "family"), ("young", "kind"),
-                                         ("weight", "form"), ("eta", "generator")])
+                                         ("weight", "form"), ("eta", "generator"),
+                                         ("run", "convention")])
 def test_an_unknown_kind_names_its_key(section, key):
     data = copy.deepcopy(MINIMAL)
     data[section] = {**MINIMAL.get(section, {}), key: "nonesuch"}
