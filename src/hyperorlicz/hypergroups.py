@@ -390,8 +390,7 @@ class HypergroupModel:
 
     def is_central(self, z: int) -> bool:
         """Whether z is a window label with delta_z * delta_{z^-} and
-        delta_{z^-} * delta_z both the identity point mass.  The answer is
-        memoised per label; a label outside the window is not central."""
+        delta_{z^-} * delta_z both the identity point mass; memoised."""
         if z not in self._labels:
             return False
         central = self._central.get(z)
@@ -538,9 +537,8 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
                      validate: bool = True) -> HypergroupModel:
     """Finite hypergroup from an explicit convolution table.
 
-    ``conv`` must contain every ordered pair of labels, its rows may put
-    mass only on labels, and the involution must map labels to labels; any
-    other table raises ValueError.  With ``validate``
+    ``conv`` must hold every ordered pair of labels, with atoms only at
+    labels, and the involution must map labels to labels.  With ``validate``
     (the default) the axioms are checked on load over every label, and the
     support-reversal law, which translation reads its preimages from, is
     checked exactly; any violation is a hard error.  Pass ``validate=False``

@@ -343,8 +343,7 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     hi = math.log(1e12 / fmax)
     npts = 61
     iters = 0
-    left_open = True  # whether the minimiser may lie left of the grid
-    right_open = True  # whether it may lie right of the capped grid
+    bounded = False  # whether a bound on the minimiser has moved the grid
     while True:
         step = (hi - lo) / (npts - 1)
         vals = []
@@ -355,19 +354,19 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
         if best == npts - 1 and math.exp(hi) < 1e18 / fmax:
             lo, hi = hi - 2.0 * step, hi + (hi - lo)
             continue
-        if best == npts - 1 and right_open:
+        if best == npts - 1 and not bounded:
             # The objective is at least 1/k and its infimum at most twice the
             # gauge norm N, so the minimiser has k >= 1 / (2 N).
-            right_open = False
+            bounded = True
             gauge = luxemburg_norm(model, f, phi).value
             start = -math.log(2.0 * gauge) if gauge > 0.0 else -math.inf
             if hi < start < _LOG_MAX:
-                lo, hi, left_open = start, min(start + (hi - lo), _LOG_MAX), False
+                lo, hi = start, min(start + (hi - lo), _LOG_MAX)
                 continue
         # The objective is at least 1/k, so the minimiser has k >= 1 / vals[0].
         floor = -math.log(vals[0])
-        if best == 0 and left_open and -math.inf < floor < lo:
-            lo, hi, left_open = floor, lo + step, False
+        if best == 0 and not bounded and -math.inf < floor < lo:
+            lo, hi, bounded = floor, lo + step, True
             continue
         break
     a = lo + max(best - 1, 0) * step

@@ -285,28 +285,22 @@ def _build(section, path, *context):
 
 
 def _build_run(section, path) -> RunSettings:
-    _no_extras(section, {"horizon", "k_max", "series_cutoff", "rs_bound",
-                      "convention", "triple_bound"}, path)
-    convention = _kind({c.value: c for c in ProductConvention},
-                       section.get("convention", DEFAULT_CONVENTION.value),
-                       path, "convention")
-
-    def count(key, default):
-        return _scalar(section.get(key, default), int, f"{path}.{key}")
-
-    settings = RunSettings(
-        horizon=count("horizon", 16),
-        k_max=count("k_max", 8),
-        series_cutoff=count("series_cutoff", 40),
-        rs_bound=count("rs_bound", 3),
-        convention=convention,
-        triple_bound=(None if section.get("triple_bound") is None
-                      else count("triple_bound", None)),
-    )
-    for name in ("horizon", "k_max", "series_cutoff", "rs_bound"):
-        if getattr(settings, name) < 1:
-            raise ScenarioError(f"{path}.{name}: must be a positive integer")
-    return settings
+    """Run settings, each field defaulting as in RunSettings."""
+    _no_extras(section, RunSettings._fields, path)
+    counts = {key: _scalar(section.get(key, default), int, f"{path}.{key}")
+              for key, default in RunSettings._field_defaults.items()
+              if key in ("horizon", "k_max", "series_cutoff", "rs_bound")}
+    for key, value in counts.items():
+        if value < 1:
+            raise ScenarioError(f"{path}.{key}: must be a positive integer")
+    bound = section.get("triple_bound")
+    return RunSettings(
+        **counts,
+        convention=_kind({c.value: c for c in ProductConvention},
+                         section.get("convention", DEFAULT_CONVENTION.value),
+                         path, "convention"),
+        triple_bound=None if bound is None else _scalar(bound, int,
+                                                        f"{path}.triple_bound"))
 
 
 def parse_scenario(data: dict) -> Scenario:
