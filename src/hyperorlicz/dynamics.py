@@ -412,9 +412,12 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
                 flags = ("series-truncated" if isinstance(exc, WindowOverflow)
                          else "non-finite",)
                 break
+        combined = fwd_sum + rec_sum
+        if not (flags or math.isfinite(combined)):  # a partial sum overflowed
+            flags = ("non-finite",)
         rows.append(CriterionRow(
             k=k, n=n, members=e, measure_ratio=1.0,
-            metrics=(("combined", fwd_sum + rec_sum),
+            metrics=(("combined", combined),
                      ("forward_partial", fwd_sum),
                      ("reciprocal_partial", rec_sum)),
             flags=flags))

@@ -247,6 +247,9 @@ class _TableFamily(_Family):
         if v <= 0.0:
             raise ValueError(f"table row ({x},{self._inv[x]}) has no identity atom; "
                              "cannot derive an invariant measure")
+        if 1.0 / v == math.inf:
+            raise ValueError(f"table row ({x},{self._inv[x]}) has the identity atom "
+                             f"{v!r}, whose reciprocal Haar weight exceeds the float range")
         return 1.0 / v
 
     def has_label(self, u):

@@ -11,6 +11,7 @@ Infinity is an explicit sentinel (math.inf), never a float overflow.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from operator import itemgetter
 from typing import NamedTuple
@@ -22,8 +23,7 @@ from .records import Checked
 
 _DELTA2_GRID = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
 _REFUTE_RATIO = 1e6
-_TINY_PEAK = 2.0**-960  # below this the gauge search rescales the data
-_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the gauge search starts at most here
+_FLOAT_MAX = sys.float_info.max  # the gauge search starts at most here
 _LOG_MAX = math.log(_FLOAT_MAX)  # the infimum search scans log k up to here
 # Outside these peaks the infimum search rescales the data.  Its grid of
 # log k reaches about 90 past -log max|f|, and its golden section narrows
@@ -59,7 +59,7 @@ class YoungFunction(NamedTuple):
                 return math.inf
             return t**p / p
         if self.kind == "exp_minus_linear":
-            if t >= 710.0:
+            if t > _LOG_MAX:  # where expm1 overflows
                 return math.inf
             if t <= 0.5:  # expm1(t) - t cancels; the Taylor tail does not
                 s = 0.0
@@ -246,30 +246,31 @@ def _ldexp(x: float, e: int) -> float:
         return math.inf
 
 
+def _norm_value(x: float, e: int) -> float:
+    """x * 2^e, raising NonFiniteIntegrand where that is 0 or inf."""
+    value = _ldexp(x, e)
+    if not 0.0 < value < math.inf:
+        raise NonFiniteIntegrand(f"the norm scales back to {value}, outside the float range")
+    return value
+
+
 def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
                    phi: YoungFunction) -> NormResult:
     """Gauge norm inf{k > 0 : modular(f/k) <= 1} by bracketed bisection.
 
-    The bracket starts from the heuristic max|f| / phi^{-1}(1 / smallest
-    support weight) and is expanded geometrically until it straddles the
-    defining inequality.  The returned value is the upper bracket end, so the
-    inequality holds at the value itself.  The expansion stops where the
-    argument max|f| / k of phi leaves [1e-300, 1e300], raising
-    NonFiniteIntegrand below and returning 0 above; the caps are relative to
-    the data, so very large or very small finite norms are still found.
-
-    The modular scales by 1 / k, which overflows once k falls below about
-    5.6e-309.  So when max|f| is below 2^-960 the search runs on f times an
-    exact power of two and scales the result back: the norm is homogeneous,
-    and every scaling and bisection step of the search is then exact.
+    The search runs on f times the power of two that brings max|f| into
+    [1/2, 1) and scales the result back, so every step of it is exact.  The
+    bracket starts from max|f| / phi^{-1}(1 / smallest support weight) and
+    is expanded geometrically until it straddles the defining inequality;
+    the upper end is returned, so the inequality holds at the value itself.
+    The float range is the only limit: NonFiniteIntegrand is raised where the
+    ratio of the norm to max|f| leaves the normal range, or the norm
+    overflows or underflows to zero.  A subnormal norm is returned.
     """
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
+    f, shift = _unit_peak(f)
     fmax = f.max_abs()
-    shift = 0
-    if fmax < _TINY_PEAK:
-        f, shift = _unit_peak(f)
-        fmax = f.max_abs()
     m_min = min(model.haar[x] for x, _ in f.values)
     try:  # young_inverse is positive at a positive level
         k0 = min(fmax / young_inverse(phi, 1.0 / m_min), _FLOAT_MAX)
@@ -281,23 +282,20 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
         return _modular(model, f, phi, 1.0 / k) > 1.0
 
     if excess(k0):
-        lo = k0
-        hi = k0
+        lo = hi = k0
         while excess(hi):
             hi *= 2.0
             iters += 1
-            if fmax / hi < 1e-300:
+            if hi / fmax > _FLOAT_MAX:
                 raise NonFiniteIntegrand("modular never falls to 1")
     else:
-        hi = k0
-        lo = k0
+        hi = lo = k0
         while not excess(lo):
             hi = lo
             lo *= 0.5
             iters += 1
-            if fmax / lo > 1e300:
-                # modular stays below 1 for every positive scaling: norm 0
-                return NormResult(0.0, iters, (0.0, 0.0))
+            if lo / fmax < sys.float_info.min:
+                raise NonFiniteIntegrand("modular never rises above 1")
     while hi - lo > RTOL_NORM * hi:
         mid = 0.5 * (lo + hi)
         if excess(mid):
@@ -305,8 +303,8 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
         else:
             hi = mid
         iters += 1
-    lo, hi = math.ldexp(lo, -shift), math.ldexp(hi, -shift)
-    return NormResult(hi, iters, (lo, hi))
+    hi = _norm_value(hi, -shift)
+    return NormResult(hi, iters, (_ldexp(lo, -shift), hi))
 
 
 def orlicz_norm(model: HypergroupModel, f: SparseFunction,
@@ -316,16 +314,18 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     The objective is convex in 1/k, hence unimodal along log k.  A log-spaced
     scan brackets the minimiser: it extends to the right while the tail keeps
     improving (linear-growth kinds have their infimum at infinity), up to
-    k = 1e18 / max|f|; once more from k = 1 / (2 N), N the gauge norm, when
-    its last point is still best there and that bound lies beyond it; and
-    once to the left, down to the bound k >= 1 / objective, when its first
-    point is best.  Golden section then refines the bracket, stopping after
-    _SCAN_CAP objective evaluations with ``converged`` False.
+    k = 1e18 / max|f|, or 1e18 / N, N the gauge norm, where that is larger;
+    once more from k = 1 / (2 N) when its last point is still best there
+    and that bound lies beyond it; and once more from the bound
+    k >= 1 / objective when that lies left of the first grid.  Golden
+    section then refines the bracket, stopping after _SCAN_CAP objective
+    evaluations with ``converged`` False.
 
     When max|f| lies outside _SCAN_PEAKS the search runs on f times an exact
-    power of two, and the value and bracket are scaled back (to inf where
-    they leave the float range): the norm is homogeneous, and the minimising
-    k scales inversely with f.
+    power of two, and the value and bracket are scaled back (the bracket to
+    inf where it leaves the float range).  NonFiniteIntegrand is raised
+    where the value overflows or underflows to zero, and where 1 / (2 N)
+    lies beyond the largest float.
     """
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
@@ -339,34 +339,38 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
         k = math.exp(logk)
         return (1.0 + _modular(model, f, phi, k)) / k
 
-    lo = math.log(1e-9 / fmax)
+    lo = first = math.log(1e-9 / fmax)
     hi = math.log(1e12 / fmax)
+    cap = 1e18 / fmax  # the scan extends right while its last point is best
     npts = 61
     iters = 0
     bounded = False  # whether a bound on the minimiser has moved the grid
     while True:
         step = (hi - lo) / (npts - 1)
-        vals = []
-        for i in range(npts):
-            vals.append(objective(lo + i * step))
-            iters += 1
+        vals = [objective(lo + i * step) for i in range(npts)]
+        iters += npts
         best = min(range(npts), key=lambda i: (vals[i], i))
-        if best == npts - 1 and math.exp(hi) < 1e18 / fmax:
-            lo, hi = hi - 2.0 * step, hi + (hi - lo)
-            continue
-        if best == npts - 1 and not bounded:
+        if best == npts - 1 and math.exp(hi) >= cap and not bounded:
             # The objective is at least 1/k and its infimum at most twice the
-            # gauge norm N, so the minimiser has k >= 1 / (2 N).
+            # gauge norm N, so the minimiser has k >= 1 / (2 N); and beside a
+            # limit of at least N, 1/k is negligible only from 1e18 / N on.
             bounded = True
             gauge = luxemburg_norm(model, f, phi).value
-            start = -math.log(2.0 * gauge) if gauge > 0.0 else -math.inf
-            if hi < start < _LOG_MAX:
+            start = -math.log(2.0 * gauge)
+            if start > _LOG_MAX:
+                raise NonFiniteIntegrand("the minimising k lies beyond the float range")
+            cap = max(cap, 1e18 / gauge)
+            if hi < start:
                 lo, hi = start, min(start + (hi - lo), _LOG_MAX)
                 continue
-        # The objective is at least 1/k, so the minimiser has k >= 1 / vals[0].
-        floor = -math.log(vals[0])
-        if best == 0 and not bounded and -math.inf < floor < lo:
-            lo, hi, bounded = floor, lo + step, True
+        if best == npts - 1 and math.exp(hi) < cap and hi < _LOG_MAX:
+            lo, hi = hi - 2.0 * step, min(hi + (hi - lo), _LOG_MAX)
+            continue
+        # The objective is at least 1/k, so the minimiser has k >= 1 / vals[best],
+        # which may lie left of the first grid even where that is flat in float.
+        floor = -math.log(vals[best])
+        if not bounded and -math.inf < floor < first:
+            lo, hi, bounded = floor, lo + min(best + 1, npts - 1) * step, True
             continue
         break
     a = lo + max(best - 1, 0) * step
@@ -389,7 +393,7 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
             break
     value = min(vals[best], objective(0.5 * (a + b)), f1, f2)
     bracket = (_ldexp(math.exp(a), shift), _ldexp(math.exp(b), shift))
-    return NormResult(_ldexp(value, -shift), iters, bracket,
+    return NormResult(_norm_value(value, -shift), iters, bracket,
                       converged=b - a <= 1e-13)
 
 

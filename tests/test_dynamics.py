@@ -202,6 +202,20 @@ def test_series_probe_flags_truncation(zline, doubling_weight):
     assert report.verdict == "inconclusive"
 
 
+def test_series_probe_flags_a_sum_that_overflows():
+    # Two steps of weight 1e-160 give the product 1e-320, and haar / 1e-320
+    # is inf without raising: row n = 1 had an infinite sum and no flag.
+    model = hz.integer_group(200)
+    report = hz.probe_series_necessary(model, hz.step_weight(0, 1e-160, 1e-160),
+                                       hz.center_powers(model, 1), [0],
+                                       horizon=16, series_cutoff=2)
+    first = report.rows[0]
+    assert (first.n, first.metric("combined")) == (1, math.inf)
+    assert first.flags == ("non-finite",)
+    assert all(row.flags == ("non-finite",) for row in report.rows)
+    assert report.verdict == "inconclusive"
+
+
 def test_hereditary_probe_golden(zline, doubling_weight):
     report = hz.probe_hereditary(zline, 1, doubling_weight, hz.phi_p(2.0),
                                  [0], horizon=20)
@@ -261,6 +275,24 @@ def test_center_indices_need_both_translates_in_the_window(zline, doubling_weigh
                                               hz.center_powers(zline, 1),
                                               hz.phi_p(2.0), [-60], horizon=10)):
         assert [row.n for row in report.rows] == [1, 2, 3, 4]
+
+
+def test_no_separating_index_fails_the_aperiodicity_precondition(zline, doubling_weight):
+    eta = hz.center_powers(zline, 1)
+    phi2 = hz.phi_p(2.0)
+    # E = -20..20 meets each of its translates by 1..16.
+    with pytest.raises(hz.PreconditionFailed) as err:
+        hz.probe_sup_necessary(zline, doubling_weight, eta, range(-20, 21), horizon=16)
+    assert err.value.hypothesis == "aperiodicity"
+    # E = {-64}: the forward translates pass the gate, but every backward
+    # translate leaves the window.
+    for probe in (lambda: hz.probe_center_conditions(zline, doubling_weight, eta,
+                                                     phi2, [-64], horizon=16),
+                  lambda: hz.probe_hereditary(zline, 1, doubling_weight, phi2,
+                                              [-64], horizon=16)):
+        with pytest.raises(hz.PreconditionFailed) as err:
+            probe()
+        assert err.value.hypothesis == "aperiodicity"
 
 
 def _center_calls(zline, dr03, dr05, su2m, doubling_weight):

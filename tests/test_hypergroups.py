@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
-from hyperorlicz.hypergroups import is_point_mass_at, point_mass
+from hyperorlicz.hypergroups import AxiomViolation, is_point_mass_at, point_mass
 
 
 def test_point_convolution_golden_values(dr05, su2m):
@@ -139,6 +139,18 @@ def test_table_hypergroup_cyclic_group():
     assert model.point_product(1, 2) == 0
 
 
+def test_verify_axioms_finds_an_involution_that_does_not_fold_back():
+    # Z_3 with the involution 1 -> 2 -> 2.  Every row (x, x^-) keeps an
+    # identity atom, so the Haar weights exist and only the axioms fail.
+    conv = {(x, y): {(x + y) % 3: 1.0} for x in range(3) for y in range(3)}
+    conv[(2, 2)] = {0: 1.0}
+    model = hz.table_hypergroup(conv, {0: 0, 1: 2, 2: 2}, validate=False)
+    found = model.verify_axioms(2)
+    assert found[0] == AxiomViolation("involution", (1,),
+                                      "involution of 1 does not fold back")
+    assert [v for v in found if v.axiom == "involution"] == found[:1]
+
+
 def test_verify_axioms_returns_a_fresh_list_per_call():
     # Z_3 with delta_1 * delta_1 moved onto the identity: findings to return
     conv = {(x, y): {(x + y) % 3: 1.0} for x in range(3) for y in range(3)}
@@ -201,10 +213,13 @@ def test_haar_weights_equal_the_rounded_exact_reciprocal():
 
 
 def test_table_haar_weight_beyond_float_range_is_named():
+    # The table's row names it, as a plain ValueError: a table's window
+    # selects no labels, so the scenario parser must not place it there.
     conv = {(0, 0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 0): {1: 1.0},
             (1, 1): {0: 1e-310, 1: 1.0}}
-    with pytest.raises(hz.NonFiniteValue, match="label 1 "):
+    with pytest.raises(ValueError, match=r"table row \(1,1\) ") as err:
         hz.table_hypergroup(conv, {0: 0, 1: 1}, validate=False)
+    assert not isinstance(err.value, hz.NonFiniteValue)
 
 
 def test_haar_weight_beyond_float_range_is_named():

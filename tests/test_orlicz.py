@@ -1,6 +1,7 @@
 """Young functions, conjugates, and both Orlicz-type norms."""
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import hyperorlicz as hz
 from hyperorlicz import orlicz
+from hyperorlicz.errors import RTOL_NORM
 from hyperorlicz.orlicz import complementary_eval, young_inverse
 
 COSH1 = 0.5430806348152437  # cosh(1) - 1
@@ -23,6 +25,9 @@ def test_young_evaluations():
 
 def test_young_overflow_to_infinity():
     assert hz.exp_minus_linear()(800.0) == math.inf
+    # expm1 overflows from log(max float) = 709.78 on, short of 710
+    assert hz.exp_minus_linear()(709.9) == math.inf
+    assert hz.exp_minus_linear()(709.78) < math.inf
     assert hz.cosh_minus_one()(2000.0) == math.inf
     assert hz.phi_p(3.0)(1e200) == math.inf
 
@@ -278,6 +283,34 @@ def test_orlicz_norm_finds_a_minimiser_right_of_its_capped_grid():
     assert (res.value, res.iterations) == (1.0, 186)
 
 
+def test_orlicz_norm_extends_its_cap_with_the_gauge_norm():
+    # On a point of mass m under knots (0, 0), (s, 1), (2 s, 3) the objective
+    # is 1/k + m/s up to k = s, so the infimum is (1 + m) / s at k = s = 1e40.
+    # With m = 9e7 the bound 1 / (2 N) = s / (2 m) lies inside the capped
+    # grid, which ended near k = 1e33 and gave 1e-32 for 9e-33: the 1/k term
+    # is negligible beside N only from about k = 1e18 / N on.
+    model = hz.dunkl_ramirez(0.1, 24)
+    phi = hz.tabulated_young([(0.0, 0.0), (1e40, 1.0), (2e40, 3.0)])
+    for x in (4, 8, 12):
+        mass = model.haar[x]
+        res = hz.orlicz_norm(model, hz.indicator([x]), phi)
+        assert res.converged
+        assert res.value == pytest.approx((1 + mass) / 1e40, rel=1e-12, abs=0), x
+
+
+def test_orlicz_norm_finds_a_minimiser_left_of_a_grid_flat_in_float():
+    # Knots (0, 0), (s, 1), (2 s, 4) at s = 1e-25: the objective is 1/k + 1/s
+    # below k = s and 3/s - 1/k above it, so the infimum is 2/s at k = s.  On
+    # the first grid, k = 1e-9 .. 1e12, 1/k is below one ulp of 3/s, so the
+    # grid is flat in float, its best point lay anywhere, and the search
+    # returned 3/s with ``converged`` True.
+    model = hz.integer_group(4)
+    phi = hz.tabulated_young([(0.0, 0.0), (1e-25, 1.0), (2e-25, 4.0)])
+    res = hz.orlicz_norm(model, hz.indicator([0]), phi)
+    assert res.converged
+    assert res.value == pytest.approx(2e25, rel=1e-12, abs=0)
+
+
 def test_orlicz_norm_reports_a_search_stopped_at_its_cap(monkeypatch):
     model = hz.integer_group(4)
     f = hz.indicator([0])
@@ -456,3 +489,155 @@ def test_gauge_norm_triangle_inequality(dr03, a, b):
     ng = hz.luxemburg_norm(dr03, g, phi).value
     nfg = hz.luxemburg_norm(dr03, f + g, phi).value
     assert nfg <= nf + ng + 1e-9
+
+
+def _reference_luxemburg_norm(model, f, phi):
+    """The gauge search before it rescaled every peak, kept as the oracle.
+
+    It searched f itself unless max|f| was below 2^-960, and stopped where
+    max|f| / k left [1e-300, 1e300]: raising below, returning 0 above.
+    """
+    if f.is_zero():
+        return orlicz.NormResult(0.0, 0, (0.0, 0.0))
+    fmax = f.max_abs()
+    shift = 0
+    if fmax < 2.0**-960:
+        shift = -math.frexp(fmax)[1]
+        f = hz.SparseFunction.from_dict({x: math.ldexp(v, shift) for x, v in f.values})
+        fmax = f.max_abs()
+    m_min = min(model.haar[x] for x, _ in f.values)
+    try:
+        k0 = min(fmax / young_inverse(phi, 1.0 / m_min), sys.float_info.max)
+    except hz.NonFiniteIntegrand:
+        k0 = fmax
+    iters = 0
+
+    def excess(k):
+        return orlicz._modular(model, f, phi, 1.0 / k) > 1.0
+
+    if excess(k0):
+        lo = hi = k0
+        while excess(hi):
+            hi *= 2.0
+            iters += 1
+            if fmax / hi < 1e-300:
+                raise hz.NonFiniteIntegrand("modular never falls to 1")
+    else:
+        hi = lo = k0
+        while not excess(lo):
+            hi = lo
+            lo *= 0.5
+            iters += 1
+            if fmax / lo > 1e300:
+                return orlicz.NormResult(0.0, iters, (0.0, 0.0))
+    while hi - lo > RTOL_NORM * hi:
+        mid = 0.5 * (lo + hi)
+        if excess(mid):
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    lo, hi = math.ldexp(lo, -shift), math.ldexp(hi, -shift)
+    return orlicz.NormResult(hi, iters, (lo, hi))
+
+
+UNIT_SCALE_YOUNG = (
+    hz.phi_p(1.0), hz.phi_p(1.5), hz.phi_p(2.0), hz.exp_minus_linear(),
+    hz.cosh_minus_one(), hz.tabulated_young([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]),
+)
+
+
+def _draw_scale(data, low, high):
+    """m * 10^e for a decade e in [low, high] and a mantissa m in [1, 10):
+    spread over the decades, where a float exponent clusters at its ends."""
+    decade = data.draw(st.integers(min_value=low, max_value=high - 1))
+    return data.draw(st.floats(min_value=1.0, max_value=10.0, exclude_max=True)) * 10.0**decade
+
+
+def _draw_function(data, model, peak):
+    """Up to five points of the carrier, the first at the peak and the rest
+    within six decades below it."""
+    labels = data.draw(st.lists(st.sampled_from(model.carrier), min_size=1,
+                                max_size=5, unique=True))
+    values = [peak] + [data.draw(st.floats(min_value=1e-6, max_value=1.0)) * peak
+                       for _ in labels[1:]]
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(labels),
+                               max_size=len(labels)))
+    return hz.SparseFunction.from_dict(
+        {x: s * v for x, s, v in zip(labels, signs, values)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gauge_norm_keeps_the_bits_of_the_unrescaled_search(all_models, data):
+    # Rescaling every peak by an exact power of two changes nothing wherever
+    # the earlier search found a positive finite norm.
+    model = all_models[data.draw(st.sampled_from(sorted(all_models)))]
+    phi = data.draw(st.sampled_from(UNIT_SCALE_YOUNG))
+    peak = _draw_scale(data, -320, 300)
+    f = _draw_function(data, model, peak)
+    try:
+        expected = _reference_luxemburg_norm(model, f, phi)
+    except (hz.NonFiniteIntegrand, ZeroDivisionError):
+        return
+    if 0.0 < expected.value < math.inf:
+        assert hz.luxemburg_norm(model, f, phi) == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_norms_at_extreme_scales_are_sandwiched_or_named(all_models, data):
+    # The float range is the only limit: each norm is positive and finite or
+    # raises NonFiniteIntegrand, and N <= A <= 2N wherever both converged.
+    model = all_models[data.draw(st.sampled_from(sorted(all_models)))]
+    kind = data.draw(st.sampled_from(("phi_p", "exp_minus_linear",
+                                      "cosh_minus_one", "tabulated")))
+    if kind == "phi_p":
+        phi = hz.phi_p(data.draw(st.floats(min_value=1.0, max_value=4.0)))
+    elif kind == "tabulated":
+        # The slope steepens by c: (1 + c) - 1 >= 1 and 2 s - s = s keep
+        # these knots convex in floats too.
+        knot = _draw_scale(data, -300, 300)
+        steepen = data.draw(st.floats(min_value=1.0, max_value=10.0))
+        phi = hz.tabulated_young([(0.0, 0.0), (knot, 1.0), (2.0 * knot, 1.0 + steepen)])
+    else:
+        phi = getattr(hz, kind)()
+    peak = _draw_scale(data, -300, 300)
+    f = _draw_function(data, model, peak)
+    found = []
+    for search in (hz.luxemburg_norm, hz.orlicz_norm):
+        try:
+            res = search(model, f, phi)
+        except hz.NonFiniteIntegrand:
+            continue
+        assert 0.0 < res.value < math.inf, search
+        found.append(res)
+    if len(found) == 2 and all(res.converged for res in found):
+        # A subnormal norm is rounded to a multiple of the least subnormal
+        # when it is scaled back.
+        gauge, infimum = (res.value for res in found)
+        slack = 2 * math.ulp(0.0)
+        assert gauge <= infimum * (1 + 1e-9) + slack
+        assert infimum <= 2 * gauge * (1 + 1e-9) + slack
+
+
+def test_gauge_norm_at_the_edges_of_the_float_range():
+    # With knots at 1e300 the norm of delta_0 is 1e-300; the search stopped
+    # at max|f| / k = 1e300 and returned 0.  At 1e-300 a peak of 1e-5 has
+    # norm 1e295, and at 1e200 a peak of 1e-150 has norm 1e-350, below the
+    # least float.
+    model = hz.integer_group(4)
+    for knot, peak, norm in ((1e300, 1.0, 1e-300), (1e-300, 1e-5, 1e295)):
+        phi = hz.tabulated_young([(0.0, 0.0), (knot, 1.0), (2 * knot, 3.0)])
+        f = hz.SparseFunction.from_dict({0: peak})
+        res = hz.luxemburg_norm(model, f, phi)
+        assert res.value == pytest.approx(norm, rel=1e-12, abs=0), knot
+        # Near log k = +-690 one ulp of log k exceeds the golden section's
+        # stopping width, so the search may stop at its cap unconverged.
+        infimum = hz.orlicz_norm(model, f, phi)
+        assert infimum.value == pytest.approx(2 * norm, rel=1e-12, abs=0), knot
+    phi = hz.tabulated_young([(0.0, 0.0), (1e200, 1.0), (2e200, 3.0)])
+    f = hz.SparseFunction.from_dict({0: 1e-150})
+    for search in (hz.luxemburg_norm, hz.orlicz_norm):
+        with pytest.raises(hz.NonFiniteIntegrand):
+            search(model, f, phi)

@@ -446,6 +446,35 @@ def test_cli_norm_under_a_young_function_far_from_unit_scale(tmp_path, capsys):
     assert norm["sandwich_ok"]
 
 
+def test_cli_norm_at_the_edges_of_the_float_range(tmp_path, capsys):
+    # Young functions with knots (0, 0), (s, 1), (2 s, 3) at s = 1e300 and
+    # 1e-300: the norm of c delta_0 is c / s.  The first gave gauge 0 and
+    # exit 1, the second exit 2.
+    def edge(scale, peak):
+        data = {"id": "edge", "hypergroup": {"family": "integers", "window": 4},
+                "young": {"kind": "tabulated",
+                          "knots": [[0.0, 0.0], [scale, 1.0], [2 * scale, 3.0]]},
+                "weight": {"form": "constant", "value": 1.0},
+                "sets": {"E": [0]}, "functions": {"f": {0: peak}},
+                "run": {"horizon": 4}}
+        path = write_scenario(tmp_path, data, name=f"edge{scale}.yaml")
+        code = run_cli(["--scenario", path, "--command", "norm"])
+        return code, capsys.readouterr()
+
+    for scale, peak, norm in ((1e300, 1.0, 1e-300), (1e-300, 1e-5, 1e295)):
+        code, out = edge(scale, peak)
+        assert code == 0, scale
+        record = json.loads(out.out.splitlines()[1])
+        assert record["gauge"] == pytest.approx(norm, rel=1e-12, abs=0)
+        assert record["infimum_form"] == pytest.approx(2 * norm, rel=1e-12, abs=0)
+        assert record["sandwich_ok"]
+    # The norm 1e-350 lies below the least float: a named exit, where a
+    # ZeroDivisionError traceback exited 1, the code for "verdict fails".
+    code, out = edge(1e200, 1e-150)
+    assert code == 2
+    assert out.err.startswith("non-finite norm: ")
+
+
 def test_cli_aperiodic_lists_skipped_indices(tmp_path, capsys):
     # E = {8} in -10..10: translates by 3 and more leave the window
     data = _with_int_keys(json.loads(json.dumps(DOUBLING)))
@@ -588,6 +617,22 @@ def test_cli_haar_weight_beyond_float_range_exits_two(tmp_path, capsys):
         assert run_cli(["--scenario", path, "--command", command]) == 2
         assert capsys.readouterr().err.startswith(
             "scenario error: hypergroup.window: the Haar weight at label 590 ")
+
+
+def test_cli_table_haar_weight_beyond_float_range_is_placed_at_its_row(tmp_path, capsys):
+    # The reciprocal of the identity atom 1e-310 exceeds the float range.  A
+    # table's window selects no labels, so the error belongs to the table.
+    data = {"id": "subnormal-identity-atom",
+            "hypergroup": {"family": "table", "window": 1, "identity": 0,
+                           "involution": {0: 0, 1: 1},
+                           "table": [[0, 0, {0: 1.0}], [0, 1, {1: 1.0}],
+                                     [1, 0, {1: 1.0}], [1, 1, {0: 1e-310, 1: 1.0}]]},
+            "young": {"kind": "phi_p", "p": 2.0},
+            "weight": {"form": "constant", "value": 1.0}}
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "haar"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "scenario error: hypergroup: table row (1,1) ")
 
 
 # The weight is finite on the carrier, but a product of n factors near
