@@ -49,7 +49,7 @@ from .operators import (
     shifted_weight_product,
     weight_product,
 )
-from .orlicz import YoungFunction, delta2_check, luxemburg_norm
+from .orlicz import YoungFunction, _gauge_exceeds, delta2_check, luxemburg_norm
 from .records import Checked
 
 TREND_SLACK = 1e-12
@@ -578,7 +578,15 @@ def orbit_density_probe(model: HypergroupModel, f: SparseFunction, w: Weight,
                         horizon: int, phi: YoungFunction,
                         convention: ProductConvention = DEFAULT_CONVENTION
                         ) -> tuple[OrbitResult, ...]:
-    """Best gauge-norm distance from the step orbit of f to each target."""
+    """Best gauge-norm distance from the step orbit of f to each target.
+
+    A candidate is skipped after one modular evaluation when that proves its
+    distance is at least the best one so far (``orlicz._gauge_exceeds``: the
+    modular at k = best error exceeds 1 + 1e-9), since its search could not
+    win; the result is the one the full scan gives.  Only a skipped
+    candidate whose own search would raise NonFiniteIntegrand no longer ends
+    the scan.
+    """
     orbit: list[tuple[int, SparseFunction | None]] = []
     for n in range(0, horizon + 1):
         try:
@@ -594,7 +602,10 @@ def orbit_density_probe(model: HypergroupModel, f: SparseFunction, w: Weight,
             if point is None:
                 skipped.append(n)
                 continue
-            err = luxemburg_norm(model, point - g, phi).value
+            diff = point - g
+            if best_err < math.inf and _gauge_exceeds(model, diff, phi, best_err):
+                continue
+            err = luxemburg_norm(model, diff, phi).value
             if err < best_err:
                 best_n, best_err = n, err
         results.append(OrbitResult(target_index=idx, best_n=best_n,

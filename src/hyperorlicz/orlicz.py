@@ -5,8 +5,11 @@ integral down to 1; it is found by bisection on a bracketed scaling, so the
 returned value always satisfies the defining inequality at
 value*(1+RTOL_NORM).  The dual-style norm is evaluated through its infimum form
 inf_k (1 + modular(k f)) / k, which is convex in 1/k, so a coarse log-spaced
-scan followed by golden-section refinement finds the minimum deterministically.
-Infinity is an explicit sentinel (math.inf), never a float overflow.
+scan followed by golden-section refinement finds the minimum deterministically
+(Rao & Ren, Theory of Orlicz Spaces, 1991).  Each norm call builds its modular
+once, as a closure over the support's (|v|, haar) pairs, and evaluates it at
+every step of its search.  Infinity is an explicit sentinel (math.inf), never
+a float overflow.
 """
 from __future__ import annotations
 
@@ -24,10 +27,10 @@ from .records import Checked
 _DELTA2_GRID = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
 _REFUTE_RATIO = 1e6
 _FLOAT_MAX = sys.float_info.max  # the gauge search starts at most here
+_FLOAT_MIN = sys.float_info.min  # least normal ratio of a gauge norm to max|f|
 _LOG_MAX = math.log(_FLOAT_MAX)  # the infimum search scans log k up to here
-# Outside these peaks the infimum search rescales the data.  Its grid of
-# log k reaches about 90 past -log max|f|, and its golden section narrows
-# log k to 1e-13, less than one ulp once |log k| passes 512.
+# Outside these peaks the infimum search rescales the data, so its grid of
+# log k, which reaches about 90 past -log max|f|, stays within the float range.
 _SCAN_PEAKS = (2.0**-512, 2.0**512)
 _SCAN_CAP = 4000  # objective evaluations before the infimum search gives up
 _ABSCISSA = itemgetter(0)
@@ -107,7 +110,8 @@ def tabulated_young(knots) -> YoungFunction:
     """Piecewise-linear Young function through the given (t, value) knots.
 
     Requires knots starting at (0, 0), strictly increasing abscissae,
-    nondecreasing slopes (convexity), and a strictly positive final slope so
+    nondecreasing slopes (convexity; a slope may fall by a relative 1e-12,
+    the rounding of computed slopes), and a strictly positive final slope so
     the extrapolation is unbounded.
     """
     ks = tuple((float(t), float(v)) for t, v in knots)
@@ -121,7 +125,7 @@ def tabulated_young(knots) -> YoungFunction:
             raise ValueError("knot values must be nondecreasing")
         slopes.append((y1 - y0) / (t1 - t0))
     for s0, s1 in zip(slopes, slopes[1:]):
-        if s1 < s0 - 1e-15:
+        if s1 < s0 * (1.0 - 1e-12):  # a slack relative to the slopes
             raise ValueError("knot slopes must be nondecreasing (convexity)")
     if slopes[-1] <= 0.0:
         raise ValueError("final slope must be positive so the function is unbounded")
@@ -129,14 +133,17 @@ def tabulated_young(knots) -> YoungFunction:
 
 
 def young_inverse(phi: YoungFunction, y: float) -> float:
-    """Smallest t with phi(t) >= y, by doubling then bisection."""
+    """Smallest t with phi(t) >= y, by doubling then bisection.
+
+    The doubling runs up to the largest power of two below the float range
+    and raises NonFiniteIntegrand where phi stays below y there."""
     if y <= 0.0:
         return 0.0
     hi = 1.0
     while phi(hi) < y:
-        hi *= 2.0
-        if hi > 1e300:
+        if hi > _FLOAT_MAX / 2.0:
             raise NonFiniteIntegrand("young function never reaches the target level")
+        hi *= 2.0
     # Halving [0, hi] down to a relative width of 1e-14 at a root as small
     # as the least normal float takes about 1070 steps.
     lo = 0.0
@@ -220,15 +227,38 @@ class NormResult(Checked, _NormResultFields):
             raise ValueError("norms are nonnegative")
 
 
-def _modular(model: HypergroupModel, f: SparseFunction, phi: YoungFunction,
-             scale: float) -> float:
-    """Integral of phi(scale * |f|) against the invariant measure."""
-    total = 0.0
-    for x, v in f.values:
-        total += phi(scale * abs(v)) * model.haar[x]
-        if total == math.inf:
-            return math.inf
-    return total
+def _modular_of(model: HypergroupModel, f: SparseFunction, phi: YoungFunction):
+    """modular(scale): the integral of phi(scale * |f|) against the invariant
+    measure.  The (|v|, haar) pairs are read once, so a search pays for them
+    once.  Each term is phi(scale * |v|) * haar, summed in support order, as
+    the plain loop over ``phi`` would; the power kind is inlined, and takes
+    its overflow guard only from t = 10^(300/p) on, below which the guard
+    cannot fire and t^p cannot overflow."""
+    pairs = [(abs(v), model.haar[x]) for x, v in f.values]
+    inf = math.inf
+    if phi.kind == "phi_p":
+        p = phi.p
+        guarded = 10.0 ** (300.0 / p)
+
+        def modular(scale: float) -> float:
+            total = 0.0
+            for a, h in pairs:
+                t = scale * a
+                if t >= guarded and p * math.log10(t) > 308.0:
+                    return inf
+                total += t**p / p * h
+                if total == inf:
+                    return inf
+            return total
+    else:
+        def modular(scale: float) -> float:
+            total = 0.0
+            for a, h in pairs:
+                total += phi(scale * a) * h
+                if total == inf:
+                    return inf
+            return total
+    return modular
 
 
 def _unit_peak(f: SparseFunction) -> tuple[SparseFunction, int]:
@@ -254,33 +284,69 @@ def _norm_value(x: float, e: int) -> float:
     return value
 
 
+def _gauge_search(model: HypergroupModel, f: SparseFunction, phi: YoungFunction):
+    """(excess, unit, shift): the gauge search's problem on unit = f * 2^shift,
+    whose peak lies in [1/2, 1).  excess(k, limit) says the modular of
+    unit / k exceeds limit; the search itself tests limit 1."""
+    unit, shift = _unit_peak(f)
+    modular = _modular_of(model, unit, phi)
+
+    def excess(k: float, limit: float = 1.0) -> bool:
+        return modular(1.0 / k) > limit
+
+    return excess, unit, shift
+
+
+_PRUNE_MARGIN = 1e-9  # relative wobble of the float modular that _gauge_exceeds allows
+
+
+def _gauge_exceeds(model: HypergroupModel, f: SparseFunction, phi: YoungFunction,
+                   bound: float) -> bool:
+    """Whether luxemburg_norm(model, f, phi), where it returns, is at least
+    bound; one modular evaluation, on the unit-peak function and the excess
+    predicate the search uses, at k = bound * 2^shift.
+
+    Sound where it says True: every float step of the modular (1/k, scale *
+    |v|, phi, the product with the Haar weight, the sum) is monotone in k up
+    to rounding, and the margin covers any ulp-level non-monotonicity of
+    pow, expm1 or tabulated interpolation, so excess(k') holds for every
+    k' <= k.  The search returns the upper end of its bracket, always a
+    tested non-excess point, so that end lies strictly above k and scales
+    back to at least bound.  Where k underflows to 0 (bound 0, or bound far
+    below max|f| * 2^-1074) every norm the search can return is above it.
+    """
+    if f.is_zero():
+        return False
+    excess, _, shift = _gauge_search(model, f, phi)
+    k = _ldexp(bound, shift)
+    return k == 0.0 or excess(k, 1.0 + _PRUNE_MARGIN)
+
+
 def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
                    phi: YoungFunction) -> NormResult:
     """Gauge norm inf{k > 0 : modular(f/k) <= 1} by bracketed bisection.
 
     The search runs on f times the power of two that brings max|f| into
-    [1/2, 1) and scales the result back, so every step of it is exact.  The
-    bracket starts from max|f| / phi^{-1}(1 / smallest support weight) and
-    is expanded geometrically until it straddles the defining inequality;
-    the upper end is returned, so the inequality holds at the value itself.
-    The float range is the only limit: NonFiniteIntegrand is raised where the
-    ratio of the norm to max|f| leaves the normal range, or the norm
-    overflows or underflows to zero.  A subnormal norm is returned.
+    [1/2, 1) and scales the result back, so every step of it is exact; the
+    (|v|, haar) pairs of the modular are read once per call.  The bracket
+    starts from max|f| / phi^{-1}(1 / smallest support weight), kept within
+    the normal range of the ratio to max|f|, and is expanded geometrically
+    until it straddles the defining inequality; the upper end is returned,
+    so the inequality holds at the value itself.  The float range is the
+    only limit: NonFiniteIntegrand is raised where the ratio of the norm to
+    max|f| leaves the normal range, or the norm overflows or underflows to
+    zero.  A subnormal norm is returned.
     """
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
-    f, shift = _unit_peak(f)
+    excess, f, shift = _gauge_search(model, f, phi)
     fmax = f.max_abs()
     m_min = min(model.haar[x] for x, _ in f.values)
     try:  # young_inverse is positive at a positive level
-        k0 = min(fmax / young_inverse(phi, 1.0 / m_min), _FLOAT_MAX)
+        k0 = min(max(fmax / young_inverse(phi, 1.0 / m_min), fmax * _FLOAT_MIN), _FLOAT_MAX)
     except NonFiniteIntegrand:
         k0 = fmax
     iters = 0
-
-    def excess(k: float) -> bool:
-        return _modular(model, f, phi, 1.0 / k) > 1.0
-
     if excess(k0):
         lo = hi = k0
         while excess(hi):
@@ -294,7 +360,7 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
             hi = lo
             lo *= 0.5
             iters += 1
-            if lo / fmax < sys.float_info.min:
+            if lo / fmax < _FLOAT_MIN:
                 raise NonFiniteIntegrand("modular never rises above 1")
     while hi - lo > RTOL_NORM * hi:
         mid = 0.5 * (lo + hi)
@@ -318,8 +384,10 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     once more from k = 1 / (2 N) when its last point is still best there
     and that bound lies beyond it; and once more from the bound
     k >= 1 / objective when that lies left of the first grid.  Golden
-    section then refines the bracket, stopping after _SCAN_CAP objective
-    evaluations with ``converged`` False.
+    section then refines the bracket to a width of 1e-13 in log k, or of two
+    ulps of log k where that is wider, stopping after _SCAN_CAP objective
+    evaluations with ``converged`` False.  The modular's (|v|, haar) pairs
+    are read once per call.
 
     When max|f| lies outside _SCAN_PEAKS the search runs on f times an exact
     power of two, and the value and bracket are scaled back (the bracket to
@@ -335,9 +403,11 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
         f, shift = _unit_peak(f)
         fmax = f.max_abs()
 
+    modular = _modular_of(model, f, phi)
+
     def objective(logk: float) -> float:
         k = math.exp(logk)
-        return (1.0 + _modular(model, f, phi, k)) / k
+        return (1.0 + modular(k)) / k
 
     lo = first = math.log(1e-9 / fmax)
     hi = math.log(1e12 / fmax)
@@ -379,7 +449,7 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     x1 = b - inv_gold * (b - a)
     x2 = a + inv_gold * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    while b - a > 1e-13:
+    while not _narrow(a, b):
         iters += 1
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -394,7 +464,14 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     value = min(vals[best], objective(0.5 * (a + b)), f1, f2)
     bracket = (_ldexp(math.exp(a), shift), _ldexp(math.exp(b), shift))
     return NormResult(_norm_value(value, -shift), iters, bracket,
-                      converged=b - a <= 1e-13)
+                      converged=_narrow(a, b))
+
+
+def _narrow(a: float, b: float) -> bool:
+    """Whether the golden section's bracket [a, b] over log k is done: 1e-13
+    wide, or two ulps of its larger end, where that is wider (|log k| from
+    256 on)."""
+    return b - a <= max(1e-13, 2.0 * math.ulp(max(-a, b)))
 
 
 class Delta2Report(NamedTuple):

@@ -1,8 +1,11 @@
 """Horizon-bounded dynamics checks: aperiodicity, criterion probes,
 witnesses, orbit scans."""
 import math
+import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import hyperorlicz as hz
 from hyperorlicz import dynamics
@@ -407,6 +410,141 @@ def test_orbit_probe_flat_weight_stays_away(zline):
     # translates keep the gauge norm, so no orbit point approaches 2*chi_0
     assert results[0].best_error == pytest.approx(2**-0.5, rel=1e-9)
     assert results[0].best_n == 0
+
+
+def _unpruned_orbit(model, f, w, eta, targets, horizon, phi):
+    """The orbit scan without its skip: a full gauge search per candidate."""
+    orbit = []
+    for n in range(horizon + 1):
+        try:
+            orbit.append((n, hz.apply_weighted_translation(model, f, w, eta, n)))
+        except (hz.WindowOverflow, hz.NonFiniteValue):
+            orbit.append((n, None))
+    results = []
+    for idx, g in enumerate(targets):
+        best_n, best_err, skipped = 0, math.inf, []
+        for n, point in orbit:
+            if point is None:
+                skipped.append(n)
+                continue
+            err = hz.luxemburg_norm(model, point - g, phi).value
+            if err < best_err:
+                best_n, best_err = n, err
+        results.append(hz.OrbitResult(idx, best_n, best_err, tuple(skipped)))
+    return tuple(results)
+
+
+def _both_scans(model, f, w, eta, targets, horizon, phi):
+    """(pruned, unpruned) results, each the NonFiniteIntegrand type where
+    that scan raised it."""
+    found = []
+    for scan in (hz.orbit_density_probe, _unpruned_orbit):
+        try:
+            found.append(scan(model, f, w, eta, targets, horizon, phi))
+        except hz.NonFiniteIntegrand:
+            found.append(hz.NonFiniteIntegrand)
+    return found
+
+
+def _counting_norms(monkeypatch):
+    calls = []
+    search = dynamics.luxemburg_norm
+
+    def counted(model, f, phi):
+        calls.append(f)
+        return search(model, f, phi)
+
+    monkeypatch.setattr(dynamics, "luxemburg_norm", counted)
+    return calls
+
+
+def test_orbit_pruning_keeps_the_result_at_zero_and_subnormal_errors(zline, monkeypatch):
+    eta = hz.center_powers(zline, 1)
+    phi = hz.phi_p(2.0)
+    one = hz.constant_weight(1.0)
+    f = hz.SparseFunction.from_dict({0: 3e-310, 1: -1e-310})
+    # f itself is hit at n = 0 with error 0.0: every later candidate is
+    # skipped after one modular evaluation, where 1 / 0 would have raised.
+    # Its step-5 image is hit exactly at n = 5; the last two targets are
+    # off by subnormal amounts everywhere.
+    targets = [f, hz.apply_weighted_translation(zline, f, one, eta, 5), f.scale(1.5),
+               hz.SparseFunction.from_dict({4: 2e-310, 5: -3e-310, 6: 5e-324})]
+    pruned, unpruned = _both_scans(zline, f, one, eta, targets, 40, phi)
+    assert pruned == unpruned
+    assert [r.best_n for r in pruned[:2]] == [0, 5]
+    assert [r.best_error for r in pruned[:2]] == [0.0, 0.0]
+    assert 0.0 < pruned[3].best_error < sys.float_info.min
+    calls = _counting_norms(monkeypatch)
+    hz.orbit_density_probe(zline, f, one, eta, [f], 40, phi)
+    assert len(calls) == 1
+
+
+def test_orbit_pruning_keeps_window_overflow_skips(zline):
+    eta = hz.center_powers(zline, 1)
+    f = hz.SparseFunction.from_dict({50: 1.0, 52: 0.5})
+    targets = [hz.indicator([60]), hz.indicator([-3]).scale(1e-300)]
+    pruned, unpruned = _both_scans(zline, f, hz.step_weight(55, 2.0, 0.5), eta,
+                                   targets, 20, hz.cosh_minus_one())
+    assert pruned == unpruned
+    assert pruned[0].skipped == tuple(range(13, 21))
+
+
+def test_orbit_pruning_makes_fewer_norm_searches(zline, doubling_weight, monkeypatch):
+    eta = hz.center_powers(zline, 1)
+    witness = hz.SparseFunction.from_dict({0: 1.0, -10: 2.0**-10})
+    args = (zline, witness, doubling_weight, eta, [hz.indicator([0])], 24, hz.phi_p(2.0))
+    calls = _counting_norms(monkeypatch)
+    assert hz.orbit_density_probe(*args) == _unpruned_orbit(*args)
+    # The full scan searches all 25 candidates, n = 0..24; the pruned one
+    # only the two that improve on the best so far, n = 0 and n = 10.
+    assert len(calls) == 2
+
+
+ORBIT_YOUNG = (hz.phi_p(1.0), hz.phi_p(2.5), hz.phi_p(1e6), hz.exp_minus_linear(),
+               hz.cosh_minus_one(),
+               hz.tabulated_young([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]),
+               hz.tabulated_young([(0.0, 0.0), (1e-200, 1.0), (2e-200, 4.0)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orbit_pruning_matches_the_unpruned_scan(zline, dr05, data):
+    # The skip never changes a result.  A skipped candidate whose own search
+    # would raise NonFiniteIntegrand no longer ends the scan, so where the
+    # full scan raises, the pruned one may return.
+    model = data.draw(st.sampled_from((zline, dr05)))
+    eta = hz.center_powers(model, 1)
+    level = st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0, 1e-160, 1e160))
+    w = hz.step_weight(data.draw(st.integers(-3, 3)), data.draw(level), data.draw(level))
+    phi = data.draw(st.sampled_from(ORBIT_YOUNG))
+    labels = [x for x in model.carrier if abs(x) <= 40]
+    scale = 10.0 ** data.draw(st.integers(-320, 300))
+
+    def function():
+        points = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4,
+                                    unique=True))
+        return hz.SparseFunction.from_dict(
+            {x: scale * data.draw(st.floats(0.1, 10.0)) for x in points})
+
+    f = function()
+    targets = [function() for _ in range(data.draw(st.integers(1, 3)))]
+    horizon = data.draw(st.integers(0, 30))
+    if data.draw(st.booleans()):  # a target on the orbit
+        try:
+            targets.append(hz.apply_weighted_translation(
+                model, f, w, eta, data.draw(st.integers(0, horizon))))
+        except (hz.WindowOverflow, hz.NonFiniteValue):
+            pass
+    pruned, unpruned = _both_scans(model, f, w, eta, targets, horizon, phi)
+    if unpruned is hz.NonFiniteIntegrand:
+        event("the full scan raised")
+        return
+    assert pruned == unpruned
+    for res in pruned:
+        event("zero error" if res.best_error == 0.0 else
+              "subnormal error" if res.best_error < sys.float_info.min else "normal error")
+        if res.skipped:
+            event("skipped steps")
 
 
 def test_periodic_point_detection(dr05, zline, doubling_weight):

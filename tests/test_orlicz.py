@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
@@ -55,6 +55,52 @@ def test_tabulated_young_interpolation_and_validation():
         hz.tabulated_young([(0.5, 0.0), (1.0, 1.0)])  # must start at the origin
     with pytest.raises(ValueError):
         hz.tabulated_young([(0.0, 0.0), (1.0, 2.0), (2.0, 2.5)])  # slopes decrease
+
+
+def test_tabulated_young_convexity_slack_is_relative():
+    # One straight line at slopes near 1e300: the computed slopes differ in
+    # their last bits, beyond an absolute slack of 1e-15.
+    hz.tabulated_young([(0.0, 0.0), (1e-300, 1.0), (1.5e-300, 1.5)])
+    # The slope falls from 1e-20 to 1e-30, within an absolute 1e-15.
+    with pytest.raises(ValueError, match="convexity"):
+        hz.tabulated_young([(0.0, 0.0), (1.0, 1e-20), (2.0, 1.0000000001e-20)])
+
+
+def test_young_inverse_doubles_up_to_the_float_range():
+    # The doubling stopped at 1e300; it now checks every power of two up to
+    # 2^1023 and raises only where phi stays below the level there.
+    assert young_inverse(hz.phi_p(1.0), 5e307) == pytest.approx(5e307, rel=1e-14)
+    with pytest.raises(hz.NonFiniteIntegrand):
+        young_inverse(hz.phi_p(1.0), sys.float_info.max)
+    # So the gauge search starts near the norm at every knot scale: it halved
+    # from max|f| in 1037 steps at knots of 1e300.
+    model, f = hz.integer_group(4), hz.indicator([0])
+    for knot in (1.0, 1e300, 1e307):
+        phi = hz.tabulated_young([(0.0, 0.0), (knot, 1.0), (2.0 * knot, 3.0)])
+        res = hz.luxemburg_norm(model, f, phi)
+        assert res.iterations <= 45, knot
+        assert res.value == pytest.approx(1.0 / knot, rel=1e-12, abs=0), knot
+    # At knots of 8e307 the start max|f| / phi^{-1}(1) would be subnormal; it
+    # is kept at the least normal ratio, where the search raises as the norm
+    # of 1.25e-308 lies below it.
+    phi = hz.tabulated_young([(0.0, 0.0), (8e307, 1.0), (1.6e308, 3.0)])
+    with pytest.raises(hz.NonFiniteIntegrand):
+        hz.luxemburg_norm(model, f, phi)
+
+
+def test_orlicz_norm_converges_at_the_float_resolution_of_log_k():
+    # At knots of 1e300 the minimiser lies at log k = 690, where one ulp of
+    # log k exceeds the golden section's 1e-13: it ran to its cap of 4 001
+    # evaluations unconverged.  Its three 61-point grids take 183.
+    model, f = hz.integer_group(4), hz.indicator([0])
+    mid_range = hz.orlicz_norm(model, f, hz.tabulated_young(
+        [(0.0, 0.0), (1e150, 1.0), (2e150, 3.0)]))
+    for knot in (1e300, 1e-300):
+        phi = hz.tabulated_young([(0.0, 0.0), (knot, 1.0), (2.0 * knot, 3.0)])
+        res = hz.orlicz_norm(model, f, phi)
+        assert res.converged, knot
+        assert res.iterations <= mid_range.iterations < 250, knot
+        assert res.value == pytest.approx(2.0 / knot, rel=1e-12, abs=0), knot
 
 
 def test_complementary_power_pair():
@@ -491,6 +537,38 @@ def test_gauge_norm_triangle_inequality(dr03, a, b):
     assert nfg <= nf + ng + 1e-9
 
 
+def _frozen_modular(model, f, phi, scale):
+    """The plain modular loop the per-call kernel replaced, kept as the
+    oracle: phi(scale * |v|) * haar summed in support order."""
+    total = 0.0
+    for x, v in f.values:
+        total += phi(scale * abs(v)) * model.haar[x]
+        if total == math.inf:
+            return math.inf
+    return total
+
+
+def _frozen_young_inverse(phi, y):
+    """young_inverse as it was when its doubling stopped at 1e300."""
+    if y <= 0.0:
+        return 0.0
+    hi = 1.0
+    while phi(hi) < y:
+        hi *= 2.0
+        if hi > 1e300:
+            raise hz.NonFiniteIntegrand("young function never reaches the target level")
+    lo = 0.0
+    for _ in range(1100):
+        mid = 0.5 * (lo + hi)
+        if phi(mid) >= y:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * hi:
+            break
+    return hi
+
+
 def _reference_luxemburg_norm(model, f, phi):
     """The gauge search before it rescaled every peak, kept as the oracle.
 
@@ -507,13 +585,13 @@ def _reference_luxemburg_norm(model, f, phi):
         fmax = f.max_abs()
     m_min = min(model.haar[x] for x, _ in f.values)
     try:
-        k0 = min(fmax / young_inverse(phi, 1.0 / m_min), sys.float_info.max)
+        k0 = min(fmax / _frozen_young_inverse(phi, 1.0 / m_min), sys.float_info.max)
     except hz.NonFiniteIntegrand:
         k0 = fmax
     iters = 0
 
     def excess(k):
-        return orlicz._modular(model, f, phi, 1.0 / k) > 1.0
+        return _frozen_modular(model, f, phi, 1.0 / k) > 1.0
 
     if excess(k0):
         lo = hi = k0
@@ -632,12 +710,177 @@ def test_gauge_norm_at_the_edges_of_the_float_range():
         f = hz.SparseFunction.from_dict({0: peak})
         res = hz.luxemburg_norm(model, f, phi)
         assert res.value == pytest.approx(norm, rel=1e-12, abs=0), knot
-        # Near log k = +-690 one ulp of log k exceeds the golden section's
-        # stopping width, so the search may stop at its cap unconverged.
+        # Near log k = +-690 one ulp of log k exceeds 1e-13, so the golden
+        # section stops at two ulps of log k there.
         infimum = hz.orlicz_norm(model, f, phi)
         assert infimum.value == pytest.approx(2 * norm, rel=1e-12, abs=0), knot
+        assert infimum.converged, knot
     phi = hz.tabulated_young([(0.0, 0.0), (1e200, 1.0), (2e200, 3.0)])
     f = hz.SparseFunction.from_dict({0: 1e-150})
     for search in (hz.luxemburg_norm, hz.orlicz_norm):
         with pytest.raises(hz.NonFiniteIntegrand):
             search(model, f, phi)
+
+
+def _frozen_luxemburg_norm(model, f, phi, touched):
+    """luxemburg_norm before the per-call kernel, on the frozen loop.
+
+    It appends to ``touched`` where its start differs from today's: where
+    young_inverse's doubling stopped at 1e300 and the search fell back to
+    max|f|, which now doubles on to the float range."""
+    if f.is_zero():
+        return orlicz.NormResult(0.0, 0, (0.0, 0.0))
+    shift = -math.frexp(f.max_abs())[1]
+    f = hz.SparseFunction.from_dict({x: math.ldexp(v, shift) for x, v in f.values})
+    fmax = f.max_abs()
+    m_min = min(model.haar[x] for x, _ in f.values)
+    try:
+        k0 = min(fmax / _frozen_young_inverse(phi, 1.0 / m_min), sys.float_info.max)
+    except hz.NonFiniteIntegrand:
+        touched.append("young_inverse")
+        k0 = fmax
+    iters = 0
+
+    def excess(k):
+        return _frozen_modular(model, f, phi, 1.0 / k) > 1.0
+
+    if excess(k0):
+        lo = hi = k0
+        while excess(hi):
+            hi *= 2.0
+            iters += 1
+            if hi / fmax > sys.float_info.max:
+                raise hz.NonFiniteIntegrand("modular never falls to 1")
+    else:
+        hi = lo = k0
+        while not excess(lo):
+            hi = lo
+            lo *= 0.5
+            iters += 1
+            if lo / fmax < sys.float_info.min:
+                raise hz.NonFiniteIntegrand("modular never rises above 1")
+    while hi - lo > RTOL_NORM * hi:
+        mid = 0.5 * (lo + hi)
+        if excess(mid):
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    hi = orlicz._norm_value(hi, -shift)
+    return orlicz.NormResult(hi, iters, (orlicz._ldexp(lo, -shift), hi))
+
+
+def _frozen_orlicz_norm(model, f, phi, touched):
+    """orlicz_norm before the per-call kernel, on the frozen loop, with its
+    golden section stopping at an absolute width of 1e-13 in log k.
+
+    It appends to ``touched`` where today's stop may differ (a bracket end
+    at |log k| >= 256, where two ulps of log k exceed 1e-13) and where its
+    gauge norm does."""
+    if f.is_zero():
+        return orlicz.NormResult(0.0, 0, (0.0, 0.0))
+    fmax = f.max_abs()
+    shift = 0
+    if not 2.0**-512 <= fmax <= 2.0**512:
+        shift = -math.frexp(fmax)[1]
+        f = hz.SparseFunction.from_dict({x: math.ldexp(v, shift) for x, v in f.values})
+        fmax = f.max_abs()
+    log_max = math.log(sys.float_info.max)
+
+    def objective(logk):
+        k = math.exp(logk)
+        return (1.0 + _frozen_modular(model, f, phi, k)) / k
+
+    lo = first = math.log(1e-9 / fmax)
+    hi = math.log(1e12 / fmax)
+    cap = 1e18 / fmax
+    npts = 61
+    iters = 0
+    bounded = False
+    while True:
+        step = (hi - lo) / (npts - 1)
+        vals = [objective(lo + i * step) for i in range(npts)]
+        iters += npts
+        best = min(range(npts), key=lambda i: (vals[i], i))
+        if best == npts - 1 and math.exp(hi) >= cap and not bounded:
+            bounded = True
+            gauge = _frozen_luxemburg_norm(model, f, phi, touched).value
+            start = -math.log(2.0 * gauge)
+            if start > log_max:
+                raise hz.NonFiniteIntegrand("the minimising k lies beyond the float range")
+            cap = max(cap, 1e18 / gauge)
+            if hi < start:
+                lo, hi = start, min(start + (hi - lo), log_max)
+                continue
+        if best == npts - 1 and math.exp(hi) < cap and hi < log_max:
+            lo, hi = hi - 2.0 * step, min(hi + (hi - lo), log_max)
+            continue
+        floor = -math.log(vals[best])
+        if not bounded and -math.inf < floor < first:
+            lo, hi, bounded = floor, lo + min(best + 1, npts - 1) * step, True
+            continue
+        break
+    a = lo + max(best - 1, 0) * step
+    b = lo + min(best + 1, npts - 1) * step
+    if max(-a, b) >= 256.0:
+        touched.append("golden section")
+    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv_gold * (b - a)
+    x2 = a + inv_gold * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    while b - a > 1e-13:
+        iters += 1
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_gold * (b - a)
+            f1 = objective(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_gold * (b - a)
+            f2 = objective(x2)
+        if iters > 4000:
+            break
+    value = min(vals[best], objective(0.5 * (a + b)), f1, f2)
+    bracket = (orlicz._ldexp(math.exp(a), shift), orlicz._ldexp(math.exp(b), shift))
+    return orlicz.NormResult(orlicz._norm_value(value, -shift), iters, bracket,
+                             converged=b - a <= 1e-13)
+
+
+def _outcome(search, *args):
+    """A search's NormResult, or the exception type it raised."""
+    try:
+        return search(*args)
+    except hz.NonFiniteIntegrand:
+        return hz.NonFiniteIntegrand
+
+
+def _draw_young(data):
+    """Any kind: phi_p with p log-uniform in [1, 1e6], and tabulated knots
+    from unit scale to the edges of the float range."""
+    kind = data.draw(st.sampled_from(("phi_p", "exp_minus_linear",
+                                      "cosh_minus_one", "tabulated")))
+    if kind == "phi_p":
+        return hz.phi_p(min(10.0 ** data.draw(st.floats(min_value=0.0, max_value=6.0)), 1e6))
+    if kind == "tabulated":
+        knot = _draw_scale(data, -300, 300)
+        steepen = data.draw(st.floats(min_value=1.0, max_value=10.0))
+        return hz.tabulated_young([(0.0, 0.0), (knot, 1.0), (2.0 * knot, 1.0 + steepen)])
+    return getattr(hz, kind)()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_norm_kernel_keeps_every_bit(all_models, data):
+    # Both searches give the NormResult the plain loop gave (value,
+    # iterations, bracket, converged) or raise where it raised, except in
+    # the rows the float-range start and stop may move.
+    model = all_models[data.draw(st.sampled_from(sorted(all_models)))]
+    phi = _draw_young(data)
+    f = _draw_function(data, model, _draw_scale(data, -320, 300))
+    for frozen, search in ((_frozen_luxemburg_norm, hz.luxemburg_norm),
+                           (_frozen_orlicz_norm, hz.orlicz_norm)):
+        touched = []
+        expected = _outcome(frozen, model, f, phi, touched)
+        event(f"{search.__name__}: {'moved' if touched else 'compared'}")
+        if not touched:
+            assert _outcome(search, model, f, phi) == expected, search
