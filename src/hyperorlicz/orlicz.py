@@ -124,8 +124,10 @@ def tabulated_young(knots) -> YoungFunction:
         if y1 < y0:
             raise ValueError("knot values must be nondecreasing")
         slopes.append((y1 - y0) / (t1 - t0))
+        if slopes[-1] == math.inf:  # phi would read inf - inf = nan beyond it
+            raise ValueError("knot slopes must be finite")
     for s0, s1 in zip(slopes, slopes[1:]):
-        if s1 < s0 * (1.0 - 1e-12):  # a slack relative to the slopes
+        if s1 < s0 * (1.0 - 1e-12):
             raise ValueError("knot slopes must be nondecreasing (convexity)")
     if slopes[-1] <= 0.0:
         raise ValueError("final slope must be positive so the function is unbounded")

@@ -64,6 +64,9 @@ def test_tabulated_young_convexity_slack_is_relative():
     # The slope falls from 1e-20 to 1e-30, within an absolute 1e-15.
     with pytest.raises(ValueError, match="convexity"):
         hz.tabulated_young([(0.0, 0.0), (1.0, 1e-20), (2.0, 1.0000000001e-20)])
+    # A slope of 2 / 1e-308 overflows, and phi read nan at the last knot.
+    with pytest.raises(ValueError, match="finite"):
+        hz.tabulated_young([(0.0, 0.0), (1e-308, 1.0), (2e-308, 3.0)])
 
 
 def test_young_inverse_doubles_up_to_the_float_range():
