@@ -315,10 +315,9 @@ def _gauge_exceeds(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
     k' <= k.  The search returns the upper end of its bracket, always a
     tested non-excess point, so that end lies strictly above k and scales
     back to at least bound.  Where k underflows to 0 (bound 0, or bound far
-    below max|f| * 2^-1074) every norm the search can return is above it.
+    below max|f| * 2^-1074) every norm the search can return is at least
+    bound, 0 included.
     """
-    if f.is_zero():
-        return False
     excess, _, shift = _gauge_search(model, f, phi)
     k = _ldexp(bound, shift)
     return k == 0.0 or excess(k, 1.0 + _PRUNE_MARGIN)
