@@ -65,6 +65,8 @@ def _kv(pairs: list[str]) -> dict[str, str]:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ScenarioError(f"--args entries must be KEY=VALUE, got {pair!r}")
+        if key in out:
+            raise ScenarioError(f"--args key {key!r} is given more than once")
         out[key] = value
     return out
 

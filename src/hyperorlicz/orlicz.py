@@ -229,14 +229,20 @@ class NormResult(Checked, _NormResultFields):
             raise ValueError("norms are nonnegative")
 
 
-def _modular_of(model: HypergroupModel, f: SparseFunction, phi: YoungFunction):
-    """modular(scale): the integral of phi(scale * |f|) against the invariant
-    measure.  The (|v|, haar) pairs are read once, so a search pays for them
-    once.  Each term is phi(scale * |v|) * haar, summed in support order, as
-    the plain loop over ``phi`` would; the power kind is inlined, and takes
-    its overflow guard only from t = 10^(300/p) on, below which the guard
-    cannot fire and t^p cannot overflow."""
-    pairs = [(abs(v), model.haar[x]) for x, v in f.values]
+def _support(model: HypergroupModel, f: SparseFunction,
+             shift: int) -> list[tuple[float, float]]:
+    """The (|v| * 2^shift, haar) pairs of f in support order.  Only values far
+    below the peak lose bits, where the scaling underflows; those it takes
+    to 0 are left out."""
+    haar = model.haar
+    return [(a, haar[x]) for x, v in f.values if (a := math.ldexp(abs(v), shift))]
+
+
+def _modular_of(pairs: list[tuple[float, float]], phi: YoungFunction):
+    """modular(scale): the sum of phi(scale * a) * h over the (a, h) pairs of
+    _support, in their order, as the plain loop over ``phi`` would; the power
+    kind is inlined, and takes its overflow guard only from t = 10^(300/p)
+    on, below which the guard cannot fire and t^p cannot overflow."""
     inf = math.inf
     if phi.kind == "phi_p":
         p = phi.p
@@ -263,13 +269,6 @@ def _modular_of(model: HypergroupModel, f: SparseFunction, phi: YoungFunction):
     return modular
 
 
-def _unit_peak(f: SparseFunction) -> tuple[SparseFunction, int]:
-    """(f * 2^s, s) for the s that brings max|f| into [1/2, 1).  Only values
-    far below the peak can lose bits, and only where they underflow."""
-    shift = -math.frexp(f.max_abs())[1]
-    return SparseFunction.from_dict({x: math.ldexp(v, shift) for x, v in f.values}), shift
-
-
 def _ldexp(x: float, e: int) -> float:
     """x * 2^e, inf where that exceeds the float range."""
     try:
@@ -286,63 +285,45 @@ def _norm_value(x: float, e: int) -> float:
     return value
 
 
-def _gauge_search(model: HypergroupModel, f: SparseFunction, phi: YoungFunction):
-    """(excess, unit, shift): the gauge search's problem on unit = f * 2^shift,
-    whose peak lies in [1/2, 1).  excess(k, limit) says the modular of
-    unit / k exceeds limit; the search itself tests limit 1."""
-    unit, shift = _unit_peak(f)
-    modular = _modular_of(model, unit, phi)
-
-    def excess(k: float, limit: float = 1.0) -> bool:
-        return modular(1.0 / k) > limit
-
-    return excess, unit, shift
-
-
 _PRUNE_MARGIN = 1e-9  # relative wobble of the float modular that _gauge_exceeds allows
 
 
 def _gauge_exceeds(model: HypergroupModel, f: SparseFunction, phi: YoungFunction,
                    bound: float) -> bool:
     """Whether luxemburg_norm(model, f, phi), where it returns, is at least
-    bound; one modular evaluation, on the unit-peak function and the excess
-    predicate the search uses, at k = bound * 2^shift.
+    bound; one modular evaluation, on the unit-peak support the search uses,
+    at k = bound * 2^shift.
 
     Sound where it says True: every float step of the modular (1/k, scale *
-    |v|, phi, the product with the Haar weight, the sum) is monotone in k up
+    a, phi, the product with the Haar weight, the sum) is monotone in k up
     to rounding, and the margin covers any ulp-level non-monotonicity of
-    pow, expm1 or tabulated interpolation, so excess(k') holds for every
-    k' <= k.  The search returns the upper end of its bracket, always a
-    tested non-excess point, so that end lies strictly above k and scales
-    back to at least bound.  Where k underflows to 0 (bound 0, or bound far
-    below max|f| * 2^-1074) every norm the search can return is at least
-    bound, 0 included.
+    pow, expm1 or tabulated interpolation, so the search's excess test holds
+    for every k' <= k.  The search returns the upper end of its bracket,
+    always a tested non-excess point, so that end lies strictly above k and
+    scales back to at least bound.  Where k underflows to 0 (bound 0, or
+    bound far below max|f| * 2^-1074) every norm the search can return is at
+    least bound, 0 included.
     """
-    excess, _, shift = _gauge_search(model, f, phi)
+    shift = -math.frexp(f.max_abs())[1]
     k = _ldexp(bound, shift)
-    return k == 0.0 or excess(k, 1.0 + _PRUNE_MARGIN)
+    modular = _modular_of(_support(model, f, shift), phi)
+    return k == 0.0 or modular(1.0 / k) > 1.0 + _PRUNE_MARGIN
 
 
-def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
-                   phi: YoungFunction) -> NormResult:
-    """Gauge norm inf{k > 0 : modular(f/k) <= 1} by bracketed bisection.
+def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction) -> tuple[float, float, int]:
+    """(lo, hi, iterations) of the gauge search on nonempty _support pairs
+    whose largest a lies in [1/2, 1): the modular of a / k exceeds 1 at
+    k = lo, not at k = hi, and hi - lo <= RTOL_NORM * hi.  The bracket starts
+    from max a / phi^{-1}(1 / least h), within the normal range of its ratio
+    to max a, and doubles or halves until it straddles 1; NonFiniteIntegrand
+    is raised where that ratio leaves the normal range."""
+    modular = _modular_of(pairs, phi)
 
-    The search runs on f times the power of two that brings max|f| into
-    [1/2, 1) and scales the result back, so every step of it is exact; the
-    (|v|, haar) pairs of the modular are read once per call.  The bracket
-    starts from max|f| / phi^{-1}(1 / smallest support weight), kept within
-    the normal range of the ratio to max|f|, and is expanded geometrically
-    until it straddles the defining inequality; the upper end is returned,
-    so the inequality holds at the value itself.  The float range is the
-    only limit: NonFiniteIntegrand is raised where the ratio of the norm to
-    max|f| leaves the normal range, or the norm overflows or underflows to
-    zero.  A subnormal norm is returned.
-    """
-    if f.is_zero():
-        return NormResult(0.0, 0, (0.0, 0.0))
-    excess, f, shift = _gauge_search(model, f, phi)
-    fmax = f.max_abs()
-    m_min = min(model.haar[x] for x, _ in f.values)
+    def excess(k: float) -> bool:
+        return modular(1.0 / k) > 1.0
+
+    fmax = max(a for a, _ in pairs)
+    m_min = min(h for _, h in pairs)
     try:  # young_inverse is positive at a positive level
         k0 = min(max(fmax / young_inverse(phi, 1.0 / m_min), fmax * _FLOAT_MIN), _FLOAT_MAX)
     except NonFiniteIntegrand:
@@ -370,6 +351,23 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
         else:
             hi = mid
         iters += 1
+    return lo, hi, iters
+
+
+def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
+                   phi: YoungFunction) -> NormResult:
+    """Gauge norm inf{k > 0 : modular(f/k) <= 1} by bracketed bisection.
+
+    The search (_gauge) runs on f times the power of two that brings max|f|
+    into [1/2, 1), so every step of it is exact; its upper end is scaled
+    back and returned, so the inequality holds at the value itself.  The
+    float range is the only limit: NonFiniteIntegrand is raised where the
+    ratio of the norm to max|f| leaves the normal range, or the norm
+    overflows or underflows to zero.  A subnormal norm is returned."""
+    if f.is_zero():
+        return NormResult(0.0, 0, (0.0, 0.0))
+    shift = -math.frexp(f.max_abs())[1]
+    lo, hi, iters = _gauge(_support(model, f, shift), phi)
     hi = _norm_value(hi, -shift)
     return NormResult(hi, iters, (_ldexp(lo, -shift), hi))
 
@@ -387,8 +385,9 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     k >= 1 / objective when that lies left of the first grid.  Golden
     section then refines the bracket to a width of 1e-13 in log k, or of two
     ulps of log k where that is wider, stopping after _SCAN_CAP objective
-    evaluations with ``converged`` False.  The modular's (|v|, haar) pairs
-    are read once per call.
+    evaluations with ``converged`` False.  The modular's pairs are read once
+    per call, and N comes from the gauge search on them where they already
+    have unit peak.
 
     When max|f| lies outside _SCAN_PEAKS the search runs on f times an exact
     power of two, and the value and bracket are scaled back (the bracket to
@@ -399,12 +398,11 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
     fmax = f.max_abs()
-    shift = 0
-    if not _SCAN_PEAKS[0] <= fmax <= _SCAN_PEAKS[1]:
-        f, shift = _unit_peak(f)
-        fmax = f.max_abs()
-
-    modular = _modular_of(model, f, phi)
+    unit = -math.frexp(fmax)[1]
+    shift = 0 if _SCAN_PEAKS[0] <= fmax <= _SCAN_PEAKS[1] else unit
+    pairs = _support(model, f, shift)
+    fmax = math.ldexp(fmax, shift)
+    modular = _modular_of(pairs, phi)
 
     def objective(logk: float) -> float:
         k = math.exp(logk)
@@ -426,7 +424,8 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
             # gauge norm N, so the minimiser has k >= 1 / (2 N); and beside a
             # limit of at least N, 1/k is negligible only from 1e18 / N on.
             bounded = True
-            gauge = luxemburg_norm(model, f, phi).value
+            _, gauge, _ = _gauge(pairs if shift == unit else _support(model, f, unit), phi)
+            gauge = _norm_value(gauge, shift - unit)  # N in the units of the pairs
             start = -math.log(2.0 * gauge)
             if start > _LOG_MAX:
                 raise NonFiniteIntegrand("the minimising k lies beyond the float range")

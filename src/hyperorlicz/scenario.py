@@ -39,7 +39,7 @@ Grammar (top-level keys, unknown keys rejected):
       series_cutoff: 40
       rs_bound: 3
       convention: iterate_exclusive | inclusive
-      triple_bound: 12                 # associativity triples cap, omit for all
+      triple_bound: 12                 # axioms on labels |x| <= 12; >= 0, omit for all
 
 A mapping may not repeat a key: the second ``window:`` in one section is
 an error, not a silent override (keys merged in with YAML's ``<<`` may
@@ -56,7 +56,8 @@ that is not a finite int or float (null, a word, a list, a mapping) is a
 ScenarioError too, as is a bool or, where an integer belongs, a float with
 a fractional part.  A geometric weight must be finite and positive at both
 ends of the carrier, and the window must keep every Haar weight a finite
-float.  Parameter ranges are checked by the library constructors alone: a
+float.  ``run.triple_bound`` must be nonnegative: the axiom check takes the
+labels with |x| <= bound, so a negative one would check none.  Parameter ranges are checked by the library constructors alone: a
 ValueError one raises is a ScenarioError at its section.  Failures raise
 ScenarioError with the offending path.
 """
@@ -294,13 +295,16 @@ def _build_run(section, path) -> RunSettings:
         if value < 1:
             raise ScenarioError(f"{path}.{key}: must be a positive integer")
     bound = section.get("triple_bound")
+    if bound is not None:
+        bound = _scalar(bound, int, f"{path}.triple_bound")
+        if bound < 0:  # a negative bound would select no label to check
+            raise ScenarioError(f"{path}.triple_bound: must be a nonnegative integer")
     return RunSettings(
         **counts,
         convention=_kind({c.value: c for c in ProductConvention},
                          section.get("convention", DEFAULT_CONVENTION.value),
                          path, "convention"),
-        triple_bound=None if bound is None else _scalar(bound, int,
-                                                        f"{path}.triple_bound"))
+        triple_bound=bound)
 
 
 def parse_scenario(data: dict) -> Scenario:

@@ -887,3 +887,87 @@ def test_norm_kernel_keeps_every_bit(all_models, data):
         event(f"{search.__name__}: {'moved' if touched else 'compared'}")
         if not touched:
             assert _outcome(search, model, f, phi) == expected, search
+
+
+def _draw_full_range_function(data, model):
+    """Up to five points of the carrier, the label of least Haar weight among
+    them: the first at a peak m * 10^e, the rest at m' * 10^(e - d) for d up
+    to 340 decades.  Each value is parsed from its digits, so only the float
+    range decides where it underflows, not an intermediate power of ten."""
+    least = min(model.carrier, key=lambda x: (model.haar[x], x))
+    labels = data.draw(st.lists(st.sampled_from(model.carrier), min_size=1,
+                                max_size=4, unique=True))
+    if least not in labels:
+        labels.append(least)
+    mantissa = st.floats(min_value=1.0, max_value=10.0, exclude_max=True)
+    e = data.draw(st.integers(min_value=-320, max_value=299))
+    exponents = [e] + [e - data.draw(st.integers(min_value=0, max_value=340))
+                       for _ in labels[1:]]
+    signs = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(labels),
+                               max_size=len(labels)))
+    return hz.SparseFunction.from_dict(
+        {x: s * float(f"{data.draw(mantissa)!r}e{u}")
+         for x, s, u in zip(labels, signs, exponents)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_norm_kernel_keeps_every_bit_over_the_full_range(all_models, data):
+    # As test_norm_kernel_keeps_every_bit, with values down to 340 decades
+    # below the peak, so that the unit-peak shift underflows some of them to
+    # 0 (and maybe the one of least Haar weight): the frozen copies drop
+    # those points, and so must the searches.
+    model = all_models[data.draw(st.sampled_from(sorted(all_models)))]
+    phi = _draw_young(data)
+    f = _draw_full_range_function(data, model)
+    shift = -math.frexp(f.max_abs())[1]
+    if any(math.ldexp(v, shift) == 0.0 for _, v in f.values):
+        event("a value underflows under the unit shift")
+    for frozen, search in ((_frozen_luxemburg_norm, hz.luxemburg_norm),
+                           (_frozen_orlicz_norm, hz.orlicz_norm)):
+        touched = []
+        expected = _outcome(frozen, model, f, phi, touched)
+        event(f"{search.__name__}: {'moved' if touched else 'compared'}")
+        if not touched:
+            assert _outcome(search, model, f, phi) == expected, search
+
+
+def test_a_norm_call_builds_no_sparse_function(monkeypatch):
+    # A norm call scales the values of f itself and copies f into no new
+    # SparseFunction.  In the two bounded cases
+    # orlicz_norm takes the gauge norm N for its bound k >= 1 / (2 N): under
+    # phi_p(1) at a peak outside 2^+-512, from its own pairs, which it has
+    # brought to unit peak; under knots at 1e150 at the peak 1, from the
+    # unit-peak pairs beside its own.
+    model = hz.integer_group(8)
+    far = hz.SparseFunction.from_dict({0: 1e-200, 1: -5e-201})
+    bounded = ((far, hz.phi_p(1.0)),
+               (hz.indicator([0]), hz.tabulated_young([(0.0, 0.0), (1e150, 1.0),
+                                                       (2e150, 3.0)])))
+    functions = [hz.SparseFunction.from_dict({0: peak, 1: -0.5 * peak, 3: 1e-300 * peak})
+                 for peak in (3.0, 1e200, 1e-200)]
+    young = (hz.phi_p(1.0), hz.phi_p(2.5), hz.exp_minus_linear(), hz.cosh_minus_one(),
+             hz.tabulated_young([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]))
+    built, gauges = [], []
+    post_init, gauge = hz.SparseFunction.__post_init__, orlicz._gauge
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_gauge(pairs, phi):
+        gauges.append(phi)
+        return gauge(pairs, phi)
+
+    monkeypatch.setattr(hz.SparseFunction, "__post_init__", counted_post_init)
+    monkeypatch.setattr(orlicz, "_gauge", counted_gauge)
+    for f, phi in bounded:
+        hz.orlicz_norm(model, f, phi)
+        assert gauges == [phi], f
+        del gauges[:]
+    for f in functions:
+        for phi in young:
+            hz.luxemburg_norm(model, f, phi)
+            hz.orlicz_norm(model, f, phi)
+            orlicz._gauge_exceeds(model, f, phi, f.max_abs())
+    assert built == []

@@ -563,6 +563,35 @@ def test_cli_rejects_args_keys_the_command_does_not_read(capsys):
         assert captured.err.startswith("scenario error: unknown --args keys ")
 
 
+def test_cli_repeated_args_key_exits_two(capsys):
+    # The last id= used to win: this ran the hereditary probe and exited 0.
+    argv = ["--scenario", str(SCENARIO_DIR / "doubling_shift.yaml"), "--command",
+            "probe", "--args", "id=center", "--args", "id=hereditary"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error: --args key 'id' ")
+
+
+def test_cli_negative_triple_bound_exits_two(tmp_path, capsys):
+    # A bound of -1 selected no label, so axioms printed six ok rows and
+    # exited 0 without checking anything.  0 keeps its meaning: only |x| <= 0.
+    data = {"id": "su2-small", "hypergroup": {"family": "su2", "window": 6},
+            "young": {"kind": "phi_p", "p": 2.0},
+            "weight": {"form": "constant", "value": 1.0},
+            "run": {"triple_bound": -1}}
+    path = write_scenario(tmp_path, data)
+    assert run_cli(["--scenario", path, "--command", "axioms"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("scenario error: run.triple_bound: ")
+    data["run"]["triple_bound"] = 0
+    path = write_scenario(tmp_path, data, "zero.yaml")
+    assert run_cli(["--scenario", path, "--command", "axioms"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == len(AXIOMS) and all(row["ok"] for row in rows)
+
+
 def test_cli_window_overflow_exit_code(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, DOUBLING)
 
