@@ -64,6 +64,23 @@ def _step_flag(exc: Exception) -> str:
     return "window-overflow" if isinstance(exc, WindowOverflow) else "non-finite"
 
 
+def _step_memo(fn: Callable[[int], float]) -> Callable[[int], float]:
+    """fn memoised per index, a step error included: it is raised again."""
+    memo: dict[int, tuple[float | None, Exception | None]] = {}
+
+    def memoised(m: int) -> float:
+        entry = memo.get(m)
+        if entry is None:
+            try:
+                entry = memo[m] = (fn(m), None)
+            except _STEP_ERRORS as exc:
+                entry = memo[m] = (None, exc)
+        if entry[1] is not None:
+            raise entry[1]
+        return entry[0]
+    return memoised
+
+
 # -- aperiodicity -----------------------------------------------------------
 
 
@@ -395,6 +412,18 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
         raise PreconditionFailed(
             "strong-aperiodicity",
             "multiplied translates keep meeting below the horizon")
+    # The terms depend only on the multiplied index m = s n: each is computed
+    # once per call, and a step error once caught is raised again.
+    @_step_memo
+    def forward_term(m):
+        profile = _sup_necessary_profile(model, w, eta, e, m, convention)
+        return sum(profile.value_at(x) * model.haar[x] for x in e)
+
+    @_step_memo
+    def reciprocal_term(m):
+        return sum(model.haar[x] / weight_product(model, w, eta, x, m, convention)
+                   for x in e)
+
     # Every skipped index lies below first_n, so all indices from it are good.
     rows: list[CriterionRow] = []
     for k, n in enumerate(range(strong.first_n, horizon + 1), start=1):
@@ -403,11 +432,8 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
         flags: tuple[str, ...] = ()
         for s in range(1, series_cutoff + 1):
             try:
-                profile = _sup_necessary_profile(model, w, eta, e, s * n, convention)
-                fwd_sum += sum(profile.value_at(x) * model.haar[x] for x in e)
-                rec_sum += sum(model.haar[x] /
-                               weight_product(model, w, eta, x, s * n, convention)
-                               for x in e)
+                fwd_sum += forward_term(s * n)
+                rec_sum += reciprocal_term(s * n)
             except _STEP_ERRORS as exc:
                 flags = ("series-truncated" if isinstance(exc, WindowOverflow)
                          else "non-finite",)

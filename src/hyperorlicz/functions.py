@@ -4,6 +4,12 @@ The translate of f by y at x is the integral of f against delta_x * delta_y.
 Exact atoms are used even when a pair's support leaves the window; what must
 stay inside the window is the support of the *result*, and a translate whose
 true support would stick out raises WindowOverflow.
+
+Where the family's point law gives delta_u * delta_{y^-} as one exact unit
+atom, the translate reads the preimage of u and its mass 1.0 from the law
+and makes no pair-memo entry; on a group (the integers, a validated Cayley
+table) every point is such an atom and a translate is a relabelling.  The
+memo is read only for products the law leaves open.
 """
 from __future__ import annotations
 
@@ -89,18 +95,21 @@ def translate(model: HypergroupModel, f: SparseFunction, y: int) -> SparseFuncti
     One pass over supp f visits, for each u, the preimages that the pair
     (u, y^-) lists, and raises WindowOverflow at the first u whose
     preimages leave the window.  Each output point sums its terms in
-    increasing u, the order of a scan over the whole carrier.
+    increasing u, the order of a scan over the whole carrier.  A mass the
+    point law gives is exactly 1.0, so its term has the bits the memo's
+    would.
     """
     model._require_in_window(y)
     out: dict[int, float] = {}
-    pair = model._pair
+    law, pair = model._law, model._pair
     for u, fv in f.values:
         xs, fits = model._preimages(u, y)
         if not fits:
             raise WindowOverflow(
                 f"translate by {y} needs preimages of {u} outside the window")
         for x in xs:
-            m = pair(x, y)[0].get(u, 0.0)
+            v = law(x, y)
+            m = pair(x, y)[0].get(u, 0.0) if v is None else float(v == u)
             if m != 0.0:
                 out[x] = out.get(x, 0.0) + fv * m
     return SparseFunction.from_dict(out)

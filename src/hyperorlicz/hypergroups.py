@@ -5,11 +5,18 @@ derived right-invariant measure.  The convolution of two point masses comes
 from the family's closed form the first time a pair is asked for, and is
 kept in a per-model memo together with whether its support fits the window;
 whether a label is central is likewise decided when first asked, from two
-of those pairs.  A translate visits only the points it needs instead of the
-whole carrier: by the support-reversal law of hypergroups, delta_x * delta_y
-has an atom at u exactly when delta_u * delta_{y^-} has one at x, so the
-memoised pair (u, y^-) lists the preimages of u and says whether they fit
-the window.  Exact results whose support leaves the window raise
+of those pairs.  The memo is bypassed wherever a product is an exact unit
+atom: each family has one point law, with no memo, that gives the label u
+when delta_x * delta_y is exactly {u: 1.0} (always on the integers, on the
+off-diagonal of Dunkl-Ramirez, with the identity on SU(2), and for a table
+row whose single mass is exactly 1.0) and None otherwise, and the supports
+that point products, set convolutions and translates read come from it
+first.  A row whose unit mass is only within ``TOL_ATOM`` of 1 keeps the
+memo.  A translate visits only the points it needs instead of the whole
+carrier: by the support-reversal law of hypergroups, delta_x * delta_y has
+an atom at u exactly when delta_u * delta_{y^-} has one at x, so the pair
+(u, y^-) lists the preimages of u and says whether they fit the window.
+Exact results whose support leaves the window raise
 :class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever truncated
 silently.
 
@@ -133,9 +140,19 @@ class _Family:
     window or not, and ``has_label`` tells which labels the space has."""
 
     signed = False  # carrier includes negative labels
+    # Every point product is an exact unit atom of an associative law, so
+    # the space is a group under point_law.
+    group = False
 
     def has_label(self, u: int) -> bool:
         return self.signed or u >= 0
+
+    def point_law(self, x: int, y: int) -> int | None:
+        """The label u where raw_convolve(x, y) is exactly {u: 1.0}, from the
+        closed form without convolving; None sends the caller to the
+        convolution (it may also be None where the product happens to be
+        such an atom)."""
+        return None
 
     def involution(self, x: int) -> int:
         raise NotImplementedError
@@ -170,6 +187,11 @@ class _DunklRamirez(_Family):
     def involution(self, x):
         return x
 
+    def point_law(self, r, s):
+        if r != s:
+            return max(r, s)
+        return 0 if r == 0 else None
+
     def raw_convolve(self, r, s):
         if r != s:
             return {max(r, s): 1.0}
@@ -199,6 +221,11 @@ class _SU2(_Family):
     def involution(self, x):
         return x
 
+    def point_law(self, m, n):
+        if m == 0:
+            return n
+        return m if n == 0 else None
+
     def raw_convolve(self, m, n):
         den = float((m + 1) * (n + 1))
         return {k: (k + 1) / den for k in range(abs(m - n), m + n + 1, 2)}
@@ -211,9 +238,13 @@ class _IntegerGroup(_Family):
     """The group of integers viewed as a hypergroup; counting measure."""
 
     signed = True
+    group = True
 
     def involution(self, x):
         return -x
+
+    def point_law(self, x, y):
+        return x + y
 
     def raw_convolve(self, x, y):
         return {x + y: 1.0}
@@ -226,7 +257,9 @@ class _TableFamily(_Family):
     """Finite hypergroup given by an explicit table; the carrier is the whole
     space.  Each row is read through :meth:`SparseMeasure.from_dict` at load,
     so labels and masses are converted, zero masses dropped, and a mass that
-    is negative or not finite raises ValueError."""
+    is negative or not finite raises ValueError.  The point law reads the
+    rows that are exactly one atom of mass 1.0; ``group`` is set once a
+    table whose rows all are has passed validation."""
 
     def __init__(self, conv, involution_map, identity):
         self._inv = involution_map
@@ -235,9 +268,14 @@ class _TableFamily(_Family):
         self._conv: dict[tuple[int, int], dict[int, float]] = {
             (x, y): dict(SparseMeasure.from_dict(conv[(x, y)]).atoms)
             for x in self._carrier for y in self._carrier}
+        self._law = {xy: u for xy, atoms in self._conv.items()
+                     if len(atoms) == 1 for u, m in atoms.items() if m == 1.0}
 
     def involution(self, x):
         return self._inv[x]
+
+    def point_law(self, x, y):
+        return self._law.get((x, y))
 
     def raw_convolve(self, x, y):
         return self._conv[(x, y)]
@@ -281,6 +319,7 @@ class HypergroupModel:
         self._fam = family
         self.carrier: tuple[int, ...] = family.carrier(window)
         self._labels = frozenset(self.carrier)
+        self._law = family.point_law
         if self.identity not in self._labels:
             raise ValueError("identity label missing from carrier")
         # (x, y) -> (atoms of delta_x * delta_y in label order, support fits)
@@ -312,6 +351,12 @@ class HypergroupModel:
     def involution(self, x: int) -> int:
         return self._fam.involution(x)
 
+    @property
+    def group(self) -> bool:
+        """Whether every point product is an exact unit atom of an
+        associative law (the integers, a validated Cayley table)."""
+        return self._fam.group
+
     def in_window(self, label: int) -> bool:
         return label in self._labels
 
@@ -338,14 +383,22 @@ class HypergroupModel:
             self._pairs[(x, y)] = entry
         return entry
 
-    def _preimages(self, u: int, y: int) -> tuple[dict[int, float], bool]:
-        """(atoms, fits) of delta_u * delta_{y^-}.  By the support-reversal
+    def _support(self, x: int, y: int) -> tuple[Iterable[int], bool]:
+        """(support, fits) of delta_x * delta_y: from the point law where it
+        gives a label, so no memo entry is made, else from the pair memo."""
+        u = self._law(x, y)
+        if u is None:
+            return self._pair(x, y)
+        return (u,), u in self._labels
+
+    def _preimages(self, u: int, y: int) -> tuple[Iterable[int], bool]:
+        """(support, fits) of delta_u * delta_{y^-}.  By the support-reversal
         law its atoms are the labels x where (delta_x * delta_y)({u}) is
         nonzero, and fits says whether they are all window labels.  A label
         outside the family's space has no preimages."""
         if not self._fam.has_label(u):
-            return {}, True
-        return self._pair(u, self.involution(y))
+            return (), True
+        return self._support(u, self.involution(y))
 
     def raw_convolve_points(self, x: int, y: int) -> SparseMeasure:
         """Exact convolution of two point masses, support possibly off-window."""
@@ -382,7 +435,7 @@ class HypergroupModel:
         for x in sorted(set(a)):
             for y in sorted(set(b)):
                 self._require_in_window(x, y)
-                atoms, fits = self._pair(x, y)
+                atoms, fits = self._support(x, y)
                 if not fits:
                     raise WindowOverflow(
                         f"set convolution needs off-window support at pair ({x},{y})")
@@ -413,7 +466,7 @@ class HypergroupModel:
         if not self.is_central(z):
             raise NotCentral(f"label {z} is not in the center")
         self._require_in_window(x)
-        supp = tuple(self._pair(x, z)[0])
+        supp = tuple(self._support(x, z)[0])
         if len(supp) != 1:
             raise NotCentral(
                 f"convolution with center label {z} is not a point mass at ({x},{z})")
@@ -579,4 +632,5 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
                         raise ValueError(
                             f"table breaks the support-reversal law: row ({x},{y}) "
                             f"has an atom at {u}, row ({u},{yi}) none at {x}")
+        fam.group = len(fam._law) == len(fam._conv)
     return model

@@ -9,13 +9,21 @@ factors (indices 0..n).  The exclusive convention is the default everywhere.
 
 Weight factors at a point x are translated values, i.e. integrals of the
 weight against delta_x convolved with the reflected sequence point; closed
-weight forms evaluate at any label, never falling back to zero.  The weight
-keeps one row of factors per (model, sequence, point), row[j] being the
-factor for the sequence point of index -j, and lengthens it only when a
-product needs more factors.  A product is ``math.prod`` over the reversed
-slice of the row, started at the value it multiplies.  ``math.prod``
-multiplies C doubles left to right and an IEEE product does not depend on
-the order of its two operands, so the result has the bits of the loop
+weight forms evaluate at any label, never falling back to zero (a geometric
+weight past the float range is inf).  Where the family's point law gives
+delta_x * delta_y as the exact unit atom {u: 1.0}, the factor is w(u), the
+bits of 0.0 + w(u) * 1.0, and the pair memo is not touched; other products
+integrate over the memoised atoms.  The weight keeps one row of factors per
+(model, sequence, point), row[j] being the factor for the sequence point of
+index -j, and lengthens it only when a product needs more factors.  Powers
+of a center element on a group (the integers, a validated Cayley table)
+share their rows instead: row(x z^-1)[j] is row(x)[j+1], so the weight keeps
+one tuple of values per orbit of the center element, w at consecutive
+points x z^q, and one position per point, and a row is a slice of it.
+A product is ``math.prod`` over the factors from the last one down to
+index 0, started at the value it multiplies.  ``math.prod`` multiplies C
+doubles left to right and an IEEE product does not depend on the order of
+its two operands, so the result has the bits of the loop
 ``acc = row[j] * acc`` for j from the last factor down to 0, the rounding
 of iterating the single-step operator.  The hereditary pair likewise keeps
 the weight values along each orbit of a center element and multiplies them
@@ -64,7 +72,7 @@ class Weight(Checked, _WeightFields):
 
     form is one of "constant", "step" (low value up to the threshold, high
     value above it), "table" (explicit values with a default elsewhere), or
-    "geometric" (base * ratio^label).
+    "geometric" (base * ratio^label, inf where that exceeds the float range).
     """
 
     def __post_init__(self):
@@ -84,7 +92,10 @@ class Weight(Checked, _WeightFields):
             return self.low if label <= self.threshold else self.high
         if self.form == "table":
             return self._lookup.get(label, self.default)
-        return self.base * self.ratio**label
+        try:
+            return self.base * self.ratio**label
+        except OverflowError:  # the power is past the float range
+            return math.inf
 
     @cached_property
     def _lookup(self) -> dict[int, float]:
@@ -198,8 +209,12 @@ def eta_from_table(model: HypergroupModel, entries: Mapping[int, int]) -> TableE
 
 
 def translated_weight(model: HypergroupModel, w: Weight, x: int, y: int) -> float:
-    """Integral of the weight against delta_x * delta_y using exact atoms."""
+    """Integral of the weight against delta_x * delta_y using exact atoms:
+    w(u) where the point law gives the unit atom u."""
     model._require_in_window(x, y)
+    u = model._law(x, y)
+    if u is not None:
+        return w(u)
     s = 0.0
     for u, m in model._pair(x, y)[0].items():
         s += w(u) * m
@@ -213,6 +228,12 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
     see the module docstring for why the bits match the plain loop."""
     if count == 0:
         return acc
+    if isinstance(eta, CenterPowers) and model.group:
+        # The plain loop's first call is eta(-(count-1)), then the window
+        # check on x; its factors are then w at x z^-j for j < count.
+        eta(1 - count)
+        model._require_in_window(x)
+        return _orbit_product(model, w, eta.z, x, count, acc)
     rows = w._memo["rows", model, eta]
     row = rows.get(x, ())
     if len(row) < count:
@@ -222,6 +243,51 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
                for j in range(count - 1, len(row) - 1, -1)]
         row = rows[x] = row + tuple(reversed(new))
     return math.prod(row[count - 1::-1], start=acc)
+
+
+def _orbit_product(model: HypergroupModel, w: Weight, z: int, x: int,
+                   count: int, acc: float) -> float:
+    """Multiply w at x z^-(count-1), ..., x z^-1, x onto acc, in that order.
+
+    Each orbit of z keeps one state (lo, vals, first, last): vals[i] is w at
+    the point of position lo + i, where position q + 1 is the point of
+    position q times z, and first and last are the end points.  ``where``
+    gives each point reached its orbit and position.  A new point takes the
+    position next to a neighbour already placed, or starts an orbit of its
+    own; the state is extended at either end and replaced whole, so a
+    reader racing a writer sees a consistent one.
+    """
+    where = w._memo["orbits", model, z]
+    law, zi = model._law, model.involution(z)
+    hit = where.get(x)
+    if hit is None:
+        for nb, step in ((law(x, zi), 1), (law(x, z), -1)):
+            near = where.get(nb)
+            if near is not None:
+                hit = (near[0], near[1] + step)
+                break
+        else:
+            hit = ([(0, (w(x),), x, x)], 0)
+        where.setdefault(x, hit)
+    orbit, q = hit
+    lo, vals, first, last = orbit[0]
+    start = q - count + 1
+    if start < lo or q >= lo + len(vals):
+        up = []
+        for p in range(lo + len(vals), q + 1):
+            last = law(last, z)
+            up.append(w(last))
+            where.setdefault(last, (orbit, p))
+        down = []
+        for p in range(lo - 1, start - 1, -1):
+            first = law(first, zi)
+            down.append(w(first))
+            where.setdefault(first, (orbit, p))
+        down.reverse()
+        lo = min(lo, start)
+        vals = (*down, *vals, *up)
+        orbit[0] = (lo, vals, first, last)
+    return math.prod(vals[start - lo:q - lo + 1], start=acc)
 
 
 def weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,

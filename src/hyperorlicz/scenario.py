@@ -324,10 +324,7 @@ def parse_scenario(data: dict) -> Scenario:
     weight = _build(_need(data, "weight", "scenario", dict), "weight")
     if weight.form == "geometric":
         ends = (model.carrier[0], model.carrier[-1])  # monotone: these bound it
-        try:
-            ok = weight.inf_over(ends) > 0.0 and weight.sup_over(ends) < math.inf
-        except OverflowError:
-            ok = False
+        ok = weight.inf_over(ends) > 0.0 and weight.sup_over(ends) < math.inf
         if not ok:
             raise ScenarioError(f"weight: geometric weight is not finite and "
                                 f"positive at both carrier ends {ends}")

@@ -4,10 +4,12 @@
 carrier convolved up front into a validated SparseMeasure, fit read from the
 full support, translation scanning the whole carrier (its reach decided from
 the untruncated convolutions, not from the model's memo), weight factors
-recomputed for every product and multiplied one at a time, hereditary pairs
-walked afresh on every call, and associativity checked by allocating
-measures and catching WindowOverflow.  The lazy core must agree with it bit
-for bit (``==`` on floats), including which calls raise.
+integrated over the table's atoms for every product and multiplied one at a
+time, hereditary pairs walked afresh on every call, and associativity
+checked by allocating measures and catching WindowOverflow.  The lazy core
+must agree with it bit for bit (``==`` on floats), including which calls
+raise, on its point-law path (exact unit atoms, no pair memo; shared factor
+rows along the orbits of a center element on a group) as on its memo path.
 """
 import itertools
 
@@ -25,7 +27,7 @@ from hyperorlicz.hypergroups import (
     is_point_mass_at,
     point_mass,
 )
-from hyperorlicz.operators import ProductConvention, translated_weight
+from hyperorlicz.operators import CenterPowers, ProductConvention, translated_weight
 
 
 def _max_deviation(mu, nu):
@@ -127,6 +129,16 @@ class EagerReference:
 
     def weight_product(self, w, eta, x, n, convention):
         return self.cocycle(w, eta, x, convention.factors(n), 1.0)
+
+    def shifted_weight_product(self, w, eta, x, n, convention):
+        return self.weight_product(w, eta, self.point_product(x, eta(n)), n, convention)
+
+    def apply_right_inverse(self, f, w, eta, n, convention):
+        out = {}
+        for u, fv in f.values:
+            x = self.point_product(u, eta(-n))
+            out[x] = fv / self.weight_product(w, eta, u, n, convention)
+        return SparseFunction.from_dict(out)
 
     def apply_weighted_translation(self, f, w, eta, n, convention):
         t = self.translate(f, eta(-n))
@@ -292,6 +304,11 @@ class _SkewedIntegers(hypergroups._IntegerGroup):
     def __init__(self, skewed):
         super().__init__()
         self.skewed = skewed
+
+    group = False
+
+    def point_law(self, x, y):
+        return None if (x, y) in self.skewed else x + y
 
     def raw_convolve(self, x, y):
         if (x, y) in self.skewed:
@@ -482,6 +499,144 @@ def test_factor_rows_and_orbits_match_plain_loops(data):
         assert got == want
         if isinstance(got, SparseFunction):
             assert got.values == want.values
+
+
+@st.composite
+def groups(draw):
+    """Models on which every point product is an exact unit atom: the
+    integers and validated Cayley tables."""
+    if draw(st.booleans()):
+        model = hz.integer_group(draw(st.integers(1, 16)))
+        return model, EagerReference(model)
+    conv, involution, identity = draw(st.one_of(cyclic_table(), st.just(s3_table())))
+    model = hz.table_hypergroup(conv, involution, identity=identity)
+    return model, EagerReference(model, raw=lambda x, y: conv[(x, y)],
+                                 space=model.in_window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_group_law_path_matches_eager_table(data):
+    """On a group the factors, rows, translates and point products come from
+    the point law and shared orbit rows, never from the pair memo, and give
+    the eager table's floats and errors."""
+    model, ref = data.draw(groups())
+    assert model.group
+    w = data.draw(weights())
+    reach = 2 * model.window + 3
+    eta = sequences(data.draw, model,
+                    indices=data.draw(st.sets(st.integers(1, reach), max_size=12)))
+    edges = (model.carrier[0], model.carrier[-1])
+    outside = (edges[0] - 1, edges[1] + 1)
+    xs = data.draw(st.lists(st.sampled_from(model.carrier + outside), min_size=1,
+                            max_size=4, unique=True))
+    # Walks up and down from a point reach its neighbours along the orbit
+    # of the sequence's step, as the probes' pulled-back points do.
+    step = eta.z if isinstance(eta, CenterPowers) else data.draw(
+        st.sampled_from(model.carrier))
+    for by in (step, model.involution(step)):
+        walk = [data.draw(st.sampled_from(model.carrier))]
+        for _ in range(3):
+            walk.append(model._law(walk[-1], by))
+        xs += walk
+    ns = data.draw(st.lists(st.integers(0, reach), min_size=1, max_size=8))
+    pairs = len(model._pairs)  # the center was decided while drawing eta
+    for n in ns:
+        for x in xs:
+            for convention in ProductConvention:
+                for name in ("weight_product", "shifted_weight_product"):
+                    assert (outcome(getattr(hz, name), model, w, eta, x, n, convention)
+                            == outcome(getattr(ref, name), w, eta, x, n, convention))
+        f = SparseFunction.from_dict({x: data.draw(VALUES) for x in set(xs)})
+        convention = data.draw(st.sampled_from(tuple(ProductConvention)))
+        for name in ("apply_weighted_translation", "apply_right_inverse"):
+            got = outcome(getattr(hz, name), model, f, w, eta, n, convention)
+            want = outcome(getattr(ref, name), f, w, eta, n, convention)
+            assert got == want
+            if isinstance(got, SparseFunction):
+                assert got.values == want.values
+        y = data.draw(st.sampled_from(model.carrier))
+        assert outcome(hz.translate, model, f, y) == outcome(ref.translate, f, y)
+        assert (outcome(translated_weight, model, w, xs[0], y)
+                == outcome(ref.translated_weight, w, xs[0], y))
+    assert len(model._pairs) == pairs
+
+
+def test_an_off_window_point_raises_after_the_sequence_index():
+    """The plain loop reads the sequence at index -(count-1) before it checks
+    x, so a power past the window wins over an off-window point, also once
+    a shared orbit row already holds values at x."""
+    model = hz.integer_group(4)
+    ref = EagerReference(model)
+    w = hz.geometric_weight(1.5, 0.75)
+    eta = hz.center_powers(model, 1)
+    convention = ProductConvention.ITERATE_EXCLUSIVE
+    # Rows of -4 reach down to -6, off the window.
+    assert (hz.weight_product(model, w, eta, -4, 3, convention)
+            == ref.weight_product(w, eta, -4, 3, convention))
+    for x, n, error in ((-6, 1, ValueError), (-6, 3, ValueError),
+                        (5, 5, ValueError), (-6, 6, WindowOverflow),
+                        (5, 6, WindowOverflow)):
+        assert outcome(hz.weight_product, model, w, eta, x, n, convention) is error
+        assert outcome(ref.weight_product, w, eta, x, n, convention) is error
+
+
+def test_a_unit_mass_within_tolerance_keeps_the_general_path():
+    """A Cayley table of Z_3 whose row (1,1) has mass 1 - 1e-13 at its unit
+    atom validates (the axioms allow TOL_ATOM), but that row is not exactly
+    a unit atom: its factor is 0.0 + w(2) * (1 - 1e-13), not w(2), and the
+    model is no group, so its products keep one row per point."""
+    conv = {(x, y): {(x + y) % 3: 1.0} for x in range(3) for y in range(3)}
+    conv[(1, 1)] = {2: 1.0 - 1e-13}
+    model = hz.table_hypergroup(conv, {0: 0, 1: 2, 2: 1})
+    ref = EagerReference(model, raw=lambda x, y: conv[(x, y)], space=model.in_window)
+    assert model._law(1, 1) is None and model._law(1, 2) == 0 and not model.group
+    w = hz.table_weight({0: 1.25, 1: 0.75, 2: 3.0})
+    assert translated_weight(model, w, 1, 1) == 3.0 * (1.0 - 1e-13) != 3.0
+    assert translated_weight(model, w, 1, 1) == ref.translated_weight(w, 1, 1)
+    for z in (1, 2):
+        eta = hz.center_powers(model, z)
+        for n in range(9):
+            for x in model.carrier:
+                for convention in ProductConvention:
+                    for name in ("weight_product", "shifted_weight_product"):
+                        assert (getattr(hz, name)(model, w, eta, x, n, convention)
+                                == getattr(ref, name)(w, eta, x, n, convention))
+            f = SparseFunction.from_dict({0: 0.5, 1: -1.5, 2: 2.0 / 3.0})
+            assert (hz.apply_weighted_translation(model, f, w, eta, n).values
+                    == ref.apply_weighted_translation(
+                        f, w, eta, n, ProductConvention.ITERATE_EXCLUSIVE).values)
+            assert hz.translate(model, f, eta(-n)).values == ref.translate(f, eta(-n)).values
+
+
+def _stored(model, w):
+    """(pair-memo entries, weight values the factor rows and orbits hold)."""
+    factors = 0
+    for key, entries in w._memo.items():
+        if key[0] == "rows":
+            factors += sum(map(len, entries.values()))
+        elif key[0] == "orbits":
+            states = {id(orbit): orbit[0] for orbit, _ in entries.values()}
+            factors += sum(len(vals) for _, vals, _, _ in states.values())
+    return len(model._pairs), factors
+
+
+def test_necessary_sup_stores_linearly_in_the_horizon():
+    """Each step pulls E back by one more power, so a row per point would
+    hold about |E| h^2 / 2 values at horizon h; one row per orbit holds
+    about h.  Counts only: four times the horizon may at most about
+    quadruple them."""
+    stored = {}
+    for horizon in (250, 1000):
+        model = hz.integer_group(10_000)
+        w = hz.step_weight(0, 2.0, 0.5)
+        hz.probe_sup_necessary(model, w, hz.center_powers(model, 1),
+                               range(-4, 4), horizon)
+        stored[horizon] = _stored(model, w)
+    (pairs_250, factors_250), (pairs_1000, factors_1000) = stored[250], stored[1000]
+    assert pairs_1000 <= 5 * max(pairs_250, 1)
+    assert 0 < factors_1000 <= 5 * factors_250
+    assert factors_1000 < 2 * 1000 + 16
 
 
 @settings(max_examples=30, deadline=None)

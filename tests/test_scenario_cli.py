@@ -709,6 +709,39 @@ def test_cli_underflowing_weight_product_flags_rows(tmp_path, capsys):
     assert flags == [[]] * 5 + [["non-finite"]] * 11
 
 
+# The carrier ends bound the geometric weight, but a factor of the table
+# sequence sits at e + a_n - a_j = 1200, off the window, where 2.0**1200 is
+# past the float range.
+OFF_WINDOW_FACTOR = {"id": "off-window-factor",
+                     "hypergroup": {"family": "integers", "window": 600},
+                     "young": {"kind": "phi_p", "p": 2.0},
+                     "weight": {"form": "geometric", "base": 1.0, "ratio": 2.0},
+                     "eta": {"generator": "table", "entries": {1: -600, 2: 600}},
+                     "sets": {"E": [0]}, "functions": {"f": {0: 1.0}},
+                     "run": {"horizon": 2}}
+
+# The lines cli.main writes on stderr for exit codes 2 and 3.
+DOCUMENTED_STDERR = ("scenario error: ", "precondition failed: ", "window overflow: ",
+                     "non-finite norm: ", "bad arguments: ")
+
+
+def test_cli_weight_past_the_float_range_off_the_window(tmp_path, capsys):
+    path = write_scenario(tmp_path, OFF_WINDOW_FACTOR)
+    for args in (["probe", "--args", "id=necessary-sup"],
+                 ["probe", "--args", "id=necessary-series"],
+                 ["orbit", "--args", "targets=f"]):
+        code = run_cli(["--scenario", path, "--command", *args])
+        out, err = capsys.readouterr()
+        if code in (0, 1):
+            last = json.loads(out.strip().split("\n")[-1])
+            assert last["record"] in ("verdict", "orbit") and not err
+        else:
+            assert code in (2, 3) and err.startswith(DOCUMENTED_STDERR)
+    # The overflowing step is flagged, as a product past the range is.
+    code, flags, verdict = _probe_body(path, "necessary-sup", capsys)
+    assert (code, flags, verdict) == (1, [[], ["non-finite"]], "inconclusive")
+
+
 def test_cli_witness_and_orbit(tmp_path, capsys):
     path = write_scenario(tmp_path, DOUBLING)
     assert run_cli(["--scenario", path, "--command", "witness"]) == 0
