@@ -268,14 +268,14 @@ class _TableFamily(_Family):
         self._conv: dict[tuple[int, int], dict[int, float]] = {
             (x, y): dict(SparseMeasure.from_dict(conv[(x, y)]).atoms)
             for x in self._carrier for y in self._carrier}
-        self._law = {xy: u for xy, atoms in self._conv.items()
-                     if len(atoms) == 1 for u, m in atoms.items() if m == 1.0}
+        self._units = {xy: u for xy, atoms in self._conv.items()
+                       if len(atoms) == 1 for u, m in atoms.items() if m == 1.0}
 
     def involution(self, x):
         return self._inv[x]
 
     def point_law(self, x, y):
-        return self._law.get((x, y))
+        return self._units.get((x, y))
 
     def raw_convolve(self, x, y):
         return self._conv[(x, y)]
@@ -632,5 +632,5 @@ def table_hypergroup(conv: Mapping[tuple[int, int], Mapping[int, float]],
                         raise ValueError(
                             f"table breaks the support-reversal law: row ({x},{y}) "
                             f"has an atom at {u}, row ({u},{yi}) none at {x}")
-        fam.group = len(fam._law) == len(fam._conv)
+        fam.group = len(fam._units) == len(fam._conv)
     return model

@@ -301,11 +301,11 @@ class _SkewedIntegers(hypergroups._IntegerGroup):
     """The integers with some point convolutions split over two neighbours:
     a broken model on a window, where a triple's sides can leave it."""
 
+    group = False
+
     def __init__(self, skewed):
         super().__init__()
         self.skewed = skewed
-
-    group = False
 
     def point_law(self, x, y):
         return None if (x, y) in self.skewed else x + y
