@@ -18,7 +18,11 @@ an atom at u exactly when delta_u * delta_{y^-} has one at x, so the pair
 (u, y^-) lists the preimages of u and says whether they fit the window.
 Exact results whose support leaves the window raise
 :class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever truncated
-silently.
+silently.  The associativity check sums a side of a triple only once it is
+known to fit, and where the rows it reads are bitwise symmetric (every
+family here but a non-commutative or broken table) it sums each side once
+per multiset of labels and shares it among the orderings, with the same
+findings in the same order as the plain triple loop.
 
 All operations are pure.  The memo only ever adds entries equal to what any
 caller would compute, so instances can be shared between threads: a race
@@ -446,15 +450,21 @@ class HypergroupModel:
 
     def is_central(self, z: int) -> bool:
         """Whether z is a window label with delta_z * delta_{z^-} and
-        delta_{z^-} * delta_z both the identity point mass; memoised."""
+        delta_{z^-} * delta_z both the identity point mass; memoised.  The
+        point law answers first, so a pair it gives a label for makes no
+        pair-memo entry."""
         if z not in self._labels:
             return False
         central = self._central.get(z)
         if central is None:
+            e = self.identity
+
+            def unit(x, y):
+                u = self._law(x, y)
+                return u == e if u is not None else _is_point_mass(self._pair(x, y)[0], e)
+
             zi = self.involution(z)
-            central = self._central[z] = (
-                _is_point_mass(self._pair(z, zi)[0], self.identity)
-                and _is_point_mass(self._pair(zi, z)[0], self.identity))
+            central = self._central[z] = unit(z, zi) and unit(zi, z)
         return central
 
     def center_elements(self) -> CenterReport:
@@ -490,7 +500,13 @@ class HypergroupModel:
         and the adjoint law are checked on the exact (untruncated) atoms, in
         one pass over the labels x with a nested pass over the pairs (x, y).
         Associativity is checked on triples whose intermediate supports stay
-        inside the window; out-of-window triples are skipped.  Violations come
+        inside the window; out-of-window triples are skipped.  Where
+        delta_u * delta_c and delta_c * delta_u are equal for every c checked
+        and every u those triples reach, which is derived from the rows and
+        never declared, (delta_a * delta_b) * delta_c is summed once per
+        multiset {a, b, c} and shared among its orderings; elsewhere each
+        ordered triple sums its two sides.  Both give the same violations in
+        the same order, bit for bit.  Violations come
         grouped by axiom in the order of :data:`AXIOMS`, each group in label
         order.  The findings are memoised per set of labels checked, so a
         table validated at load is not checked again; each call returns a
@@ -533,43 +549,123 @@ class HypergroupModel:
                     found["adjoint"].append(AxiomViolation(
                         "adjoint", (x, y), f"adjoint law deviates by {dev:.3e}"))
 
-        out = found["associativity"]
-        # (delta_x * delta_y) * delta_z against delta_x * (delta_y * delta_z),
-        # summed in plain dicts; the point masses contribute exact unit
-        # factors.  Each pair's fit is read from its atoms before they are
-        # added, and a triple is skipped at the first pair that either side
-        # needs outside the window.
-        get = self._pairs.get
-        fitting_yz = {y: [(z, pair(y, z)[0]) for z in pts if pair(y, z)[1]]
-                      for y in pts}
+        found["associativity"] = self._associativity(pts)
+        return tuple(v for name in AXIOMS for v in found[name])
+
+    def _associativity(self, pts: tuple[int, ...]) -> list[AxiomViolation]:
+        """(delta_x * delta_y) * delta_z against delta_x * (delta_y * delta_z)
+        for x, y, z in pts, in the order of the plain triple loop.
+
+        Each side is summed in a plain dict, the point masses contributing
+        exact unit factors, and only once it is known to fit: bit k of
+        fit[u] says whether (u, pts[k]) fits, and bit k of left[i][j],
+        the AND of fit over the support of (pts[i], pts[j]), whether
+        (pts[i] pts[j]) pts[k] does; right[j][k] likewise holds bit i where
+        pts[i] (pts[j] pts[k]) fits.  Where the rows commute on the labels
+        the sides read, each side serves every ordering of its multiset.
+        """
+        pair = self._pair
+        pairs = self._pairs
+        reach = set(pts)  # pts and the supports of their fitting pairs
         for x in pts:
             for y in pts:
-                xy, fits = pair(x, y)
-                if not fits:
-                    continue
-                for z, yz in fitting_yz[y]:
-                    left: dict[int, float] = {}
-                    for u, mx in xy.items():
-                        atoms, fits = get((u, z)) or pair(u, z)
-                        if not fits:
-                            break
-                        for t, w in atoms.items():
-                            left[t] = left.get(t, 0.0) + mx * w
-                    else:
-                        right: dict[int, float] = {}
-                        for v, my in yz.items():
-                            atoms, fits = get((x, v)) or pair(x, v)
-                            if not fits:
-                                break
-                            for t, w in atoms.items():
-                                right[t] = right.get(t, 0.0) + my * w
+                atoms, fits = pair(x, y)
+                if fits:
+                    reach.update(atoms)
+
+        def pair_masks(fit):
+            rows = []
+            for x in pts:
+                row = []
+                for y in pts:
+                    atoms, fits = pair(x, y)
+                    m = 0
+                    if fits:
+                        m = -1
+                        for u in atoms:
+                            m &= fit[u]
+                    row.append(m)
+                rows.append(row)
+            return rows
+
+        # Equal rows are equal dicts in label order (_pair sorts), so where
+        # every (u, c) row equals its (c, u) row, each sum below has the same
+        # terms in the same order whichever way round its pairs are read.
+        commutes = all(pair(u, c)[0] == pair(c, u)[0] for u in reach for c in pts)
+        left = pair_masks({u: sum(1 << k for k, c in enumerate(pts) if pair(u, c)[1])
+                           for u in reach})
+        right = left if commutes else pair_masks(
+            {u: sum(1 << k for k, c in enumerate(pts) if pair(c, u)[1]) for u in reach})
+
+        def side(ab, c):
+            """(delta_a * delta_b) * delta_c from the atoms of ab."""
+            s: dict[int, float] = {}
+            for u, m in ab.items():
+                for t, w in pairs[(u, c)][0].items():
+                    s[t] = s.get(t, 0.0) + m * w
+            return s
+
+        def side_right(a, bc):
+            """delta_a * (delta_b * delta_c) from the atoms of bc."""
+            s: dict[int, float] = {}
+            for v, m in bc.items():
+                for t, w in pairs[(a, v)][0].items():
+                    s[t] = s.get(t, 0.0) + m * w
+            return s
+
+        hits: dict[tuple[int, int, int], AxiomViolation] = {}  # by positions in pts
+
+        def check(p, q, *keys):
+            dev = _max_deviation(p, q)  # symmetric in p and q, bit for bit
+            if dev > TOL_ASSOC:
+                for key in keys:
+                    hits[key] = AxiomViolation(
+                        "associativity", tuple(pts[i] for i in key),
+                        f"triple product deviates by {dev:.3e}")
+
+        n = len(pts)
+        if commutes:
+            # (ab)c depends only on {a, b} and c, so the multiset {a, b, c},
+            # i <= j <= k, has the three sides P = (ab)c, Q = (ac)b and
+            # R = (bc)a, and each of its six orderings compares two of them:
+            # (a,b,c) and (c,b,a) P with R, (a,c,b) and (b,c,a) Q with R,
+            # (b,a,c) and (c,a,b) P with Q.  i == j makes R the sum Q is and
+            # j == k makes Q the sum P is; a side never deviates from itself.
+            for i in range(n):
+                a = pts[i]
+                for j in range(i, n):
+                    b = pts[j]
+                    ab = pair(a, b)[0]
+                    for k in range(j, n):
+                        c = pts[k]
+                        P = side(ab, c) if left[i][j] >> k & 1 else None
+                        if j == k:
+                            Q = P
                         else:
-                            dev = _max_deviation(left, right)
-                            if dev > TOL_ASSOC:
-                                out.append(AxiomViolation(
-                                    "associativity", (x, y, z),
-                                    f"triple product deviates by {dev:.3e}"))
-        return tuple(v for name in AXIOMS for v in found[name])
+                            Q = side(pair(a, c)[0], b) if left[i][k] >> j & 1 else None
+                        if P is None and Q is None:
+                            continue
+                        if i == j:
+                            R = Q
+                        else:
+                            R = side(pair(b, c)[0], a) if left[j][k] >> i & 1 else None
+                        if R is not None:
+                            if P is not None and P is not R:
+                                check(P, R, (i, j, k), (k, j, i))
+                            if Q is not None and Q is not R and Q is not P:
+                                check(Q, R, (i, k, j), (j, k, i))
+                        if P is not None and Q is not None and P is not Q and R is not Q:
+                            check(P, Q, (j, i, k), (k, i, j))
+        else:
+            for i, x in enumerate(pts):
+                bit = 1 << i
+                for j, y in enumerate(pts):
+                    lm, rj = left[i][j], right[j]
+                    for k, z in enumerate(pts):
+                        if lm >> k & 1 and rj[k] & bit:
+                            check(side(pair(x, y)[0], z),
+                                  side_right(x, pair(y, z)[0]), (i, j, k))
+        return [hits[key] for key in sorted(hits)]
 
 
 def dunkl_ramirez(a: float, window: int) -> HypergroupModel:

@@ -12,6 +12,7 @@ raise, on its point-law path (exact unit atoms, no pair memo; shared factor
 rows along the orbits of a center element on a group) as on its memo path.
 """
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -317,19 +318,27 @@ class _SkewedIntegers(hypergroups._IntegerGroup):
 
 
 @st.composite
-def skewed_integers(draw):
+def skewed_integers(draw, symmetric=False):
+    """With ``symmetric`` the skewed pairs are closed under swap, so the
+    broken model still commutes."""
     window = draw(st.integers(2, 8))
     labels = st.integers(-window, window)
     skewed = draw(st.sets(st.tuples(labels, labels), min_size=1, max_size=6))
+    if symmetric:
+        skewed |= {(y, x) for x, y in skewed}
     model = hypergroups.HypergroupModel(_SkewedIntegers(skewed), window)
     return model, EagerReference(model)
 
 
 @st.composite
-def broken_tables(draw):
+def broken_tables(draw, symmetric=False, odd_bit=False):
     """A cyclic table with some rows replaced by a two-atom split of unit
     mass; rows (x, x^-) keep the identity so the invariant measure exists.
-    Every row keeps mass one, which the allocating reference loop needs."""
+    Every row keeps mass one, which the allocating reference loop needs.
+    With ``symmetric`` rows (x, y) and (y, x) get the same split, so the
+    broken table still commutes; ``odd_bit`` then moves one mass of one row
+    off the diagonal down by an ulp, so that row differs from its
+    transpose in the last bit."""
     conv, involution, identity = draw(cyclic_table(size=draw(st.integers(3, 6))))
     labels = sorted(involution)
     pairs = [(x, y) for x in labels for y in labels if y != involution[x]]
@@ -338,6 +347,14 @@ def broken_tables(draw):
         p, q = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2,
                              unique=True))
         conv[(x, y)] = {p: 0.25, q: 0.75}
+        if symmetric:
+            conv[(y, x)] = conv[(x, y)]
+    if odd_bit:
+        x, y = draw(st.sampled_from([(x, y) for x in labels for y in labels if x != y]))
+        row = dict(conv[(x, y)])
+        u = draw(st.sampled_from(sorted(row)))
+        row[u] = math.nextafter(row[u], 0.0)
+        conv[(x, y)] = row
     model = hz.table_hypergroup(conv, involution, identity=identity, validate=False)
     return model, EagerReference(model, raw=lambda x, y: conv[(x, y)],
                                  space=model.in_window)
@@ -655,6 +672,66 @@ def test_broken_model_violations_match(pair):
     assert got == ref.verify_axioms(model.window)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_sides_match_the_plain_loop_on_commuting_models(data):
+    # Commuting rows let one sum of each side serve every ordering of a
+    # multiset of labels; the violations must be the plain loop's, in its
+    # order, at any bound.
+    model, ref = data.draw(st.one_of(broken_tables(symmetric=True),
+                                     skewed_integers(symmetric=True)))
+    bound = data.draw(st.integers(0, model.window))
+    assert model.verify_axioms(bound) == ref.verify_axioms(bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_row_one_bit_off_its_transpose_matches_the_plain_loop(data):
+    # Where that row is among the ones the sweep reads, the model does not
+    # commute there and takes the plain loop; elsewhere it shares sides.
+    model, ref = data.draw(broken_tables(symmetric=True, odd_bit=True))
+    bound = data.draw(st.integers(0, model.window))
+    assert model.verify_axioms(bound) == ref.verify_axioms(bound)
+
+
+def test_a_row_one_bit_off_its_transpose_takes_the_plain_loop(monkeypatch):
+    # On Z_3 every triple fits, so the plain loop compares the sides of all
+    # 27 after the 9 adjoint comparisons; sharing sides compares fewer.
+    calls = []
+    original = hypergroups._max_deviation
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(hypergroups, "_max_deviation", counting)
+    conv = {(i, j): {(i + j) % 3: 1.0} for i in range(3) for j in range(3)}
+    counts = []
+    for table in (conv, {**conv, (1, 2): {0: math.nextafter(1.0, 0.0)}}):
+        del calls[:]
+        model = hz.table_hypergroup(table, {0: 0, 1: 2, 2: 1}, validate=False)
+        assert model.verify_axioms(2) == []
+        counts.append(len(calls))
+    assert counts[0] < counts[1] == 9 + 27
+
+
+def test_associativity_sums_each_side_once_per_multiset(monkeypatch):
+    # A work count, not a time.  On su2(40), 12 341 of the 68 921 ordered
+    # triples fit the window; the plain loop compares the two sides of each
+    # (12 341 calls) after the 41^2 adjoint comparisons, 14 022 in all.
+    # Sharing the sides of a multiset halves the triple comparisons.
+    calls = []
+    original = hypergroups._max_deviation
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(hypergroups, "_max_deviation", counting)
+    assert hz.su2(40).verify_axioms(40) == []
+    assert len(calls) <= 41**2 + 0.6 * 12_341
+
+
 def test_mixed_masses_are_reported_not_raised():
     # delta_1 * delta_1 carries half the mass, so (delta_0 * delta_1) * delta_1
     # is not a probability measure; the check lists that instead of failing.
@@ -679,6 +756,6 @@ def test_build_computes_no_convolution(monkeypatch):
     model = hz.integer_group(1000)
     assert len(model.carrier) == 2001
     assert calls == []
-    # the center is decided on demand, two convolutions per label asked about
-    assert model.is_central(7) and calls == [(7, -7), (-7, 7)]
+    # the center is decided on demand, from the point law without a convolution
+    assert model.is_central(7) and calls == []
     assert model.center_elements().members == model.carrier

@@ -971,3 +971,36 @@ def test_a_norm_call_builds_no_sparse_function(monkeypatch):
             hz.orlicz_norm(model, f, phi)
             orlicz._gauge_exceeds(model, f, phi, f.max_abs())
     assert built == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_phi_p_norms_match_their_closed_forms(all_models, data):
+    # Under phi_p both norms are closed forms in S = sum |f|^p h: the gauge
+    # norm is N = (S/p)^(1/p), the infimum form q^(1/q) S^(1/p) with
+    # q = p/(p-1), or S itself at p = 1.  The gauge search returns the upper
+    # end of a bracket of relative width RTOL_NORM around N; the golden
+    # section lands within 1e-14 of the infimum form.  S is summed with the
+    # peak M factored out, so M^p may leave the float range.
+    model = all_models[data.draw(st.sampled_from(sorted(all_models)))]
+    p = data.draw(st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=3.0)
+                            .map(lambda e: 10.0**e)))
+    labels = data.draw(st.lists(st.sampled_from(model.carrier), min_size=1,
+                                max_size=6, unique=True))
+    values = {x: data.draw(st.sampled_from((-1.0, 1.0)))
+              * 10.0**data.draw(st.floats(min_value=-3.0, max_value=3.0))
+              for x in labels}
+    f = hz.SparseFunction.from_dict(values)
+    peak = max(abs(v) for v in values.values())
+    scaled = math.fsum((abs(v) / peak) ** p * model.haar[x] for x, v in values.items())
+    gauge = peak * (scaled / p) ** (1.0 / p)
+    if p == 1.0:
+        infimum = peak * scaled
+    else:
+        q = p / (p - 1.0)
+        infimum = q ** (1.0 / q) * peak * scaled ** (1.0 / p)
+    ulps = 4 * sys.float_info.epsilon
+    n = hz.luxemburg_norm(model, f, hz.phi_p(p)).value
+    assert gauge * (1 - ulps) <= n <= gauge * (1 + RTOL_NORM) * (1 + ulps), (n, gauge)
+    a = hz.orlicz_norm(model, f, hz.phi_p(p)).value
+    assert abs(a - infimum) <= 1e-14 * infimum, (a, infimum)
