@@ -5,13 +5,13 @@ derived right-invariant measure.  The convolution of two point masses comes
 from the family's closed form the first time a pair is asked for, and is
 kept in a per-model memo together with whether its support fits the window;
 whether a label is central is likewise decided when first asked, from two
-of those pairs.  The memo is bypassed wherever a product is an exact unit
-atom: each family has one point law, with no memo, that gives the label u
-when delta_x * delta_y is exactly {u: 1.0} (always on the integers, on the
+products.  The memo is bypassed wherever a product is an exact unit atom:
+each family has one point law, with no memo, that gives the label u when
+delta_x * delta_y is exactly {u: 1.0} (always on the integers, on the
 off-diagonal of Dunkl-Ramirez, with the identity on SU(2), and for a table
 row whose single mass is exactly 1.0) and None otherwise, and the supports
-that point products, set convolutions and translates read come from it
-first.  A row whose unit mass is only within ``TOL_ATOM`` of 1 keeps the
+that point products, set convolutions, translates and the center test read
+come from it first.  A row whose unit mass is only within ``TOL_ATOM`` of 1 keeps the
 memo.  A translate visits only the points it needs instead of the whole
 carrier: by the support-reversal law of hypergroups, delta_x * delta_y has
 an atom at u exactly when delta_u * delta_{y^-} has one at x, so the pair

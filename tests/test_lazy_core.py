@@ -694,9 +694,9 @@ def test_a_row_one_bit_off_its_transpose_matches_the_plain_loop(data):
     assert model.verify_axioms(bound) == ref.verify_axioms(bound)
 
 
-def test_a_row_one_bit_off_its_transpose_takes_the_plain_loop(monkeypatch):
-    # On Z_3 every triple fits, so the plain loop compares the sides of all
-    # 27 after the 9 adjoint comparisons; sharing sides compares fewer.
+@pytest.fixture
+def deviation_calls(monkeypatch):
+    """A list that grows by one per hypergroups._max_deviation call."""
     calls = []
     original = hypergroups._max_deviation
 
@@ -705,6 +705,13 @@ def test_a_row_one_bit_off_its_transpose_takes_the_plain_loop(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(hypergroups, "_max_deviation", counting)
+    return calls
+
+
+def test_a_row_one_bit_off_its_transpose_takes_the_plain_loop(deviation_calls):
+    # On Z_3 every triple fits, so the plain loop compares the sides of all
+    # 27 after the 9 adjoint comparisons; sharing sides compares fewer.
+    calls = deviation_calls
     conv = {(i, j): {(i + j) % 3: 1.0} for i in range(3) for j in range(3)}
     counts = []
     for table in (conv, {**conv, (1, 2): {0: math.nextafter(1.0, 0.0)}}):
@@ -715,21 +722,13 @@ def test_a_row_one_bit_off_its_transpose_takes_the_plain_loop(monkeypatch):
     assert counts[0] < counts[1] == 9 + 27
 
 
-def test_associativity_sums_each_side_once_per_multiset(monkeypatch):
+def test_associativity_sums_each_side_once_per_multiset(deviation_calls):
     # A work count, not a time.  On su2(40), 12 341 of the 68 921 ordered
     # triples fit the window; the plain loop compares the two sides of each
     # (12 341 calls) after the 41^2 adjoint comparisons, 14 022 in all.
     # Sharing the sides of a multiset halves the triple comparisons.
-    calls = []
-    original = hypergroups._max_deviation
-
-    def counting(a, b):
-        calls.append(1)
-        return original(a, b)
-
-    monkeypatch.setattr(hypergroups, "_max_deviation", counting)
     assert hz.su2(40).verify_axioms(40) == []
-    assert len(calls) <= 41**2 + 0.6 * 12_341
+    assert len(deviation_calls) <= 41**2 + 0.6 * 12_341
 
 
 def test_mixed_masses_are_reported_not_raised():
