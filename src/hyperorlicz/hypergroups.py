@@ -18,11 +18,13 @@ an atom at u exactly when delta_u * delta_{y^-} has one at x, so the pair
 (u, y^-) lists the preimages of u and says whether they fit the window.
 Exact results whose support leaves the window raise
 :class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever truncated
-silently.  The associativity check sums a side of a triple only once it is
-known to fit, and where the rows it reads are bitwise symmetric (every
-family here but a non-commutative or broken table) it sums each side once
-per multiset of labels and shares it among the orderings, with the same
-findings in the same order as the plain triple loop.
+silently.  The associativity check takes a side of a triple only once it is
+known to fit, and a side built on a unit row {u: 1.0} is the memo's row
+(u, c) itself, with no sum.  Where the rows it reads are bitwise symmetric
+(every family here but a non-commutative or broken table) it takes each
+side once per multiset of labels, shares it among the orderings, and skips
+comparing two sides that are one shared unit row, with the same findings
+in the same order as the plain triple loop.
 
 All operations are pure.  The memo only ever adds entries equal to what any
 caller would compute, so instances can be shared between threads: a race
@@ -104,6 +106,15 @@ def _is_point_mass(atoms: Mapping[int, float], label: int) -> bool:
 
 def is_point_mass_at(mu: SparseMeasure, label: int) -> bool:
     return _is_point_mass(mu._lookup, label)
+
+
+def _unit_label(atoms: Mapping[int, float]) -> int | None:
+    """u where atoms is exactly {u: 1.0}, else None."""
+    if len(atoms) == 1:
+        for u, m in atoms.items():
+            if m == 1.0:
+                return u
+    return None
 
 
 def _max_deviation(a: Mapping[int, float], b: Mapping[int, float]) -> float:
@@ -273,7 +284,7 @@ class _TableFamily(_Family):
             (x, y): dict(SparseMeasure.from_dict(conv[(x, y)]).atoms)
             for x in self._carrier for y in self._carrier}
         self._units = {xy: u for xy, atoms in self._conv.items()
-                       if len(atoms) == 1 for u, m in atoms.items() if m == 1.0}
+                       if (u := _unit_label(atoms)) is not None}
 
     def involution(self, x):
         return self._inv[x]
@@ -328,6 +339,8 @@ class HypergroupModel:
             raise ValueError("identity label missing from carrier")
         # (x, y) -> (atoms of delta_x * delta_y in label order, support fits)
         self._pairs: dict[tuple[int, int], tuple[dict[int, float], bool]] = {}
+        # u -> the one {u: 1.0} dict that every such row of _pairs holds
+        self._unit_rows: dict[int, dict[int, float]] = {}
         # labels checked -> verify_axioms findings on them
         self._findings: dict[tuple[int, ...], tuple[AxiomViolation, ...]] = {}
         # label -> whether it is central, filled in by is_central
@@ -377,11 +390,19 @@ class HypergroupModel:
 
     def _pair(self, x: int, y: int) -> tuple[dict[int, float], bool]:
         """Memoised (atoms, fits) of delta_x * delta_y: the exact nonzero
-        atoms in label order, and whether they all lie in the window."""
+        atoms in label order, and whether they all lie in the window.
+
+        Every row that is exactly {u: 1.0} is one dict per u, shared by all
+        such rows, so the associativity sweep can tell two equal unit sides
+        by identity.  No reader of the memo (translate, translated_weight,
+        convolve_*, is_central, _check_axioms) mutates a row."""
         entry = self._pairs.get((x, y))
         if entry is None:
             raw = self._fam.raw_convolve(x, y)
             atoms = {u: m for u, m in sorted(raw.items()) if m != 0.0}
+            u = _unit_label(atoms)
+            if u is not None:
+                atoms = self._unit_rows.setdefault(u, atoms)
             labels = self._labels
             entry = (atoms, all(u in labels for u in atoms))
             self._pairs[(x, y)] = entry
@@ -503,11 +524,14 @@ class HypergroupModel:
         inside the window; out-of-window triples are skipped.  Where
         delta_u * delta_c and delta_c * delta_u are equal for every c checked
         and every u those triples reach, which is derived from the rows and
-        never declared, (delta_a * delta_b) * delta_c is summed once per
+        never declared, (delta_a * delta_b) * delta_c is taken once per
         multiset {a, b, c} and shared among its orderings; elsewhere each
-        ordered triple sums its two sides.  Both give the same violations in
-        the same order, bit for bit.  Violations come
-        grouped by axiom in the order of :data:`AXIOMS`, each group in label
+        ordered triple takes its two sides.  A side on a unit row is that
+        row, not a sum, and where the rows commute two sides that are one
+        shared unit row are not compared, which skips most comparisons on
+        the integers, an abelian Cayley table or the off-diagonal of
+        Dunkl-Ramirez.  Both give the same violations in the same order, bit for bit.
+        Violations come grouped by axiom in the order of :data:`AXIOMS`, each group in label
         order.  The findings are memoised per set of labels checked, so a
         table validated at load is not checked again; each call returns a
         new list.
@@ -556,37 +580,59 @@ class HypergroupModel:
         """(delta_x * delta_y) * delta_z against delta_x * (delta_y * delta_z)
         for x, y, z in pts, in the order of the plain triple loop.
 
-        Each side is summed in a plain dict, the point masses contributing
-        exact unit factors, and only once it is known to fit: bit k of
-        fit[u] says whether (u, pts[k]) fits, and bit k of left[i][j],
-        the AND of fit over the support of (pts[i], pts[j]), whether
-        (pts[i] pts[j]) pts[k] does; right[j][k] likewise holds bit i where
-        pts[i] (pts[j] pts[k]) fits.  Where the rows commute on the labels
-        the sides read, each side serves every ordering of its multiset.
+        The rows of pts x pts are read once.  A side is taken only once it
+        is known to fit: bit k of fit[u] says whether (u, pts[k]) fits, and
+        bit k of left[i][j], the AND of fit over the support of
+        (pts[i], pts[j]), whether (pts[i] pts[j]) pts[k] does; right[j][k]
+        likewise holds bit i where pts[i] (pts[j] pts[k]) fits.  A side
+        whose first product is a unit row {u: 1.0} is the row it equals,
+        (u, c) on the left or (a, u) on the right, with no sum: the sum
+        would add 1.0 * w to 0.0 for each mass w of that row, in its order,
+        which gives the row's bits.  Any other side is summed in a plain
+        dict.  Where the rows commute on the labels the sides read, each
+        side serves every ordering of its multiset, and two sides that are
+        one object (two unit sides on one label, see _pair) are not
+        compared; which orderings a multiset compares is decided by its
+        indices alone.  The plain loop compares every fitting triple.
         """
         pair = self._pair
         pairs = self._pairs
+        entries = [[pair(x, y) for y in pts] for x in pts]
+        rows = [[atoms for atoms, _ in row] for row in entries]
         reach = set(pts)  # pts and the supports of their fitting pairs
-        for x in pts:
-            for y in pts:
-                atoms, fits = pair(x, y)
+        for row in entries:
+            for atoms, fits in row:
                 if fits:
                     reach.update(atoms)
 
         def pair_masks(fit):
-            rows = []
-            for x in pts:
-                row = []
-                for y in pts:
-                    atoms, fits = pair(x, y)
+            masks = []
+            for row in entries:
+                line = []
+                for atoms, fits in row:
                     m = 0
                     if fits:
                         m = -1
                         for u in atoms:
                             m &= fit[u]
-                    row.append(m)
-                rows.append(row)
-            return rows
+                    line.append(m)
+                masks.append(line)
+            return masks
+
+        def unit_columns(col):
+            """[j][k] -> col(u) where (pts[j], pts[k]) fits and is the unit
+            row {u: 1.0}, one list per u; None elsewhere."""
+            cols: dict[int, list[dict[int, float]]] = {}
+            out = []
+            for row in entries:
+                line = []
+                for atoms, fits in row:
+                    u = _unit_label(atoms) if fits else None
+                    if u is not None and u not in cols:
+                        cols[u] = col(u)
+                    line.append(None if u is None else cols[u])
+                out.append(line)
+            return out
 
         # Equal rows are equal dicts in label order (_pair sorts), so where
         # every (u, c) row equals its (c, u) row, each sum below has the same
@@ -596,20 +642,14 @@ class HypergroupModel:
                            for u in reach})
         right = left if commutes else pair_masks(
             {u: sum(1 << k for k, c in enumerate(pts) if pair(c, u)[1]) for u in reach})
+        # left_units[i][j][k] is (pts[i] pts[j]) pts[k] where pts[i] pts[j] is a unit row
+        left_units = unit_columns(lambda u: [pairs[(u, c)][0] for c in pts])
 
         def side(ab, c):
             """(delta_a * delta_b) * delta_c from the atoms of ab."""
             s: dict[int, float] = {}
             for u, m in ab.items():
                 for t, w in pairs[(u, c)][0].items():
-                    s[t] = s.get(t, 0.0) + m * w
-            return s
-
-        def side_right(a, bc):
-            """delta_a * (delta_b * delta_c) from the atoms of bc."""
-            s: dict[int, float] = {}
-            for v, m in bc.items():
-                for t, w in pairs[(a, v)][0].items():
                     s[t] = s.get(t, 0.0) + m * w
             return s
 
@@ -630,41 +670,66 @@ class HypergroupModel:
             # R = (bc)a, and each of its six orderings compares two of them:
             # (a,b,c) and (c,b,a) P with R, (a,c,b) and (b,c,a) Q with R,
             # (b,a,c) and (c,a,b) P with Q.  i == j makes R the sum Q is and
-            # j == k makes Q the sum P is; a side never deviates from itself.
+            # j == k makes Q the sum P is, which leaves P with R alone.  The
+            # indices say which comparisons remain: two sides of distinct
+            # orderings can be one shared unit row, and are then equal.
             for i in range(n):
-                a = pts[i]
+                a, left_i, units_i, rows_i = pts[i], left[i], left_units[i], rows[i]
                 for j in range(i, n):
-                    b = pts[j]
-                    ab = pair(a, b)[0]
+                    b, ab_fit, ab_units = pts[j], left_i[j], units_i[j]
+                    left_j, units_j, rows_j = left[j], left_units[j], rows[j]
                     for k in range(j, n):
-                        c = pts[k]
-                        P = side(ab, c) if left[i][j] >> k & 1 else None
+                        if ab_fit >> k & 1:
+                            P = side(rows_i[j], pts[k]) if ab_units is None else ab_units[k]
+                        else:
+                            P = None
                         if j == k:
                             Q = P
+                        elif left_i[k] >> j & 1:
+                            units = units_i[k]
+                            Q = side(rows_i[k], b) if units is None else units[j]
                         else:
-                            Q = side(pair(a, c)[0], b) if left[i][k] >> j & 1 else None
+                            Q = None
                         if P is None and Q is None:
                             continue
                         if i == j:
                             R = Q
+                        elif left_j[k] >> i & 1:
+                            units = units_j[k]
+                            R = side(rows_j[k], a) if units is None else units[i]
                         else:
-                            R = side(pair(b, c)[0], a) if left[j][k] >> i & 1 else None
-                        if R is not None:
-                            if P is not None and P is not R:
-                                check(P, R, (i, j, k), (k, j, i))
-                            if Q is not None and Q is not R and Q is not P:
-                                check(Q, R, (i, k, j), (j, k, i))
-                        if P is not None and Q is not None and P is not Q and R is not Q:
+                            R = None
+                        if R is not None and P is not None and P is not R:
+                            check(P, R, (i, j, k), (k, j, i))
+                        if i == j or j == k:
+                            continue
+                        if R is not None and Q is not None and Q is not R:
+                            check(Q, R, (i, k, j), (j, k, i))
+                        if P is not None and Q is not None and P is not Q:
                             check(P, Q, (j, i, k), (k, i, j))
         else:
+            # right_units[j][k][i] is pts[i] (pts[j] pts[k]) where pts[j] pts[k] is a unit row
+            right_units = unit_columns(lambda v: [pairs[(a, v)][0] for a in pts])
+
+            def side_right(a, bc):
+                """delta_a * (delta_b * delta_c) from the atoms of bc."""
+                s: dict[int, float] = {}
+                for v, m in bc.items():
+                    for t, w in pairs[(a, v)][0].items():
+                        s[t] = s.get(t, 0.0) + m * w
+                return s
+
             for i, x in enumerate(pts):
                 bit = 1 << i
                 for j, y in enumerate(pts):
                     lm, rj = left[i][j], right[j]
+                    xy, xy_units = rows[i][j], left_units[i][j]
                     for k, z in enumerate(pts):
                         if lm >> k & 1 and rj[k] & bit:
-                            check(side(pair(x, y)[0], z),
-                                  side_right(x, pair(y, z)[0]), (i, j, k))
+                            yz_units = right_units[j][k]
+                            check(side(xy, z) if xy_units is None else xy_units[k],
+                                  side_right(x, rows[j][k]) if yz_units is None
+                                  else yz_units[i], (i, j, k))
         return [hits[key] for key in sorted(hits)]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -310,6 +311,17 @@ def _gauge_exceeds(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
     return k == 0.0 or modular(1.0 / k) > 1.0 + _PRUNE_MARGIN
 
 
+@lru_cache(maxsize=256)
+def _gauge_start(phi: YoungFunction, level: float) -> float | None:
+    """young_inverse(phi, level), positive at a positive level, or None
+    where phi never reaches it; young_inverse is pure, so each (phi, level)
+    is searched once."""
+    try:
+        return young_inverse(phi, level)
+    except NonFiniteIntegrand:
+        return None
+
+
 def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction) -> tuple[float, float, int]:
     """(lo, hi, iterations) of the gauge search on nonempty _support pairs
     whose largest a lies in [1/2, 1): the modular of a / k exceeds 1 at
@@ -323,11 +335,8 @@ def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction) -> tuple[float,
         return modular(1.0 / k) > 1.0
 
     fmax = max(a for a, _ in pairs)
-    m_min = min(h for _, h in pairs)
-    try:  # young_inverse is positive at a positive level
-        k0 = min(max(fmax / young_inverse(phi, 1.0 / m_min), fmax * _FLOAT_MIN), _FLOAT_MAX)
-    except NonFiniteIntegrand:
-        k0 = fmax
+    t0 = _gauge_start(phi, 1.0 / min(h for _, h in pairs))
+    k0 = fmax if t0 is None else min(max(fmax / t0, fmax * _FLOAT_MIN), _FLOAT_MAX)
     iters = 0
     if excess(k0):
         lo = hi = k0

@@ -331,10 +331,12 @@ def skewed_integers(draw, symmetric=False):
 
 
 @st.composite
-def broken_tables(draw, symmetric=False, odd_bit=False):
+def broken_tables(draw, symmetric=False, odd_bit=False, unit=False):
     """A cyclic table with some rows replaced by a two-atom split of unit
     mass; rows (x, x^-) keep the identity so the invariant measure exists.
     Every row keeps mass one, which the allocating reference loop needs.
+    With ``unit`` a replaced row is instead the unit atom {p: 1.0} at a
+    drawn label, so sides of distinct orderings can be one shared unit row.
     With ``symmetric`` rows (x, y) and (y, x) get the same split, so the
     broken table still commutes; ``odd_bit`` then moves one mass of one row
     off the diagonal down by an ulp, so that row differs from its
@@ -344,9 +346,12 @@ def broken_tables(draw, symmetric=False, odd_bit=False):
     pairs = [(x, y) for x in labels for y in labels if y != involution[x]]
     for x, y in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4,
                               unique=True)):
-        p, q = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2,
-                             unique=True))
-        conv[(x, y)] = {p: 0.25, q: 0.75}
+        if unit:
+            conv[(x, y)] = {draw(st.sampled_from(labels)): 1.0}
+        else:
+            p, q = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2,
+                                 unique=True))
+            conv[(x, y)] = {p: 0.25, q: 0.75}
         if symmetric:
             conv[(y, x)] = conv[(x, y)]
     if odd_bit:
@@ -665,7 +670,8 @@ def test_verify_axioms_matches_allocating_loop(data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(broken_tables(), skewed_integers()))
+@given(st.one_of(broken_tables(), skewed_integers(), broken_tables(unit=True),
+                 broken_tables(symmetric=True, unit=True)))
 def test_broken_model_violations_match(pair):
     model, ref = pair
     got = model.verify_axioms(model.window)
@@ -679,7 +685,8 @@ def test_shared_sides_match_the_plain_loop_on_commuting_models(data):
     # multiset of labels; the violations must be the plain loop's, in its
     # order, at any bound.
     model, ref = data.draw(st.one_of(broken_tables(symmetric=True),
-                                     skewed_integers(symmetric=True)))
+                                     skewed_integers(symmetric=True),
+                                     broken_tables(symmetric=True, unit=True)))
     bound = data.draw(st.integers(0, model.window))
     assert model.verify_axioms(bound) == ref.verify_axioms(bound)
 
@@ -720,6 +727,32 @@ def test_a_row_one_bit_off_its_transpose_takes_the_plain_loop(deviation_calls):
         assert model.verify_axioms(2) == []
         counts.append(len(calls))
     assert counts[0] < counts[1] == 9 + 27
+
+
+def test_commuting_unit_rows_keep_every_violation():
+    # 1*2 = 0, 1*3 = 1 and 2*3 = 1 are unit rows of a broken commuting
+    # table, so sides of distinct orderings of one multiset can be one
+    # shared unit row.  Taking that for an ordering compared with itself
+    # loses (2, 1, 3) and (3, 1, 2); only the indices say which remain.
+    conv = {(x, y): {x + y if 0 in (x, y) else 0: 1.0}
+            for x in range(4) for y in range(4)}
+    for (x, y), u in {(1, 2): 0, (1, 3): 1, (2, 3): 1}.items():
+        conv[(x, y)] = conv[(y, x)] = {u: 1.0}
+    model = hz.table_hypergroup(conv, {x: x for x in range(4)}, validate=False)
+    ref = EagerReference(model, raw=lambda x, y: conv[(x, y)], space=model.in_window)
+    got = model.verify_axioms(3)
+    assert got == ref.verify_axioms(3)
+    witnesses = [v.witness for v in got if v.axiom == "associativity"]
+    assert len(witnesses) == 14
+    assert (2, 1, 3) in witnesses and (3, 1, 2) in witnesses
+
+
+def test_unit_sides_are_rows_and_never_compared_with_themselves(deviation_calls):
+    # A work count, not a time.  Every side on the integers is a unit row,
+    # shared per label, so associativity makes no comparison and only the
+    # 49^2 adjoint comparisons remain; summing every side made 31 225.
+    assert hz.integer_group(24).verify_axioms(24) == []
+    assert len(deviation_calls) <= 49**2
 
 
 def test_associativity_sums_each_side_once_per_multiset(deviation_calls):

@@ -973,6 +973,37 @@ def test_a_norm_call_builds_no_sparse_function(monkeypatch):
     assert built == []
 
 
+def test_gauge_search_starts_from_one_bisection_per_level(monkeypatch):
+    # A work count, not a time.  The gauge search starts from
+    # young_inverse(phi, 1 / least Haar weight), which is pure, so it is
+    # searched once per (phi, level) and every norm keeps its bits.  On
+    # su2 each support below holds 0, whose Haar weight 1 is the least.
+    model = hz.su2(8)
+    functions = [hz.SparseFunction.from_dict({x: 1.0 + x / 7.0 for x in range(k + 1)})
+                 for k in range(4)]
+    young = (hz.phi_p(2.5), hz.exp_minus_linear(),
+             hz.tabulated_young([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]))
+    fresh = []
+    for phi in young:
+        for f in functions:
+            orlicz._gauge_start.cache_clear()
+            fresh.append((hz.luxemburg_norm(model, f, phi), hz.orlicz_norm(model, f, phi)))
+    levels = []
+    inverse = orlicz.young_inverse
+
+    def counted(phi, y):
+        levels.append((phi, y))
+        return inverse(phi, y)
+
+    monkeypatch.setattr(orlicz, "young_inverse", counted)
+    orlicz._gauge_start.cache_clear()
+    for _ in range(3):
+        again = [(hz.luxemburg_norm(model, f, phi), hz.orlicz_norm(model, f, phi))
+                 for phi in young for f in functions]
+        assert again == fresh
+    assert levels == [(phi, 1.0) for phi in young]
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_phi_p_norms_match_their_closed_forms(all_models, data):
