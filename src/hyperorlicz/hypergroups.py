@@ -530,11 +530,11 @@ class HypergroupModel:
         row, not a sum, and where the rows commute two sides that are one
         shared unit row are not compared, which skips most comparisons on
         the integers, an abelian Cayley table or the off-diagonal of
-        Dunkl-Ramirez.  Both give the same violations in the same order, bit for bit.
-        Violations come grouped by axiom in the order of :data:`AXIOMS`, each group in label
-        order.  The findings are memoised per set of labels checked, so a
-        table validated at load is not checked again; each call returns a
-        new list.
+        Dunkl-Ramirez.  Both give the same violations in the same order, bit
+        for bit.  Violations come grouped by axiom in the order of
+        :data:`AXIOMS`, each group in label order.  The findings are
+        memoised per set of labels checked, so a table validated at load is
+        not checked again; each call returns a new list.
         """
         pts = tuple(x for x in self.carrier if abs(x) <= triple_bound)
         findings = self._findings.get(pts)
@@ -642,7 +642,8 @@ class HypergroupModel:
                            for u in reach})
         right = left if commutes else pair_masks(
             {u: sum(1 << k for k, c in enumerate(pts) if pair(c, u)[1]) for u in reach})
-        # left_units[i][j][k] is (pts[i] pts[j]) pts[k] where pts[i] pts[j] is a unit row
+        # left_units[i][j][k] is (pts[i] pts[j]) pts[k] where pts[i] pts[j]
+        # is a unit row
         left_units = unit_columns(lambda u: [pairs[(u, c)][0] for c in pts])
 
         def side(ab, c):
@@ -650,6 +651,14 @@ class HypergroupModel:
             s: dict[int, float] = {}
             for u, m in ab.items():
                 for t, w in pairs[(u, c)][0].items():
+                    s[t] = s.get(t, 0.0) + m * w
+            return s
+
+        def side_right(a, bc):
+            """delta_a * (delta_b * delta_c) from the atoms of bc."""
+            s: dict[int, float] = {}
+            for v, m in bc.items():
+                for t, w in pairs[(a, v)][0].items():
                     s[t] = s.get(t, 0.0) + m * w
             return s
 
@@ -708,17 +717,9 @@ class HypergroupModel:
                         if P is not None and Q is not None and P is not Q:
                             check(P, Q, (j, i, k), (k, i, j))
         else:
-            # right_units[j][k][i] is pts[i] (pts[j] pts[k]) where pts[j] pts[k] is a unit row
+            # right_units[j][k][i] is pts[i] (pts[j] pts[k]) where
+            # pts[j] pts[k] is a unit row
             right_units = unit_columns(lambda v: [pairs[(a, v)][0] for a in pts])
-
-            def side_right(a, bc):
-                """delta_a * (delta_b * delta_c) from the atoms of bc."""
-                s: dict[int, float] = {}
-                for v, m in bc.items():
-                    for t, w in pairs[(a, v)][0].items():
-                        s[t] = s.get(t, 0.0) + m * w
-                return s
-
             for i, x in enumerate(pts):
                 bit = 1 << i
                 for j, y in enumerate(pts):

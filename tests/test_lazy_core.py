@@ -732,8 +732,9 @@ def test_a_row_one_bit_off_its_transpose_takes_the_plain_loop(deviation_calls):
 def test_commuting_unit_rows_keep_every_violation():
     # 1*2 = 0, 1*3 = 1 and 2*3 = 1 are unit rows of a broken commuting
     # table, so sides of distinct orderings of one multiset can be one
-    # shared unit row.  Taking that for an ordering compared with itself
-    # loses (2, 1, 3) and (3, 1, 2); only the indices say which remain.
+    # shared unit row.  Guarding the comparisons by identity, as if such a
+    # row meant a repeated label, loses (2, 1, 3) and (3, 1, 2); only the
+    # indices say which comparisons remain.
     conv = {(x, y): {x + y if 0 in (x, y) else 0: 1.0}
             for x in range(4) for y in range(4)}
     for (x, y), u in {(1, 2): 0, (1, 3): 1, (2, 3): 1}.items():
