@@ -19,12 +19,12 @@ an atom at u exactly when delta_u * delta_{y^-} has one at x, so the pair
 Exact results whose support leaves the window raise
 :class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever truncated
 silently.  The associativity check takes a side of a triple only once it is
-known to fit, and a side built on a unit row {u: 1.0} is the memo's row
-(u, c) itself, with no sum.  Where the rows it reads are bitwise symmetric
-(every family here but a non-commutative or broken table) it takes each
-side once per multiset of labels, shares it among the orderings, and skips
-comparing two sides that are one shared unit row, with the same findings
-in the same order as the plain triple loop.
+known to fit.  Where the rows it reads are bitwise symmetric (every family
+here but a non-commutative or broken table) it takes each side once per
+multiset of labels and shares it among the orderings; a side built on a
+unit row {u: 1.0} is then the memo's row (u, c) itself, with no sum, and
+two sides that are one shared unit row are not compared.  The findings are
+those of the plain triple loop, in its order.
 
 All operations are pure.  The memo only ever adds entries equal to what any
 caller would compute, so instances can be shared between threads: a race
@@ -525,16 +525,16 @@ class HypergroupModel:
         delta_u * delta_c and delta_c * delta_u are equal for every c checked
         and every u those triples reach, which is derived from the rows and
         never declared, (delta_a * delta_b) * delta_c is taken once per
-        multiset {a, b, c} and shared among its orderings; elsewhere each
-        ordered triple takes its two sides.  A side on a unit row is that
-        row, not a sum, and where the rows commute two sides that are one
-        shared unit row are not compared, which skips most comparisons on
-        the integers, an abelian Cayley table or the off-diagonal of
-        Dunkl-Ramirez.  Both give the same violations in the same order, bit
-        for bit.  Violations come grouped by axiom in the order of
-        :data:`AXIOMS`, each group in label order.  The findings are
-        memoised per set of labels checked, so a table validated at load is
-        not checked again; each call returns a new list.
+        multiset {a, b, c} and shared among its orderings; there a side on
+        a unit row is that row, not a sum, and two sides that are one shared
+        unit row are not compared, which skips most comparisons on the
+        integers, an abelian Cayley table or the off-diagonal of
+        Dunkl-Ramirez.  Elsewhere each ordered triple sums its two sides.
+        Both give the same violations in the same order, bit for bit.
+        Violations come grouped by axiom in the order of :data:`AXIOMS`,
+        each group in label order.  The findings are memoised per set of
+        labels checked, so a table validated at load is not checked again;
+        each call returns a new list.
         """
         pts = tuple(x for x in self.carrier if abs(x) <= triple_bound)
         findings = self._findings.get(pts)
@@ -584,16 +584,16 @@ class HypergroupModel:
         is known to fit: bit k of fit[u] says whether (u, pts[k]) fits, and
         bit k of left[i][j], the AND of fit over the support of
         (pts[i], pts[j]), whether (pts[i] pts[j]) pts[k] does; right[j][k]
-        likewise holds bit i where pts[i] (pts[j] pts[k]) fits.  A side
-        whose first product is a unit row {u: 1.0} is the row it equals,
-        (u, c) on the left or (a, u) on the right, with no sum: the sum
-        would add 1.0 * w to 0.0 for each mass w of that row, in its order,
-        which gives the row's bits.  Any other side is summed in a plain
-        dict.  Where the rows commute on the labels the sides read, each
-        side serves every ordering of its multiset, and two sides that are
-        one object (two unit sides on one label, see _pair) are not
-        compared; which orderings a multiset compares is decided by its
-        indices alone.  The plain loop compares every fitting triple.
+        likewise holds bit i where pts[i] (pts[j] pts[k]) fits.  Where the
+        rows commute on the labels the sides read, each side serves every
+        ordering of its multiset, and a side whose first product is a unit
+        row {u: 1.0} is the row (u, c) it equals, with no sum: the sum would
+        add 1.0 * w to 0.0 for each mass w of that row, in its order, which
+        gives the row's bits.  Two sides that are one object (two unit
+        sides on one label, see _pair) are not compared; which orderings a
+        multiset compares is decided by its indices alone.  Any other side,
+        and every side of the plain loop, is summed in a plain dict; the
+        plain loop compares every fitting triple.
         """
         pair = self._pair
         pairs = self._pairs
@@ -619,21 +619,6 @@ class HypergroupModel:
                 masks.append(line)
             return masks
 
-        def unit_columns(col):
-            """[j][k] -> col(u) where (pts[j], pts[k]) fits and is the unit
-            row {u: 1.0}, one list per u; None elsewhere."""
-            cols: dict[int, list[dict[int, float]]] = {}
-            out = []
-            for row in entries:
-                line = []
-                for atoms, fits in row:
-                    u = _unit_label(atoms) if fits else None
-                    if u is not None and u not in cols:
-                        cols[u] = col(u)
-                    line.append(None if u is None else cols[u])
-                out.append(line)
-            return out
-
         # Equal rows are equal dicts in label order (_pair sorts), so where
         # every (u, c) row equals its (c, u) row, each sum below has the same
         # terms in the same order whichever way round its pairs are read.
@@ -642,9 +627,6 @@ class HypergroupModel:
                            for u in reach})
         right = left if commutes else pair_masks(
             {u: sum(1 << k for k, c in enumerate(pts) if pair(c, u)[1]) for u in reach})
-        # left_units[i][j][k] is (pts[i] pts[j]) pts[k] where pts[i] pts[j]
-        # is a unit row
-        left_units = unit_columns(lambda u: [pairs[(u, c)][0] for c in pts])
 
         def side(ab, c):
             """(delta_a * delta_b) * delta_c from the atoms of ab."""
@@ -682,6 +664,18 @@ class HypergroupModel:
             # j == k makes Q the sum P is, which leaves P with R alone.  The
             # indices say which comparisons remain: two sides of distinct
             # orderings can be one shared unit row, and are then equal.
+            # left_units[i][j][k] is (pts[i] pts[j]) pts[k] where
+            # pts[i] pts[j] fits and is a unit row {u: 1.0}, one list per u.
+            cols: dict[int, list[dict[int, float]]] = {}
+            left_units = []
+            for row in entries:
+                line = []
+                for atoms, fits in row:
+                    u = _unit_label(atoms) if fits else None
+                    if u is not None and u not in cols:
+                        cols[u] = [pairs[(u, c)][0] for c in pts]
+                    line.append(None if u is None else cols[u])
+                left_units.append(line)
             for i in range(n):
                 a, left_i, units_i, rows_i = pts[i], left[i], left_units[i], rows[i]
                 for j in range(i, n):
@@ -717,20 +711,13 @@ class HypergroupModel:
                         if P is not None and Q is not None and P is not Q:
                             check(P, Q, (j, i, k), (k, i, j))
         else:
-            # right_units[j][k][i] is pts[i] (pts[j] pts[k]) where
-            # pts[j] pts[k] is a unit row
-            right_units = unit_columns(lambda v: [pairs[(a, v)][0] for a in pts])
             for i, x in enumerate(pts):
                 bit = 1 << i
-                for j, y in enumerate(pts):
-                    lm, rj = left[i][j], right[j]
-                    xy, xy_units = rows[i][j], left_units[i][j]
+                for j in range(n):
+                    lm, rj, xy = left[i][j], right[j], rows[i][j]
                     for k, z in enumerate(pts):
                         if lm >> k & 1 and rj[k] & bit:
-                            yz_units = right_units[j][k]
-                            check(side(xy, z) if xy_units is None else xy_units[k],
-                                  side_right(x, rows[j][k]) if yz_units is None
-                                  else yz_units[i], (i, j, k))
+                            check(side(xy, z), side_right(x, rows[j][k]), (i, j, k))
         return [hits[key] for key in sorted(hits)]
 
 

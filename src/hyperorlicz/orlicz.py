@@ -315,7 +315,9 @@ def _gauge_exceeds(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
 def _gauge_start(phi: YoungFunction, level: float) -> float | None:
     """young_inverse(phi, level), positive at a positive level, or None
     where phi never reaches it; young_inverse is pure, so each (phi, level)
-    is searched once."""
+    is searched once.  The cache key hashes phi's whole knots tuple on every
+    call, O(len(knots)): with 10 000 knots a hit costs more than the
+    bisection it saves, with the few knots of the shipped tables far less."""
     try:
         return young_inverse(phi, level)
     except NonFiniteIntegrand:

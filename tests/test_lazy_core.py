@@ -669,7 +669,7 @@ def test_verify_axioms_matches_allocating_loop(data):
     assert model.verify_axioms(bound) == ref.verify_axioms(bound)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)  # about 15 per strategy
 @given(st.one_of(broken_tables(), skewed_integers(), broken_tables(unit=True),
                  broken_tables(symmetric=True, unit=True)))
 def test_broken_model_violations_match(pair):
@@ -678,7 +678,7 @@ def test_broken_model_violations_match(pair):
     assert got == ref.verify_axioms(model.window)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)  # about 30 per strategy
 @given(st.data())
 def test_shared_sides_match_the_plain_loop_on_commuting_models(data):
     # Commuting rows let one sum of each side serve every ordering of a
