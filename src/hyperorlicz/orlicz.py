@@ -4,19 +4,21 @@ The gauge (Luxemburg) norm is the smallest scaling that pushes the modular
 integral down to 1; it is found by bisection on a bracketed scaling, so the
 returned value always satisfies the defining inequality at
 value*(1+RTOL_NORM).  The dual-style norm is evaluated through its infimum form
-inf_k (1 + modular(k f)) / k, which is convex in 1/k, so a coarse log-spaced
-scan followed by golden-section refinement finds the minimum deterministically
-(Rao & Ren, Theory of Orlicz Spaces, 1991).  Each norm call builds its modular
-once, as a closure over the support's (|v|, haar) pairs, and evaluates it at
-every step of its search.  Infinity is an explicit sentinel (math.inf), never
-a float overflow.
+inf_k (1 + modular(k f)) / k.  By Young's equality psi(phi'(t)) = t phi'(t) -
+phi(t), psi the complementary function, the objective falls while the modular
+of psi(phi') at k f is below 1 and rises beyond, and that modular is
+nondecreasing in k; so the minimiser is a monotone root, found by the same
+bracket and bisection as the gauge norm (Rao & Ren, Theory of Orlicz Spaces,
+1991; Hudzik & Maligranda, Indag. Math. 11, 2000).  Each norm call builds its
+modulars once, as closures over the support's (|v|, haar) pairs, and
+evaluates them at every step of its search.  Infinity is an explicit sentinel
+(math.inf), never a float overflow.
 """
 from __future__ import annotations
 
 import math
 import sys
 from bisect import bisect_right
-from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -29,11 +31,7 @@ _DELTA2_GRID = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
 _REFUTE_RATIO = 1e6
 _FLOAT_MAX = sys.float_info.max  # the gauge search starts at most here
 _FLOAT_MIN = sys.float_info.min  # least normal ratio of a gauge norm to max|f|
-_LOG_MAX = math.log(_FLOAT_MAX)  # the infimum search scans log k up to here
-# Outside these peaks the infimum search rescales the data, so its grid of
-# log k, which reaches about 90 past -log max|f|, stays within the float range.
-_SCAN_PEAKS = (2.0**-512, 2.0**512)
-_SCAN_CAP = 4000  # objective evaluations before the infimum search gives up
+_LOG_MAX = math.log(_FLOAT_MAX)  # e^t - t - 1 overflows beyond here
 _ABSCISSA = itemgetter(0)
 # 1/(j+2)! for j = 17..0: Horner's coefficients of (e^t - 1 - t) / t^2, whose
 # first omitted term is below 2^-70 of the sum at t <= 1/2.
@@ -83,13 +81,9 @@ class YoungFunction(NamedTuple):
         i = bisect_right(ks, t, 1, key=_ABSCISSA)  # first knot beyond t
         if i == len(ks):
             t0, y0 = ks[-1]
-            return y0 + self._final_slope() * (t - t0)
+            return y0 + _slope(self, math.inf) * (t - t0)
         (t0, y0), (t1, y1) = ks[i - 1], ks[i]
         return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
-
-    def _final_slope(self) -> float:
-        (t0, y0), (t1, y1) = self.knots[-2], self.knots[-1]
-        return (y1 - y0) / (t1 - t0)
 
 
 def phi_p(p: float) -> YoungFunction:
@@ -182,7 +176,7 @@ def complementary_eval(phi: YoungFunction, y: float) -> float:
             return math.inf
         return y**q / q
     if phi.kind == "tabulated":
-        if y > phi._final_slope():
+        if y > _slope(phi, math.inf):
             return math.inf
         return max(t * y - v for t, v in phi.knots)
     if phi.kind == "exp_minus_linear":  # (1 + y) log(1 + y) - y
@@ -204,11 +198,50 @@ def complementary_eval(phi: YoungFunction, y: float) -> float:
     return y * math.asinh(y) - y / (math.hypot(1.0, y) + 1.0) * y
 
 
+def _piece(knots: tuple[tuple[float, float], ...],
+           t: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The two knots that bound the piece of a tabulated function right of
+    t, the last two past the last knot."""
+    i = min(bisect_right(knots, t, 1, key=_ABSCISSA), len(knots) - 1)
+    return knots[i - 1], knots[i]
+
+
+def _slope(phi: YoungFunction, t: float) -> float:
+    """The right derivative phi'(t) on [0, inf], inf where it passes the
+    float range; phi'(inf) is its limit, finite only for phi_p(1) (1) and
+    tabulated (the final slope)."""
+    if phi.kind == "tabulated":
+        (t0, y0), (t1, y1) = _piece(phi.knots, t)
+        return (y1 - y0) / (t1 - t0)
+    try:
+        if phi.kind == "phi_p":
+            return t ** (phi.p - 1.0)
+        return math.expm1(t) if phi.kind == "exp_minus_linear" else math.sinh(t)
+    except OverflowError:
+        return math.inf
+
+
+def _dual_term(phi: YoungFunction):
+    """t -> psi(phi'(t)) = t phi'(t) - phi(t) (Young's equality), psi the
+    complementary function; nondecreasing in t.  On a piece of a tabulated
+    function it is the constant t0 s - y0, (t0, y0) the piece's left knot
+    and s its slope.  For the other kinds phi(t) is at most half of
+    t phi'(t), so the difference loses at most one bit to cancellation."""
+    if phi.kind == "tabulated":
+        def term(t: float) -> float:
+            (t0, y0), (t1, y1) = _piece(phi.knots, t)
+            return t0 * ((y1 - y0) / (t1 - t0)) - y0
+    else:
+        def term(t: float) -> float:
+            y = _slope(phi, t)
+            return y if y == math.inf else t * y - phi(t)
+    return term
+
+
 class _NormResultFields(NamedTuple):
     value: float
     iterations: int
     bracket: tuple[float, float]
-    converged: bool = True
 
 
 class NormResult(Checked, _NormResultFields):
@@ -216,8 +249,8 @@ class NormResult(Checked, _NormResultFields):
 
     For the gauge norm the bracket lives in the same units as the value and
     its width is at most RTOL_NORM * value.  For the infimum-form norm the
-    bracket is over the auxiliary scaling variable.  ``converged`` is False
-    when the search stopped at its step cap instead of its tolerance.
+    bracket holds the minimising scaling k, inf where that lies beyond the
+    float range or at infinity.
     """
 
     __slots__ = ()
@@ -239,14 +272,18 @@ def _support(model: HypergroupModel, f: SparseFunction,
     return [(a, haar[x]) for x, v in f.values if (a := math.ldexp(abs(v), shift))]
 
 
-def _modular_of(pairs: list[tuple[float, float]], phi: YoungFunction):
+def _modular_of(pairs: list[tuple[float, float]], phi: YoungFunction,
+                dual: bool = False):
     """modular(scale): the sum of phi(scale * a) * h over the (a, h) pairs of
-    _support, in their order, as the plain loop over ``phi`` would; the power
-    kind is inlined, and takes its overflow guard only from t = 10^(300/p)
-    on, below which the guard cannot fire and t^p cannot overflow."""
+    _support, in their order, as the plain loop over ``phi`` would.  With
+    ``dual`` the term is _dual_term's psi(phi'(t)) instead, for phi_p
+    (p > 1) t^p / q with q = p / (p - 1).  The power kind is
+    inlined, and takes its overflow guard only from t = 10^(300/p) on, below
+    which the guard cannot fire and t^p cannot overflow."""
     inf = math.inf
     if phi.kind == "phi_p":
         p = phi.p
+        d = p / (p - 1.0) if dual else p
         guarded = 10.0 ** (300.0 / p)
 
         def modular(scale: float) -> float:
@@ -255,15 +292,17 @@ def _modular_of(pairs: list[tuple[float, float]], phi: YoungFunction):
                 t = scale * a
                 if t >= guarded and p * math.log10(t) > 308.0:
                     return inf
-                total += t**p / p * h
+                total += t**p / d * h
                 if total == inf:
                     return inf
             return total
     else:
+        term = _dual_term(phi) if dual else phi
+
         def modular(scale: float) -> float:
             total = 0.0
             for a, h in pairs:
-                total += phi(scale * a) * h
+                total += term(scale * a) * h
                 if total == inf:
                     return inf
             return total
@@ -276,6 +315,13 @@ def _ldexp(x: float, e: int) -> float:
         return math.ldexp(x, e)
     except OverflowError:
         return math.inf
+
+
+def _product(x: float, y: float, e: int) -> float:
+    """x * y * 2^e, inf where that exceeds the float range; x * y alone may
+    pass it."""
+    mantissa, exponent = math.frexp(x)
+    return _ldexp(mantissa * y, exponent + e)
 
 
 def _norm_value(x: float, e: int) -> float:
@@ -311,27 +357,37 @@ def _gauge_exceeds(model: HypergroupModel, f: SparseFunction, phi: YoungFunction
     return k == 0.0 or modular(1.0 / k) > 1.0 + _PRUNE_MARGIN
 
 
-@lru_cache(maxsize=256)
+_STARTS: dict[tuple[int, float], tuple[YoungFunction, float | None]] = {}
+
+
 def _gauge_start(phi: YoungFunction, level: float) -> float | None:
     """young_inverse(phi, level), positive at a positive level, or None
-    where phi never reaches it; young_inverse is pure, so each (phi, level)
-    is searched once.  The cache key hashes phi's whole knots tuple on every
-    call, O(len(knots)): with 10 000 knots a hit costs more than the
-    bisection it saves, with the few knots of the shipped tables far less."""
-    try:
-        return young_inverse(phi, level)
-    except NonFiniteIntegrand:
-        return None
+    where phi never reaches it.  young_inverse is pure, so it is memoised
+    per (phi, level), the oldest of 256 entries going first.  The key is
+    phi's id, so no call hashes a knots tuple; each entry holds its phi,
+    so that id names no other object while the entry lasts."""
+    key = (id(phi), level)
+    if key not in _STARTS:
+        try:
+            t = young_inverse(phi, level)
+        except NonFiniteIntegrand:
+            t = None
+        if len(_STARTS) >= 256:
+            del _STARTS[next(iter(_STARTS))]
+        _STARTS[key] = (phi, t)
+    return _STARTS[key][1]
 
 
-def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction) -> tuple[float, float, int]:
-    """(lo, hi, iterations) of the gauge search on nonempty _support pairs
-    whose largest a lies in [1/2, 1): the modular of a / k exceeds 1 at
-    k = lo, not at k = hi, and hi - lo <= RTOL_NORM * hi.  The bracket starts
-    from max a / phi^{-1}(1 / least h), within the normal range of its ratio
-    to max a, and doubles or halves until it straddles 1; NonFiniteIntegrand
-    is raised where that ratio leaves the normal range."""
-    modular = _modular_of(pairs, phi)
+def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction, modular,
+           rtol: float = RTOL_NORM) -> tuple[float, float, int]:
+    """(lo, hi, iterations) of the gauge search of ``modular`` on nonempty
+    _support pairs whose largest a lies in [1/2, 1): modular(a / k) exceeds
+    1 at k = lo, not at k = hi, and hi - lo <= rtol * hi or no float lies
+    between them.  The bracket starts from max a / phi^{-1}(1 / least h),
+    within the normal range of its ratio to max a, and doubles or halves
+    until it straddles 1.  NonFiniteIntegrand is raised where the ratio of
+    hi to max a passes the largest float; where that of lo falls below the
+    least normal float, lo is 0 and hi the last k tested."""
 
     def excess(k: float) -> bool:
         return modular(1.0 / k) > 1.0
@@ -354,9 +410,11 @@ def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction) -> tuple[float,
             lo *= 0.5
             iters += 1
             if lo / fmax < _FLOAT_MIN:
-                raise NonFiniteIntegrand("modular never rises above 1")
-    while hi - lo > RTOL_NORM * hi:
+                return 0.0, hi, iters
+    while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if excess(mid):
             lo = mid
         else:
@@ -378,7 +436,10 @@ def luxemburg_norm(model: HypergroupModel, f: SparseFunction,
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
     shift = -math.frexp(f.max_abs())[1]
-    lo, hi, iters = _gauge(_support(model, f, shift), phi)
+    pairs = _support(model, f, shift)
+    lo, hi, iters = _gauge(pairs, phi, _modular_of(pairs, phi))
+    if lo == 0.0:
+        raise NonFiniteIntegrand("modular never rises above 1")
     hi = _norm_value(hi, -shift)
     return NormResult(hi, iters, (_ldexp(lo, -shift), hi))
 
@@ -387,102 +448,35 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
                 phi: YoungFunction) -> NormResult:
     """Norm through the infimum form inf_k (1 + modular(k f)) / k.
 
-    The objective is convex in 1/k, hence unimodal along log k.  A log-spaced
-    scan brackets the minimiser: it extends to the right while the tail keeps
-    improving (linear-growth kinds have their infimum at infinity), up to
-    k = 1e18 / max|f|, or 1e18 / N, N the gauge norm, where that is larger;
-    once more from k = 1 / (2 N) when its last point is still best there
-    and that bound lies beyond it; and once more from the bound
-    k >= 1 / objective when that lies left of the first grid.  Golden
-    section then refines the bracket to a width of 1e-13 in log k, or of two
-    ulps of log k where that is wider, stopping after _SCAN_CAP objective
-    evaluations with ``converged`` False.  The modular's pairs are read once
-    per call, and N comes from the gauge search on them where they already
-    have unit peak.
+    The objective F(k) has right derivative (modular_G(k f) - 1) / k^2,
+    modular_G the modular of G = psi(phi') (_modular_of with ``dual``),
+    which is nondecreasing in k.  So F is least at k* = inf{k :
+    modular_G(k f) >= 1}, and 1 / k* is the gauge norm of f under G:
+    _gauge brackets it between adjacent floats, from the gauge search's
+    start under phi, and the smaller F of the two ends is returned.  Where
+    phi'(inf) = s is finite and psi(s) m(supp f) <= 1, F never rises, and
+    the value is its limit s ||f||_1.  Where the root lies beyond the float
+    range, F falls at least up to the last k tested, and its value there is
+    within 1 / k of the infimum.
 
-    When max|f| lies outside _SCAN_PEAKS the search runs on f times an exact
-    power of two, and the value and bracket are scaled back (the bracket to
-    inf where it leaves the float range).  NonFiniteIntegrand is raised
-    where the value overflows or underflows to zero, and where 1 / (2 N)
-    lies beyond the largest float.
+    As for the gauge norm, the search runs on f times the power of two that
+    brings max|f| into [1/2, 1); the value and the bracket of k* are scaled
+    back.  NonFiniteIntegrand is raised where the value overflows or
+    underflows to zero, or 1 / k* passes the largest float times max|f|.
     """
     if f.is_zero():
         return NormResult(0.0, 0, (0.0, 0.0))
-    fmax = f.max_abs()
-    unit = -math.frexp(fmax)[1]
-    shift = 0 if _SCAN_PEAKS[0] <= fmax <= _SCAN_PEAKS[1] else unit
+    shift = -math.frexp(f.max_abs())[1]
     pairs = _support(model, f, shift)
-    fmax = math.ldexp(fmax, shift)
+    limit = _slope(phi, math.inf)
+    if complementary_eval(phi, limit) * math.fsum(h for _, h in pairs) <= 1.0:
+        value = _product(limit, math.fsum(a * h for a, h in pairs), -shift)
+        return NormResult(_norm_value(value, 0), 0, (math.inf, math.inf))
+    lo, hi, iters = _gauge(pairs, phi, _modular_of(pairs, phi, dual=True), 0.0)
     modular = _modular_of(pairs, phi)
-
-    def objective(logk: float) -> float:
-        k = math.exp(logk)
-        return (1.0 + modular(k)) / k
-
-    lo = first = math.log(1e-9 / fmax)
-    hi = math.log(1e12 / fmax)
-    cap = 1e18 / fmax  # the scan extends right while its last point is best
-    npts = 61
-    iters = 0
-    bounded = False  # whether a bound on the minimiser has moved the grid
-    while True:
-        step = (hi - lo) / (npts - 1)
-        vals = [objective(lo + i * step) for i in range(npts)]
-        iters += npts
-        best = min(range(npts), key=lambda i: (vals[i], i))
-        if best == npts - 1 and math.exp(hi) >= cap and not bounded:
-            # The objective is at least 1/k and its infimum at most twice the
-            # gauge norm N, so the minimiser has k >= 1 / (2 N); and beside a
-            # limit of at least N, 1/k is negligible only from 1e18 / N on.
-            bounded = True
-            _, gauge, _ = _gauge(pairs if shift == unit else _support(model, f, unit), phi)
-            gauge = _norm_value(gauge, shift - unit)  # N in the units of the pairs
-            start = -math.log(2.0 * gauge)
-            if start > _LOG_MAX:
-                raise NonFiniteIntegrand("the minimising k lies beyond the float range")
-            cap = max(cap, 1e18 / gauge)
-            if hi < start:
-                lo, hi = start, min(start + (hi - lo), _LOG_MAX)
-                continue
-        if best == npts - 1 and math.exp(hi) < cap and hi < _LOG_MAX:
-            lo, hi = hi - 2.0 * step, min(hi + (hi - lo), _LOG_MAX)
-            continue
-        # The objective is at least 1/k, so the minimiser has k >= 1 / vals[best],
-        # which may lie left of the first grid even where that is flat in float.
-        floor = -math.log(vals[best])
-        if not bounded and -math.inf < floor < first:
-            lo, hi, bounded = floor, lo + min(best + 1, npts - 1) * step, True
-            continue
-        break
-    a = lo + max(best - 1, 0) * step
-    b = lo + min(best + 1, npts - 1) * step
-    inv_gold = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_gold * (b - a)
-    x2 = a + inv_gold * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    while not _narrow(a, b):
-        iters += 1
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_gold * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_gold * (b - a)
-            f2 = objective(x2)
-        if iters > _SCAN_CAP:
-            break
-    value = min(vals[best], objective(0.5 * (a + b)), f1, f2)
-    bracket = (_ldexp(math.exp(a), shift), _ldexp(math.exp(b), shift))
-    return NormResult(_norm_value(value, -shift), iters, bracket,
-                      converged=_narrow(a, b))
-
-
-def _narrow(a: float, b: float) -> bool:
-    """Whether the golden section's bracket [a, b] over log k is done: 1e-13
-    wide, or two ulps of its larger end, where that is wider (|log k| from
-    256 on)."""
-    return b - a <= max(1e-13, 2.0 * math.ulp(max(-a, b)))
+    value = min(_product(u, 1.0 + modular(1.0 / u), -shift) for u in (lo, hi) if u)
+    bracket = (_ldexp(1.0 / hi, shift), _ldexp(1.0 / lo, shift) if lo else math.inf)
+    return NormResult(_norm_value(value, 0), iters, bracket)
 
 
 class Delta2Report(NamedTuple):
@@ -531,7 +525,6 @@ class L1EmbeddingReport(NamedTuple):
     holds: bool
     right_derivative: float
     derivative_status: str          # "positive" | "zero" | "indeterminate"
-    via_finite_window: bool
     constant_estimate: float
     rigorous: bool = False
 
@@ -552,5 +545,4 @@ def l1_embedding_check(model: HypergroupModel, phi: YoungFunction) -> L1Embeddin
     # The window is finite, so the invariant measure of the carrier is finite
     # and the embedding holds regardless of the derivative.
     return L1EmbeddingReport(holds=True, right_derivative=est,
-                             derivative_status=status, via_finite_window=True,
-                             constant_estimate=constant)
+                             derivative_status=status, constant_estimate=constant)
