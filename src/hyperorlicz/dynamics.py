@@ -45,7 +45,6 @@ from .operators import (
     Weight,
     apply_right_inverse,
     apply_weighted_translation,
-    hereditary_weight_pair,
     shifted_weight_product,
     weight_product,
 )
@@ -454,6 +453,16 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
         notes=("both series use the multiplied step index inside the integrand",))
 
 
+def _center_pair(model: HypergroupModel, w: Weight, eta: CenterPowers,
+                 e: Sequence[int], n: int, convention: ProductConvention
+                 ) -> tuple[list[float], list[float]]:
+    """At the points of E, the reciprocal weight products and the shifted
+    weight products along powers of the center element: the pair that both
+    the center-conditions and the hereditary probe track."""
+    return ([1.0 / weight_product(model, w, eta, x, n, convention) for x in e],
+            [shifted_weight_product(model, w, eta, x, n, convention) for x in e])
+
+
 def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
                             phi: YoungFunction, e_set: Iterable[int], horizon: int,
                             convention: ProductConvention = DEFAULT_CONVENTION
@@ -475,8 +484,7 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
                       and w.inf_over(model.carrier) > 0.0)
 
     def tracked(n):
-        return ([1.0 / weight_product(model, w, eta, x, n, convention) for x in e],
-                [shifted_weight_product(model, w, eta, x, n, convention) for x in e])
+        return _center_pair(model, w, eta, e, n, convention)
 
     def residual_norm(members):
         return luxemburg_norm(model, indicator(set(e) - set(members)), phi).value
@@ -507,10 +515,12 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
     if delta2_check(phi).state != "proven":
         raise PreconditionFailed("doubling-regularity",
                                  "the criterion needs proven doubling regularity")
-    good = _center_indices(model, CenterPowers(model, z), e, horizon)
+    eta = CenterPowers(model, z)
+    good = _center_indices(model, eta, e, horizon)
 
     def tracked(n):
-        return tuple(zip(*(hereditary_weight_pair(model, x, z, w, n) for x in e)))
+        reciprocal, shifted = _center_pair(model, w, eta, e, n, DEFAULT_CONVENTION)
+        return shifted, reciprocal
 
     rows = _sublevel_rows(model, e, good, ("sup_forward", "sup_backward"), tracked)
     verdict = _verdict(rows, ratio_goal=True,
@@ -638,17 +648,3 @@ def orbit_density_probe(model: HypergroupModel, f: SparseFunction, w: Weight,
                                    best_error=best_err, skipped=tuple(skipped)))
     return tuple(results)
 
-
-def periodic_point_check(model: HypergroupModel, f: SparseFunction, w: Weight,
-                         eta: EtaSequence, phi: YoungFunction, n: int,
-                         r_max: int, tol: float,
-                         convention: ProductConvention = DEFAULT_CONVENTION) -> bool:
-    """Whether f returns to itself (within tol, gauge norm) at every multiple
-    of the step n up to r_max."""
-    if n < 1 or r_max < 1:
-        raise ValueError("step and multiplier bounds must be positive")
-    for r in range(1, r_max + 1):
-        image = apply_weighted_translation(model, f, w, eta, r * n, convention)
-        if luxemburg_norm(model, image - f, phi).value > tol:
-            return False
-    return True

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import NonFiniteValue, WindowOverflow
-from .hypergroups import HypergroupModel, SparseMeasure
+from .hypergroups import HypergroupModel
 from .records import Checked, unsupported
 
 
@@ -115,19 +115,6 @@ def translate(model: HypergroupModel, f: SparseFunction, y: int) -> SparseFuncti
     return SparseFunction.from_dict(out)
 
 
-def convolve_fn_measure(model: HypergroupModel, f: SparseFunction,
-                        mu: SparseMeasure) -> SparseFunction:
-    """Convolution of a function with a measure: integrate translates of f
-    against the involuted atoms of mu.  Against a unit point mass at the
-    involution of y this reproduces translate(f, y) atom by atom."""
-    acc: dict[int, float] = {}
-    for y, my in mu.atoms:
-        t = translate(model, f, model.involution(y))
-        for x, tv in t.values:
-            acc[x] = acc.get(x, 0.0) + my * tv
-    return SparseFunction.from_dict(acc)
-
-
 def integrate_haar(model: HypergroupModel, f: SparseFunction) -> float:
     return sum(v * model.haar[x] for x, v in f.values)
 
@@ -135,7 +122,3 @@ def integrate_haar(model: HypergroupModel, f: SparseFunction) -> float:
 def measure_of_set(model: HypergroupModel, labels: Iterable[int]) -> float:
     return sum(model.haar_weight(x) for x in sorted(set(labels)))
 
-
-def sup_on_set(f: SparseFunction, labels: Iterable[int]) -> float:
-    """Largest absolute value of f on the given labels; 0 on the empty set."""
-    return max((abs(f.value_at(x)) for x in set(labels)), default=0.0)

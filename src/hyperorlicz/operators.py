@@ -25,9 +25,9 @@ index 0, started at the value it multiplies.  ``math.prod`` multiplies C
 doubles left to right and an IEEE product does not depend on the order of
 its two operands, so the result has the bits of the loop
 ``acc = row[j] * acc`` for j from the last factor down to 0, the rounding
-of iterating the single-step operator.  The hereditary pair likewise keeps
-the weight values along each orbit of a center element and multiplies them
-in walk order.
+of iterating the single-step operator.  The hereditary pair is the shifted
+product and the reciprocal product along powers of a center element, so it
+reads the same rows.
 """
 from __future__ import annotations
 
@@ -350,41 +350,14 @@ def apply_right_inverse(model: HypergroupModel, f: SparseFunction, w: Weight,
     return SparseFunction.from_dict(out)
 
 
-def _orbit_values(model: HypergroupModel, w: Weight, x: int, step: int,
-                  count: int) -> tuple[float, ...]:
-    """Weight values at x*step, x*step^2, ..., x*step^count.
-
-    The walk takes one point product per point, so it leaves the window at
-    the same power as a fresh walk would (the power of step itself may leave
-    it at another).  The values are cached per (model, x, step) on the weight
-    and the walk resumes from the last point reached.
-    """
-    orbits = w._memo["orbit", model, step]
-    vals, cur = orbits.get(x, ((), x))
-    if len(vals) < count:
-        new = []
-        for _ in range(count - len(vals)):
-            cur = model.point_product(cur, step)
-            new.append(w(cur))
-        vals = vals + tuple(new)
-        orbits[x] = (vals, cur)
-    return vals[:count]
-
-
 def hereditary_weight_pair(model: HypergroupModel, x: int, z: int, w: Weight,
                            n: int) -> tuple[float, float]:
-    """Forward product over shifts by powers of z (indices 1..n) and the
-    reciprocal backward product over shifts by powers of the involution
-    (indices 0..n-1), each multiplied left to right in walk order."""
-    if not model.is_central(z):
-        raise NotCentral(f"label {z} is not central")
+    """The center pair along powers of z: the forward product over shifts
+    by z^1..z^n (``shifted_weight_product``) and the reciprocal backward
+    product over shifts by z^0..z^-(n-1) (1 / ``weight_product``), under
+    ``CenterPowers(model, z)``.  x, z^n and x z^n must lie in the window."""
+    eta = CenterPowers(model, z)
     if n < 0:
         raise ValueError("step index must be nonnegative")
-    if n == 0:
-        return 1.0, 1.0
-    fwd = math.prod(_orbit_values(model, w, x, z, n), start=1.0)
-    # The backward walk starts at x itself (1.0 * w(x) is w(x) exactly) and
-    # takes n-1 steps.
-    back = math.prod(_orbit_values(model, w, x, model.involution(z), n - 1),
-                     start=w(x))
-    return fwd, 1.0 / back
+    return (shifted_weight_product(model, w, eta, x, n),
+            1.0 / weight_product(model, w, eta, x, n))

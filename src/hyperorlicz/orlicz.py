@@ -413,6 +413,8 @@ def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction, modular,
                 return 0.0, hi, iters
     while hi - lo > rtol * hi:
         mid = 0.5 * (lo + hi)
+        if mid == math.inf:  # lo + hi passed the largest float
+            mid = 0.5 * lo + 0.5 * hi
         if mid == lo or mid == hi:
             break
         if excess(mid):

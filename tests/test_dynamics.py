@@ -2,14 +2,17 @@
 witnesses, orbit scans."""
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
-from hyperorlicz import dynamics
+from hyperorlicz import cli, dynamics
 from hyperorlicz.dynamics import AperiodicityVerdict, CriterionReport, CriterionRow
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_integer_translates_first_index(zline):
@@ -244,6 +247,92 @@ def test_hereditary_probe_constant_weights_fail(zline):
         report = hz.probe_hereditary(zline, 1, hz.constant_weight(c),
                                      hz.phi_p(2.0), [0], horizon=12)
         assert report.verdict == "fails", c
+
+
+def _cyclic_group(labels):
+    """A validated Cayley table of the cyclic group on the given labels."""
+    n = len(labels)
+    conv = {(labels[i], labels[j]): {labels[(i + j) % n]: 1.0}
+            for i in range(n) for j in range(n)}
+    involution = {labels[i]: labels[-i % n] for i in range(n)}
+    return hz.table_hypergroup(conv, involution, identity=labels[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_center_and_hereditary_track_one_pair(data):
+    # Both probes read the shifted and the reciprocal products along powers
+    # of z, so their rows carry the same values, members and flags, and the
+    # ratio goal of the one meets exactly when the residual goal of the other
+    # does.
+    kind = data.draw(st.sampled_from(("integers", "table", "dunkl_ramirez")))
+    if kind == "integers":
+        model = hz.integer_group(data.draw(st.integers(12, 40)))
+    elif kind == "table":
+        model = _cyclic_group(data.draw(st.lists(st.integers(-16, 16), min_size=2,
+                                                 max_size=9, unique=True)))
+    else:
+        model = hz.dunkl_ramirez(0.5, data.draw(st.integers(2, 24)))
+    central = st.sampled_from(model.center_elements().members)
+    labels, top = model.carrier, model.window
+    if kind == "integers":  # small steps near the threshold give many rows
+        central = st.one_of(st.sampled_from((1, 2)), central)
+        labels = range(-4, 5)
+        top = (model.window - 4) // 2
+    z = data.draw(central)
+    level = st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0, 1e-160, 1e160))
+    form = data.draw(st.sampled_from(("step", "geometric", "table")))
+    if form == "step":
+        low, high = data.draw(level), data.draw(level)
+        if data.draw(st.booleans()):  # a falling step, hypercyclic along 1
+            low, high = max(low, high), min(low, high)
+        w = hz.step_weight(data.draw(st.integers(-4, 4)), low, high)
+    elif form == "geometric":
+        w = hz.geometric_weight(data.draw(level), data.draw(st.floats(0.25, 4.0)))
+    else:
+        w = hz.table_weight(data.draw(st.dictionaries(st.sampled_from(model.carrier),
+                                                      level, max_size=6)),
+                            default=data.draw(level))
+    e = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3,
+                           unique=True))
+    horizon = data.draw(st.integers(4, max(4, top)))
+    phi = hz.phi_p(2.0)
+
+    def run(probe):
+        try:
+            return probe()
+        except hz.PreconditionFailed as exc:
+            return exc.hypothesis
+
+    center = run(lambda: hz.probe_center_conditions(
+        model, w, hz.center_powers(model, z), phi, e, horizon))
+    hereditary = run(lambda: hz.probe_hereditary(model, z, w, phi, e, horizon))
+    if isinstance(center, str):
+        assert hereditary == center
+        event(f"{kind}: precondition {center}")
+        return
+    assert hereditary.verdict == center.verdict
+    event(f"{kind}: {center.verdict}")
+    assert len(hereditary.rows) == len(center.rows)
+    for her, cen in zip(hereditary.rows, center.rows):
+        assert (her.k, her.n, her.members, her.flags, her.measure_ratio) == (
+            cen.k, cen.n, cen.members, cen.flags, cen.measure_ratio)
+        if cen.flags:
+            event(f"flag {cen.flags[0]}")
+            continue
+        assert her.metric("sup_forward") == cen.metric("sup_shifted")
+        assert her.metric("sup_backward") == cen.metric("sup_reciprocal")
+
+
+def test_center_and_hereditary_keep_one_orbit_cache():
+    # The hereditary pair reads the center probe's factor rows: the weight
+    # keeps no walk of its own along an orbit.
+    sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
+    for probe in ("center", "hereditary"):
+        _, code = cli.run_command(sc, "probe", {"id": probe}, 0)
+        assert code == 0, probe
+    assert not [key for key in sc.weight._memo if key[0] == "orbit"]
+    assert [key[0] for key in sc.weight._memo] == ["orbits"]
 
 
 def test_witness_errors_golden(zline, doubling_weight):
@@ -545,14 +634,3 @@ def test_orbit_pruning_matches_the_unpruned_scan(zline, dr05, data):
               "subnormal error" if res.best_error < sys.float_info.min else "normal error")
         if res.skipped:
             event("skipped steps")
-
-
-def test_periodic_point_detection(dr05, zline, doubling_weight):
-    eta = hz.center_powers(dr05, 1)
-    f = hz.indicator([0, 1])
-    assert hz.periodic_point_check(dr05, f, hz.constant_weight(1.0), eta,
-                                   hz.phi_p(2.0), n=2, r_max=4, tol=1e-12)
-    zeta = hz.center_powers(zline, 1)
-    assert not hz.periodic_point_check(zline, hz.indicator([0]),
-                                       doubling_weight, zeta, hz.phi_p(2.0),
-                                       n=1, r_max=2, tol=1e-9)

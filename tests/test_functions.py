@@ -1,9 +1,7 @@
-"""Finitely supported functions: translation, convolution, integration."""
+"""Finitely supported functions: translation and integration."""
 import pytest
 
 import hyperorlicz as hz
-from hyperorlicz.functions import convolve_fn_measure
-from hyperorlicz.hypergroups import point_mass
 
 
 def test_indicator_and_zero():
@@ -73,12 +71,6 @@ def test_translate_reach_overflow(su2m):
         hz.translate(su2m, f, 5)
 
 
-def test_convolution_against_point_measure_matches_translate(dr05):
-    chi2 = hz.indicator([2])
-    out = convolve_fn_measure(dr05, chi2, point_mass(dr05.involution(1)))
-    assert out.values == chi2.values
-
-
 def test_integration_golden(dr05, su2m):
     assert hz.integrate_haar(dr05, hz.indicator([0])) == 1.0
     assert hz.integrate_haar(su2m, hz.indicator([1])) == 4.0
@@ -86,9 +78,6 @@ def test_integration_golden(dr05, su2m):
 
 def test_measure_of_set_and_sup(dr05):
     assert hz.measure_of_set(dr05, [0, 2]) == pytest.approx(3.0, abs=1e-12)
-    f = hz.SparseFunction.from_dict({0: -2.0, 3: 1.0})
-    assert hz.sup_on_set(f, [0, 3]) == 2.0
-    assert hz.sup_on_set(f, []) == 0.0
 
 
 def test_translation_preserves_integral(dr03, su2m, zline):

@@ -5,11 +5,12 @@ carrier convolved up front into a validated SparseMeasure, fit read from the
 full support, translation scanning the whole carrier (its reach decided from
 the untruncated convolutions, not from the model's memo), weight factors
 integrated over the table's atoms for every product and multiplied one at a
-time, hereditary pairs walked afresh on every call, and associativity
-checked by allocating measures and catching WindowOverflow.  The lazy core
-must agree with it bit for bit (``==`` on floats), including which calls
-raise, on its point-law path (exact unit atoms, no pair memo; shared factor
-rows along the orbits of a center element on a group) as on its memo path.
+time, and associativity checked by allocating measures and catching
+WindowOverflow.  The hereditary pair is the reference's shifted product and
+reciprocal product along powers of its center element.  The lazy core must
+agree with it bit for bit (``==`` on floats), including which calls raise,
+on its point-law path (exact unit atoms, no pair memo; shared factor rows
+along the orbits of a center element on a group) as on its memo path.
 """
 import itertools
 import math
@@ -161,25 +162,6 @@ class EagerReference:
         if supp[0] not in self.cset:
             raise WindowOverflow("reference")
         return supp[0]
-
-    def hereditary_weight_pair(self, x, z, w, n):
-        if z not in self.central:
-            raise NotCentral("reference")
-        if n < 0:
-            raise ValueError("reference")
-        fwd = 1.0
-        cur = x
-        for _ in range(n):
-            cur = self.point_product(cur, z)
-            fwd *= w(cur)
-        zinv = self.model.involution(z)
-        back = 1.0
-        cur = x
-        for j in range(n):
-            back *= w(cur)
-            if j < n - 1:
-                cur = self.point_product(cur, zinv)
-        return fwd, 1.0 / back
 
     def verify_axioms(self, triple_bound):
         m, out, e = self.model, [], self.model.identity
@@ -507,13 +489,19 @@ def test_factor_rows_and_orbits_match_plain_loops(data):
     stride = data.draw(st.sampled_from((1, 2, 5)))
     falling = sorted(data.draw(st.lists(st.integers(0, reach), max_size=6)),
                      reverse=True)
+    zeta = hz.center_powers(model, z)
+
+    def ref_pair(x, n):
+        return (ref.shifted_weight_product(w, zeta, x, n, hz.DEFAULT_CONVENTION),
+                1.0 / ref.weight_product(w, zeta, x, n, hz.DEFAULT_CONVENTION))
+
     for n in list(range(0, reach + 1, stride)) + falling:
         for x in xs:
             for convention in ProductConvention:
                 assert (outcome(hz.weight_product, model, w, eta, x, n, convention)
                         == outcome(ref.weight_product, w, eta, x, n, convention))
             assert (outcome(hz.hereditary_weight_pair, model, x, z, w, n)
-                    == outcome(ref.hereditary_weight_pair, x, z, w, n))
+                    == outcome(ref_pair, x, n))
         f = SparseFunction.from_dict({x: data.draw(VALUES) for x in xs})
         convention = data.draw(st.sampled_from(tuple(ProductConvention)))
         got = outcome(hz.apply_weighted_translation, model, f, w, eta, n, convention)

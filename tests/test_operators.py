@@ -127,7 +127,25 @@ def test_hereditary_matches_shifted_cocycle(zline):
             fwd, _ = hz.hereditary_weight_pair(zline, x, 1, w, n)
             vn = hz.weight_product(zline, w, eta,
                                    zline.point_product(x, eta(n)), n)
-            assert fwd == pytest.approx(vn, rel=1e-12)
+            assert fwd == vn
+
+
+def test_hereditary_pair_edge_contract(zline, dr03, doubling_weight):
+    # The pair is the center pair under CenterPowers(model, z): z must be
+    # central, n nonnegative, and x (and z^n) inside the window.
+    with pytest.raises(ValueError):
+        hz.hereditary_weight_pair(zline, 0, 1, doubling_weight, -1)
+    with pytest.raises(hz.NotCentral):
+        hz.hereditary_weight_pair(dr03, 0, 1, doubling_weight, 1)
+    with pytest.raises(hz.NotCentral):  # checked before n
+        hz.hereditary_weight_pair(dr03, 0, 1, doubling_weight, -1)
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError, match="outside the truncation window"):
+            hz.hereditary_weight_pair(zline, 65, 1, doubling_weight, n)
+    assert hz.hereditary_weight_pair(zline, 0, 1, doubling_weight, 64) == (
+        2.0**-64, 2.0**-64)
+    with pytest.raises(hz.WindowOverflow):
+        hz.hereditary_weight_pair(zline, 0, 1, doubling_weight, 65)
 
 
 def test_shifted_product_requires_central_sequence(su2m):

@@ -777,6 +777,19 @@ def test_gauge_norm_at_the_edges_of_the_float_range():
             search(model, f, phi)
 
 
+def test_gauge_midpoint_near_the_largest_float():
+    # The search starts at 6.6e307 and doubles to 1.3e308, so the sum of its
+    # ends is inf; the midpoint halves each end instead.  The norm was named
+    # "scales back to inf" though it is about 6.7e-13.
+    model = hz.dunkl_ramirez(0.5, 32)
+    phi = hz.tabulated_young([(0.0, 0.0), (1e-300, 1.0), (2e-300, 7.97)])
+    f = hz.SparseFunction.from_dict({27: -1e-320})
+    gauge = hz.luxemburg_norm(model, f, phi).value
+    infimum = hz.orlicz_norm(model, f, phi).value
+    assert math.isfinite(gauge) and gauge > 0.0
+    assert gauge <= infimum <= 2 * gauge
+
+
 def _frozen_luxemburg_norm(model, f, phi, touched):
     """luxemburg_norm before the per-call kernel, on the frozen loop.
 
