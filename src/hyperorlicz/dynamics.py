@@ -317,16 +317,27 @@ def _center_indices(model: HypergroupModel, eta: CenterPowers, e: Sequence[int],
     return good
 
 
-def _sup_necessary_profile(model: HypergroupModel, w: Weight, eta: EtaSequence,
-                           e: Sequence[int], n: int,
-                           convention: ProductConvention) -> SparseFunction:
-    """The tracked function of the sup-vanishing criterion: translate back the
-    indicator, multiply the weight product in, translate forward."""
+def _sup_necessary_values(model: HypergroupModel, w: Weight, eta: EtaSequence,
+                          e: Sequence[int], n: int,
+                          convention: ProductConvention) -> list[float]:
+    """The tracked function of the sup-vanishing criterion at the points of
+    E: translate back the indicator, multiply the weight product in,
+    translate forward.  Along powers of a center element both translates
+    are relabellings with mass exactly 1.0, so the value at x is
+    ``shifted_weight_product(x, n)``, with the same bits, and a value that
+    is not finite raises NonFiniteValue once all are computed, as
+    SparseFunction does on the translate path."""
+    if isinstance(eta, CenterPowers):
+        values = [shifted_weight_product(model, w, eta, x, n, convention) for x in e]
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteValue("stored values must be finite")
+        return values
     pulled = translate(model, indicator(e), eta(-n))
     weighted = SparseFunction.from_dict(
         {x: tv * weight_product(model, w, eta, x, n, convention)
          for x, tv in pulled.values})
-    return translate(model, weighted, eta(n))
+    profile = translate(model, weighted, eta(n))
+    return [profile.value_at(x) for x in e]
 
 
 def _sublevel_rows(model: HypergroupModel, e: tuple[int, ...], good: Sequence[int],
@@ -387,8 +398,7 @@ def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
             "aperiodicity", "no index below the horizon separates the set")
 
     def tracked(n):
-        profile = _sup_necessary_profile(model, w, eta, e, n, convention)
-        return ([profile.value_at(x) for x in e],)
+        return (_sup_necessary_values(model, w, eta, e, n, convention),)
 
     rows = _sublevel_rows(model, e, good, ("sup_profile",), tracked)
     verdict = _verdict(rows, ratio_goal=True, vanish_names=("sup_profile",))
@@ -415,8 +425,8 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     # once per call, and a step error once caught is raised again.
     @_step_memo
     def forward_term(m):
-        profile = _sup_necessary_profile(model, w, eta, e, m, convention)
-        return sum(profile.value_at(x) * model.haar[x] for x in e)
+        values = _sup_necessary_values(model, w, eta, e, m, convention)
+        return sum(v * model.haar[x] for x, v in zip(e, values))
 
     @_step_memo
     def reciprocal_term(m):

@@ -15,7 +15,8 @@ delta_x * delta_y as the exact unit atom {u: 1.0}, the factor is w(u), the
 bits of 0.0 + w(u) * 1.0, and the pair memo is not touched; other products
 integrate over the memoised atoms.  The weight keeps one row of factors per
 (model, sequence, point), row[j] being the factor for the sequence point of
-index -j, and lengthens it only when a product needs more factors.  Powers
+index -j, and lengthens it only when a product needs more factors; the
+powers of one center element z are one sequence, keyed by z.  Powers
 of a center element on a group (the integers, a validated Cayley table)
 share their rows instead: row(x z^-1)[j] is row(x)[j+1], so the weight keeps
 one tuple of values per orbit of the center element, w at consecutive
@@ -234,7 +235,9 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
         eta(1 - count)
         model._require_in_window(x)
         return _orbit_product(model, w, eta.z, x, count, acc)
-    rows = w._memo["rows", model, eta]
+    # Every CenterPowers of one z is the same sequence, so its rows are
+    # keyed by z, not by the sequence object.
+    rows = w._memo["rows", model, eta.z if isinstance(eta, CenterPowers) else eta]
     row = rows.get(x, ())
     if len(row) < count:
         # Missing factors are computed from the highest index down, the order

@@ -10,9 +10,14 @@ of psi(phi') at k f is below 1 and rises beyond, and that modular is
 nondecreasing in k; so the minimiser is a monotone root, found by the same
 bracket and bisection as the gauge norm (Rao & Ren, Theory of Orlicz Spaces,
 1991; Hudzik & Maligranda, Indag. Math. 11, 2000).  Each norm call builds its
-modulars once, as closures over the support's (|v|, haar) pairs, and
-evaluates them at every step of its search.  Infinity is an explicit sentinel
-(math.inf), never a float overflow.
+modulars once, as closures over the support's (|v|, haar) pairs.  For phi_p
+both modulars are sums of t^p / d * h, so the one at scale 1/k is m1 / k^p,
+m1 the sum at 1: a search step reads the root m1^(1/p) wherever k lies
+outside a band around it that covers the rounding of the root and of the
+modular, and evaluates the modular inside the band (_power_band says when
+every step evaluates).  So the steps, their count and every bit stay those
+of the search that evaluates each step; the other kinds evaluate every
+step.  Infinity is an explicit sentinel (math.inf), never a float overflow.
 """
 from __future__ import annotations
 
@@ -31,6 +36,8 @@ _DELTA2_GRID = tuple(x / 2.0 for x in range(1, 101))  # 0.5 .. 50.0
 _REFUTE_RATIO = 1e6
 _FLOAT_MAX = sys.float_info.max  # the gauge search starts at most here
 _FLOAT_MIN = sys.float_info.min  # least normal ratio of a gauge norm to max|f|
+_LEAST = math.ulp(0.0)  # 2^-1074, the least subnormal
+_EPS = sys.float_info.epsilon / 2.0  # 2^-53, the unit roundoff
 _LOG_MAX = math.log(_FLOAT_MAX)  # e^t - t - 1 overflows beyond here
 _ABSCISSA = itemgetter(0)
 # 1/(j+2)! for j = 17..0: Horner's coefficients of (e^t - 1 - t) / t^2, whose
@@ -272,6 +279,12 @@ def _support(model: HypergroupModel, f: SparseFunction,
     return [(a, haar[x]) for x, v in f.values if (a := math.ldexp(abs(v), shift))]
 
 
+def _guarded(p: float) -> float:
+    """10^(300/p): below it t^p / p cannot pass 10^308, so phi_p's
+    overflow guard cannot fire."""
+    return 10.0 ** (300.0 / p)
+
+
 def _modular_of(pairs: list[tuple[float, float]], phi: YoungFunction,
                 dual: bool = False):
     """modular(scale): the sum of phi(scale * a) * h over the (a, h) pairs of
@@ -284,7 +297,7 @@ def _modular_of(pairs: list[tuple[float, float]], phi: YoungFunction,
     if phi.kind == "phi_p":
         p = phi.p
         d = p / (p - 1.0) if dual else p
-        guarded = 10.0 ** (300.0 / p)
+        guarded = _guarded(p)
 
         def modular(scale: float) -> float:
             total = 0.0
@@ -378,6 +391,34 @@ def _gauge_start(phi: YoungFunction, level: float) -> float | None:
     return _STARTS[key][1]
 
 
+def _power_band(pairs: list[tuple[float, float]], phi: YoungFunction,
+                modular) -> tuple[float, float] | None:
+    """(below, above) around the root r = modular(1)^(1/p) of a phi_p
+    modular, which is modular(1) / k^p: the float test modular(1/k) > 1
+    reads True for every k <= below and False for every k >= above.
+
+    The band is r (1 -+ delta), delta = 8 (n + 2p + 8 + |ln m1|) 2^-53 / p
+    for n pairs and m1 = modular(1): about four times the relative rounding
+    of r (the sum, pow at an exponent rounded from 1/p, which |ln m1| / p
+    amplifies) plus that of the modular at 1/k, divided by p.  None (every
+    step evaluates) for the other kinds, for more than 2^16 pairs, for m1
+    outside (2^-900, 2^900), and where terms that pow or the Haar product
+    took below the normal range could move m1, or the modular near 1, by
+    more than 2^-60; the caller also evaluates wherever phi_p's overflow
+    guard can fire."""
+    n = len(pairs)
+    if phi.kind != "phi_p" or n > 1 << 16:
+        return None
+    p = phi.p
+    m1 = modular(1.0)
+    lost = n * max(1.0, max(h for _, h in pairs)) * (p + 2.0) * _LEAST
+    if not 2.0**-900 < m1 < 2.0**900 or lost > 2.0**-60 * min(1.0, m1):
+        return None
+    r = m1 ** (1.0 / p)
+    delta = 8.0 * (n + 2.0 * p + 8.0 + abs(math.log(m1))) * _EPS / p
+    return r * (1.0 - delta), r * (1.0 + delta)
+
+
 def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction, modular,
            rtol: float = RTOL_NORM) -> tuple[float, float, int]:
     """(lo, hi, iterations) of the gauge search of ``modular`` on nonempty
@@ -387,12 +428,24 @@ def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction, modular,
     within the normal range of its ratio to max a, and doubles or halves
     until it straddles 1.  NonFiniteIntegrand is raised where the ratio of
     hi to max a passes the largest float; where that of lo falls below the
-    least normal float, lo is 0 and hi the last k tested."""
-
-    def excess(k: float) -> bool:
-        return modular(1.0 / k) > 1.0
-
+    least normal float, lo is 0 and hi the last k tested.  Where
+    _power_band gives a band, a step outside it and outside the reach of
+    phi_p's overflow guard reads the root instead of the modular."""
     fmax = max(a for a, _ in pairs)
+    band = _power_band(pairs, phi, modular)
+    if band is None:
+        def excess(k: float) -> bool:
+            return modular(1.0 / k) > 1.0
+    else:
+        below, above = band
+        guarded = _guarded(phi.p)
+
+        def excess(k: float) -> bool:
+            s = 1.0 / k
+            if below < k < above or s * fmax >= guarded:
+                return modular(s) > 1.0
+            return k <= below
+
     t0 = _gauge_start(phi, 1.0 / min(h for _, h in pairs))
     k0 = fmax if t0 is None else min(max(fmax / t0, fmax * _FLOAT_MIN), _FLOAT_MAX)
     iters = 0

@@ -28,9 +28,14 @@ def _canon(value: Any) -> Any:
     return value
 
 
+# json.dumps builds an encoder per call once sort_keys is set; one shared
+# encoder with dumps' other defaults gives the same text.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def record_line(record: dict[str, Any]) -> str:
     """One canonical JSON line for a record."""
-    return json.dumps(_canon(record), sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(_canon(record))
 
 
 def body_lines(records: Iterable[dict[str, Any]]) -> list[str]:
@@ -49,7 +54,7 @@ def header_record(command: str, scenario_id: str, body: Sequence[str]) -> str:
         "sha256": digest,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    return json.dumps(head, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(head)
 
 
 def render_records(command: str, scenario_id: str,

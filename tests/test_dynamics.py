@@ -324,6 +324,86 @@ def test_center_and_hereditary_track_one_pair(data):
         assert her.metric("sup_backward") == cen.metric("sup_reciprocal")
 
 
+def _frozen_sup_necessary_values(model, w, eta, e, n, convention):
+    """The sup-vanishing profile at E through both translates, the path
+    every sequence took before powers of a center element read the shifted
+    product, kept as the oracle."""
+    pulled = hz.translate(model, hz.indicator(e), eta(-n))
+    weighted = hz.SparseFunction.from_dict(
+        {x: tv * hz.weight_product(model, w, eta, x, n, convention)
+         for x, tv in pulled.values})
+    profile = hz.translate(model, weighted, eta(n))
+    return [profile.value_at(x) for x in e]
+
+
+def _report_bits(probe):
+    """A report's verdict and rows with every float as its hex, or the
+    failing precondition."""
+    try:
+        report = probe()
+    except hz.PreconditionFailed as exc:
+        return exc.hypothesis
+    return report.verdict, [
+        (row.k, row.n, row.members, row.measure_ratio.hex(),
+         tuple((name, v.hex()) for name, v in row.metrics), row.flags)
+        for row in report.rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sup_necessary_values_along_center_powers_match_the_translate_path(data):
+    # Along powers of a center element both translates of the sup-vanishing
+    # profile are relabellings with mass 1.0, so the shifted product gives
+    # the same rows, flags included, up to horizons past the window edge.
+    # The integers come up twice as often: their preconditions fail least.
+    kind = data.draw(st.sampled_from(("integers", "integers", "table", "dunkl_ramirez")))
+    if kind == "integers":
+        model = hz.integer_group(data.draw(st.integers(8, 24)))
+        labels = range(-4, 5)
+    elif kind == "table":
+        model = _cyclic_group(data.draw(st.lists(st.integers(-16, 16), min_size=2,
+                                                 max_size=9, unique=True)))
+        labels = model.carrier
+    else:
+        model = hz.dunkl_ramirez(0.5, data.draw(st.integers(2, 24)))
+        labels = model.carrier
+    central = st.sampled_from(model.center_elements().members)
+    if kind == "integers":  # small steps reach the window edge in many rows
+        central = st.one_of(st.sampled_from((1, -1, 2)), central)
+    z = data.draw(central)
+    level = st.sampled_from((0.25, 0.5, 2.0, 4.0, 1e-160, 1e160))
+    form = data.draw(st.sampled_from(("step", "geometric", "table")))
+    if form == "step":
+        fields = dict(form="step", threshold=data.draw(st.integers(-4, 4)),
+                      low=data.draw(level), high=data.draw(level))
+    elif form == "geometric":
+        fields = dict(form="geometric", base=data.draw(level),
+                      ratio=data.draw(st.floats(0.25, 4.0)))
+    else:
+        fields = dict(form="table", default=data.draw(level), entries=tuple(sorted(
+            data.draw(st.dictionaries(st.sampled_from(model.carrier), level,
+                                      max_size=6)).items())))
+    e = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3,
+                           unique=True))
+    horizon = data.draw(st.one_of(st.integers(2, model.window + 2),
+                                  st.integers(max(2, model.window // 2), model.window + 2)))
+    cutoff = data.draw(st.integers(1, 3))
+    probes = (
+        lambda w, eta: hz.probe_sup_necessary(model, w, eta, e, horizon),
+        lambda w, eta: hz.probe_series_necessary(model, w, eta, e, horizon, cutoff))
+    for probe in probes:
+        # A fresh weight and sequence per side, so neither reads the
+        # other's memo.
+        found = _report_bits(lambda: probe(hz.Weight(**fields), hz.center_powers(model, z)))
+        with pytest.MonkeyPatch.context() as frozen:
+            frozen.setattr(dynamics, "_sup_necessary_values", _frozen_sup_necessary_values)
+            assert found == _report_bits(
+                lambda: probe(hz.Weight(**fields), hz.center_powers(model, z)))
+        event(f"{kind}: {found if isinstance(found, str) else found[0]}")
+        for flag in {f for row in found[1] for f in row[5]} if isinstance(found, tuple) else ():
+            event(f"a row flagged {flag}")
+
+
 def test_center_and_hereditary_keep_one_orbit_cache():
     # The hereditary pair reads the center probe's factor rows: the weight
     # keeps no walk of its own along an orbit.

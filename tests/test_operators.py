@@ -148,6 +148,17 @@ def test_hereditary_pair_edge_contract(zline, dr03, doubling_weight):
         hz.hereditary_weight_pair(zline, 0, 1, doubling_weight, 65)
 
 
+def test_hereditary_pairs_share_the_rows_of_one_center_element():
+    # Every CenterPowers of one z is one sequence, so its factor rows are
+    # keyed by z: a loop over the pair on a model that is not a group keeps
+    # one memo entry, not one per call.
+    model = hz.dunkl_ramirez(0.5, 32)
+    w = hz.step_weight(0, 2.0, 0.5)
+    pairs = {hz.hereditary_weight_pair(model, 3, 1, w, 8) for _ in range(200)}
+    assert len(pairs) == 1
+    assert len(w._memo) == 1
+
+
 def test_shifted_product_requires_central_sequence(su2m):
     eta = hz.eta_from_table(su2m, {n: n for n in range(1, 9)})
     with pytest.raises(hz.NotCentral):

@@ -1,6 +1,7 @@
 """Young functions, conjugates, and both Orlicz-type norms."""
 import functools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
-from hyperorlicz import orlicz
+from hyperorlicz import hypergroups, orlicz
 from hyperorlicz.errors import RTOL_NORM
 from hyperorlicz.orlicz import complementary_eval, young_inverse
 
@@ -1195,3 +1196,65 @@ def test_phi_p_norms_match_their_closed_forms(all_models, data):
     assert gauge * (1 - ulps) <= n <= gauge * (1 + RTOL_NORM) * (1 + ulps), (n, gauge)
     a = hz.orlicz_norm(model, f, hz.phi_p(p)).value
     assert abs(a - infimum) <= 1e-14 * infimum, (a, infimum)
+
+
+ROOT_EXPONENTS = (1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.5, 2.0, 1023.9)
+
+
+@functools.cache
+def _root_models():
+    """A model of each Haar family: supports up to 2 001 points on the
+    integers and SU(2), Haar weights up to 6e301 on Dunkl-Ramirez at
+    a = 0.013 and 5e300 at a = 1/2, and a Dunkl-Ramirez table whose Haar
+    weights the table itself determines."""
+    fam = hypergroups._DunklRamirez(0.25)
+    table = hz.table_hypergroup(
+        {(x, y): fam.raw_convolve(x, y) for x in range(13) for y in range(13)},
+        {x: x for x in range(13)})
+    return {"integers": hz.integer_group(1000), "su2": hz.su2(2000),
+            "dr0.013": hz.dunkl_ramirez(0.013, 160), "dr0.5": hz.dunkl_ramirez(0.5, 1000),
+            "table": table}
+
+
+def _bits(outcome):
+    """A NormResult as the hex of its floats, or the exception type."""
+    if outcome is hz.NonFiniteIntegrand:
+        return outcome
+    lo, hi = outcome.bracket
+    return outcome.value.hex(), outcome.iterations, lo.hex(), hi.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_phi_p_root_keeps_every_bit_of_the_plain_search(data):
+    # A phi_p search step that reads the closed-form root instead of the
+    # modular must decide as the modular does: both norms return the
+    # NormResult of the search that evaluates every step, to the bit, or
+    # raise where it raises.  Supports of up to 2 000 points carry values
+    # spread over up to 340 decades below their peak.
+    models = _root_models()
+    name = data.draw(st.sampled_from(sorted(models)))
+    model = models[name]
+    phi = hz.phi_p(data.draw(st.one_of(st.sampled_from(ROOT_EXPONENTS),
+                                       st.floats(min_value=1.0, max_value=1023.0))))
+    size = data.draw(st.one_of(st.integers(1, 8), st.integers(1, 2000)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    labels = rng.sample(model.carrier, min(size, len(model.carrier)))
+    peak = data.draw(st.integers(min_value=-320, max_value=299))
+    spread = data.draw(st.integers(min_value=0, max_value=340))
+    f = hz.SparseFunction.from_dict(
+        {x: rng.choice((-1.0, 1.0))
+         * float(f"{rng.uniform(1.0, 10.0)!r}e{peak - rng.randint(0, spread)}")
+         for x in labels})
+    shift = -math.frexp(f.max_abs())[1]
+    pairs = orlicz._support(model, f, shift)
+    for dual in (False, True):
+        if pairs and not (dual and phi.p == 1.0):
+            band = orlicz._power_band(pairs, phi, orlicz._modular_of(pairs, phi, dual))
+            event(f"{name} {'dual ' if dual else ''}band: "
+                  f"{'root' if band else 'every step evaluates'}")
+    for search in (hz.luxemburg_norm, hz.orlicz_norm):
+        found = _bits(_outcome(search, model, f, phi))
+        with pytest.MonkeyPatch.context() as plain:
+            plain.setattr(orlicz, "_power_band", lambda pairs, phi, modular: None)
+            assert found == _bits(_outcome(search, model, f, phi)), search
