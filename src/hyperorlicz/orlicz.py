@@ -279,12 +279,6 @@ def _support(model: HypergroupModel, f: SparseFunction,
     return [(a, haar[x]) for x, v in f.values if (a := math.ldexp(abs(v), shift))]
 
 
-def _guarded(p: float) -> float:
-    """10^(300/p): below it t^p / p cannot pass 10^308, so phi_p's
-    overflow guard cannot fire."""
-    return 10.0 ** (300.0 / p)
-
-
 def _modular_of(pairs: list[tuple[float, float]], phi: YoungFunction,
                 dual: bool = False):
     """modular(scale): the sum of phi(scale * a) * h over the (a, h) pairs of
@@ -297,7 +291,7 @@ def _modular_of(pairs: list[tuple[float, float]], phi: YoungFunction,
     if phi.kind == "phi_p":
         p = phi.p
         d = p / (p - 1.0) if dual else p
-        guarded = _guarded(p)
+        guarded = 10.0 ** (300.0 / p)
 
         def modular(scale: float) -> float:
             total = 0.0
@@ -404,8 +398,10 @@ def _power_band(pairs: list[tuple[float, float]], phi: YoungFunction,
     step evaluates) for the other kinds, for more than 2^16 pairs, for m1
     outside (2^-900, 2^900), and where terms that pow or the Haar product
     took below the normal range could move m1, or the modular near 1, by
-    more than 2^-60; the caller also evaluates wherever phi_p's overflow
-    guard can fire."""
+    more than 2^-60.  phi_p's overflow guard returns inf only where
+    (a / k)^p passes 10^308 for some a < 1, so, with m1 above 2^-900, only
+    where m1 / k^p passes 10^37 and k lies far below r: the root says True
+    there too."""
     n = len(pairs)
     if phi.kind != "phi_p" or n > 1 << 16:
         return None
@@ -429,8 +425,8 @@ def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction, modular,
     until it straddles 1.  NonFiniteIntegrand is raised where the ratio of
     hi to max a passes the largest float; where that of lo falls below the
     least normal float, lo is 0 and hi the last k tested.  Where
-    _power_band gives a band, a step outside it and outside the reach of
-    phi_p's overflow guard reads the root instead of the modular."""
+    _power_band gives a band, a step outside it reads the root instead of
+    the modular."""
     fmax = max(a for a, _ in pairs)
     band = _power_band(pairs, phi, modular)
     if band is None:
@@ -438,12 +434,10 @@ def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction, modular,
             return modular(1.0 / k) > 1.0
     else:
         below, above = band
-        guarded = _guarded(phi.p)
 
         def excess(k: float) -> bool:
-            s = 1.0 / k
-            if below < k < above or s * fmax >= guarded:
-                return modular(s) > 1.0
+            if below < k < above:
+                return modular(1.0 / k) > 1.0
             return k <= below
 
     t0 = _gauge_start(phi, 1.0 / min(h for _, h in pairs))
