@@ -391,7 +391,7 @@ def _power_band(pairs: list[tuple[float, float]], phi: YoungFunction,
     modular, which is modular(1) / k^p: the float test modular(1/k) > 1
     reads True for every k <= below and False for every k >= above.
 
-    The band is r (1 -+ delta), delta = 8 (n + 2p + 8 + |ln m1|) 2^-53 / p
+    The band is r (1 -/+ delta), delta = 8 (n + 2p + 8 + |ln m1|) 2^-53 / p
     for n pairs and m1 = modular(1): about four times the relative rounding
     of r (the sum, pow at an exponent rounded from 1/p, which |ln m1| / p
     amplifies) plus that of the modular at 1/k, divided by p.  None (every
@@ -427,7 +427,6 @@ def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction, modular,
     least normal float, lo is 0 and hi the last k tested.  Where
     _power_band gives a band, a step outside it reads the root instead of
     the modular."""
-    fmax = max(a for a, _ in pairs)
     band = _power_band(pairs, phi, modular)
     if band is None:
         def excess(k: float) -> bool:
@@ -440,6 +439,7 @@ def _gauge(pairs: list[tuple[float, float]], phi: YoungFunction, modular,
                 return modular(1.0 / k) > 1.0
             return k <= below
 
+    fmax = max(a for a, _ in pairs)
     t0 = _gauge_start(phi, 1.0 / min(h for _, h in pairs))
     k0 = fmax if t0 is None else min(max(fmax / t0, fmax * _FLOAT_MIN), _FLOAT_MAX)
     iters = 0
