@@ -25,7 +25,6 @@ reciprocal of one that underflowed to zero): its row is flagged
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import NonFiniteValue, PreconditionFailed, WindowOverflow
@@ -125,14 +124,23 @@ def _tail_verdict(horizon: int,
 
 
 def _translates(model: HypergroupModel, eta: EtaSequence,
-                e: Sequence[int]) -> Callable[[int], frozenset[int] | None]:
-    """idx -> E translated by eta(idx), None off the window; each computed once."""
-    @cache
+                e: tuple[int, ...]) -> Callable[[int], frozenset[int] | None]:
+    """idx -> E translated by eta(idx), None off the window.  The model
+    keeps E's translate by each point, so the checks of a session, along
+    any sequence and at any index that reaches the point, compute it once."""
+    memo = model._set_translates
+
     def translated(idx: int) -> frozenset[int] | None:
         try:
-            return model.set_convolve(e, [eta(idx)])
+            y = eta(idx)
         except WindowOverflow:
             return None
+        if (e, y) not in memo:
+            try:
+                memo[e, y] = model.set_convolve(e, [y])
+            except WindowOverflow:
+                memo[e, y] = None
+        return memo[e, y]
     return translated
 
 
@@ -496,8 +504,14 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
     def tracked(n):
         return _center_pair(model, w, eta, e, n, convention)
 
+    residuals: dict[tuple[int, ...], float] = {}
+
     def residual_norm(members):
-        return luxemburg_norm(model, indicator(set(e) - set(members)), phi).value
+        # Consecutive rows usually keep the same members.
+        if members not in residuals:
+            residuals[members] = luxemburg_norm(
+                model, indicator(set(e) - set(members)), phi).value
+        return residuals[members]
 
     rows = _sublevel_rows(model, e, good,
                           ("residual_norm", "sup_reciprocal", "sup_shifted"),

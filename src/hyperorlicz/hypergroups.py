@@ -321,9 +321,12 @@ class HypergroupModel:
     translation and for the weight factors) but flagged, and
     :meth:`convolve_points` refuses to return them.  Construction computes
     only the invariant measure, one closed-form weight per label and no
-    convolution.  The memos, of pairs, of :meth:`is_central` answers and of
-    :meth:`verify_axioms` findings, only ever add entries equal to what any
-    caller would compute, so a model can be shared between threads.
+    convolution.  The memos, of pairs, of :meth:`is_central` answers, of
+    :meth:`verify_axioms` findings and of the translates of a set by a
+    point (filled in by the aperiodicity checks and the probes, so the
+    checks of a session translate a set by each point once), only ever add
+    entries equal to what any caller would compute, so a model can be
+    shared between threads.
     """
 
     def __init__(self, family: _Family, window: int, identity: int = 0):
@@ -345,6 +348,10 @@ class HypergroupModel:
         self._findings: dict[tuple[int, ...], tuple[AxiomViolation, ...]] = {}
         # label -> whether it is central, filled in by is_central
         self._central: dict[int, bool] = {}
+        # (E, y) -> E convolved with y, None where that leaves the window;
+        # filled in by the aperiodicity checks and probes of dynamics
+        self._set_translates: dict[tuple[tuple[int, ...], int],
+                                   frozenset[int] | None] = {}
 
         # Right-invariant measure normalised at the identity: the reciprocal
         # of the identity atom of delta_x * delta_{x^-}, correctly rounded,

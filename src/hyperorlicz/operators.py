@@ -29,12 +29,20 @@ its two operands, so the result has the bits of the loop
 of iterating the single-step operator.  The hereditary pair is the shifted
 product and the reciprocal product along powers of a center element, so it
 reads the same rows.
+
+A weight product, the one started at 1.0, is kept per (model, sequence) and
+(x, factor count) once computed, so the probes, the witness's right inverse
+and the shifted products of one session compute each product once; a call
+that raises keeps nothing, so computing it again raises the same error.
+The step operator starts each product at a translated value instead, so it
+multiplies the stored factors afresh.
 """
 from __future__ import annotations
 
 import enum
 import math
 from collections import defaultdict
+from collections.abc import Hashable
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -104,9 +112,12 @@ class Weight(Checked, _WeightFields):
 
     @cached_property
     def _memo(self) -> defaultdict:
-        """Per-point caches of values derived from this weight, one dict per
-        key.  An entry is only ever replaced by one that extends it, so a
-        reader racing a writer sees correct values."""
+        """Caches of values derived from this weight, one dict per key:
+        ("rows", model, sequence key) maps a point to its factor row,
+        ("orbits", model, z) a point to its orbit state along powers of z,
+        and ("products", model, sequence key) an (x, factor count) pair to
+        its weight product.  An entry is only ever added, or replaced by one
+        that extends it, so a reader racing a writer sees correct values."""
         return defaultdict(dict)
 
     def sup_over(self, labels) -> float:
@@ -150,6 +161,12 @@ class EtaSequence:
         self.model = model
         self._points: dict[int, int] = {}
 
+    @property
+    def _key(self) -> Hashable:
+        """The key of this sequence in the weight's memos of factor rows and
+        weight products."""
+        return self
+
     def __call__(self, n: int) -> int:
         a = self._points.get(n)
         if a is None:
@@ -175,6 +192,11 @@ class CenterPowers(EtaSequence):
         super().__init__(model)
         self.z = z
         self._powers = [model.identity]
+
+    @property
+    def _key(self) -> Hashable:
+        # Every CenterPowers of one z is the same sequence.
+        return self.z
 
     def _forward(self, n: int) -> int:
         powers = self._powers
@@ -235,9 +257,7 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
         eta(1 - count)
         model._require_in_window(x)
         return _orbit_product(model, w, eta.z, x, count, acc)
-    # Every CenterPowers of one z is the same sequence, so its rows are
-    # keyed by z, not by the sequence object.
-    rows = w._memo["rows", model, eta.z if isinstance(eta, CenterPowers) else eta]
+    rows = w._memo["rows", model, eta._key]
     row = rows.get(x, ())
     if len(row) < count:
         # Missing factors are computed from the highest index down, the order
@@ -296,8 +316,14 @@ def _orbit_product(model: HypergroupModel, w: Weight, z: int, x: int,
 def weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
                    x: int, n: int,
                    convention: ProductConvention = DEFAULT_CONVENTION) -> float:
-    """Running product of translated weight values at x (the step-n cocycle)."""
-    return _cocycle(model, w, eta, x, convention.factors(n), 1.0)
+    """Running product of translated weight values at x (the step-n cocycle),
+    kept per (x, factor count) for the model and sequence."""
+    count = convention.factors(n)
+    products = w._memo["products", model, eta._key]
+    product = products.get((x, count))
+    if product is None:  # a call that raises stores nothing
+        product = products[x, count] = _cocycle(model, w, eta, x, count, 1.0)
+    return product
 
 
 def shifted_weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,

@@ -1,5 +1,6 @@
 """Horizon-bounded dynamics checks: aperiodicity, criterion probes,
 witnesses, orbit scans."""
+import collections
 import math
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
-from hyperorlicz import cli, dynamics
+from hyperorlicz import cli, dynamics, operators, scenario
 from hyperorlicz.dynamics import AperiodicityVerdict, CriterionReport, CriterionRow
+from hyperorlicz.report import render_records
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -411,13 +413,15 @@ def test_sup_necessary_values_along_center_powers_match_the_translate_path(data)
 
 def test_center_and_hereditary_keep_one_orbit_cache():
     # The hereditary pair reads the center probe's factor rows: the weight
-    # keeps no walk of its own along an orbit.
+    # keeps no walk of its own along an orbit.  Besides the orbits it keeps
+    # one memo of the weight products both probes read.
     sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
     for probe in ("center", "hereditary"):
         _, code = cli.run_command(sc, "probe", {"id": probe}, 0)
         assert code == 0, probe
-    assert not [key for key in sc.weight._memo if key[0] == "orbit"]
-    assert [key[0] for key in sc.weight._memo] == ["orbits"]
+    kinds = sorted(key[0] for key in sc.weight._memo)
+    assert "orbit" not in kinds
+    assert kinds == ["orbits", "products"]
 
 
 def test_witness_errors_golden(zline, doubling_weight):
@@ -719,3 +723,158 @@ def test_orbit_pruning_matches_the_unpruned_scan(zline, dr05, data):
               "subnormal error" if res.best_error < sys.float_info.min else "normal error")
         if res.skipped:
             event("skipped steps")
+
+
+# -- one session against fresh loads ----------------------------------------
+
+SESSION_COMMANDS = tuple(("probe", {"id": pid}) for pid in cli.PROBES) + (
+    ("witness", {}), ("orbit", {}), ("aperiodic", {}), ("norm", {}))
+
+LEVELS = (0.25, 0.5, 2.0, 4.0, 1e-160, 1e160)
+
+
+@st.composite
+def session_docs(draw):
+    """A scenario for every session command: the integers, a cyclic Cayley
+    table (validated at load) and Dunkl-Ramirez along powers of a center
+    element, or SU(2) (Dunkl-Ramirez too) along a table sequence.  Horizons
+    and series reach past the window or the table, and weights reach past
+    the float range, so rows are flagged ``window-overflow``,
+    ``series-truncated`` and ``non-finite``.  Half the integer scenarios
+    are doubling shifts on one point, where the center probe can hold and
+    the witness is built."""
+    family = draw(st.sampled_from(("integers", "table", "dunkl_ramirez", "su2")))
+    window = draw(st.integers(3, 12))
+    conventions = ("iterate_exclusive", "inclusive")
+    weight = None
+    if family == "integers":
+        window *= 2
+        hypergroup = {"family": "integers", "window": window}
+        labels = list(range(-window, window + 1))
+        near = list(range(-3, 4))
+        if draw(st.booleans()):
+            near = [draw(st.sampled_from(near))]
+            weight = {"form": "step", "threshold": near[0],
+                      "low": draw(st.sampled_from((2.0, 4.0))),
+                      "high": draw(st.sampled_from((0.5, 0.25)))}
+            conventions = conventions[:1]
+    elif family == "table":
+        hypergroup = {"family": "table", "window": window, "identity": 0,
+                      "involution": {i: -i % window for i in range(window)},
+                      "table": [[i, j, {(i + j) % window: 1.0}]
+                                for i in range(window) for j in range(window)]}
+        labels = near = list(range(window))
+    else:
+        hypergroup = {"family": family, "window": window}
+        if family == "dunkl_ramirez":
+            hypergroup["a"] = 0.5
+        labels = near = list(range(window + 1))
+    if family == "su2" or (family == "dunkl_ramirez" and draw(st.booleans())):
+        horizon = draw(st.integers(1, window + 4))
+        eta = {"generator": "table", "entries": {
+            n: draw(st.sampled_from(labels)) for n in range(1, horizon + 1)}}
+    else:
+        z = draw({"integers": st.sampled_from((1, -1, 2)) if weight is None else st.just(1),
+                  "table": st.integers(1, window - 1),
+                  "dunkl_ramirez": st.just(1)}[family])
+        # Powers on the integers must stay in the window up to the horizon;
+        # the others cycle.
+        reach = window // abs(z) if family == "integers" else 2 * window + 4
+        # A verdict other than inconclusive needs four rows.
+        horizon = draw(st.integers(1 if weight is None else 4, reach))
+        eta = {"generator": "center_powers", "z": z}
+    form = draw(st.sampled_from(("step", "geometric", "table")))
+    if weight is not None:
+        pass
+    elif form == "step":
+        weight = {"form": "step", "threshold": draw(st.integers(-2, 2)),
+                  "low": draw(st.sampled_from(LEVELS)),
+                  "high": draw(st.sampled_from(LEVELS))}
+    elif form == "geometric":
+        weight = {"form": "geometric", "base": draw(st.sampled_from((0.5, 1.0, 2.0))),
+                  "ratio": draw(st.sampled_from((0.5, 0.9, 2.0, 1e10)))}
+    else:
+        weight = {"form": "table", "default": draw(st.sampled_from(LEVELS)),
+                  "entries": {x: draw(st.sampled_from(LEVELS)) for x in draw(
+                      st.lists(st.sampled_from(labels), max_size=6, unique=True))}}
+
+    def points():
+        return draw(st.lists(st.sampled_from(near), min_size=1, max_size=3,
+                             unique=True))
+
+    def function():
+        return {x: draw(st.sampled_from((0.25, 0.5, 1.0, 1.5))) for x in points()}
+
+    return {
+        "id": "session",
+        "hypergroup": hypergroup,
+        "young": draw(st.sampled_from(({"kind": "phi_p", "p": 1.0},
+                                       {"kind": "phi_p", "p": 2.0},
+                                       {"kind": "phi_p", "p": 3.0},
+                                       {"kind": "cosh_minus_one"}))),
+        "weight": weight,
+        "eta": eta,
+        "sets": {"E": points()},
+        "functions": {"f": function(), "g": function(), "target": function()},
+        "run": {"horizon": horizon, "k_max": draw(st.integers(1, 8)),
+                "series_cutoff": draw(st.integers(1, 4)),
+                "rs_bound": draw(st.integers(1, 3)),
+                "convention": draw(st.sampled_from(conventions))},
+    }
+
+
+def _command_outcome(sc, command, opts):
+    """(exit code, rendered body) of a command, or the type it raised."""
+    try:
+        records, code = cli.run_command(sc, command, opts, 0)
+    except Exception as exc:
+        return type(exc)
+    return code, render_records(command, sc.scenario_id, records).split("\n", 1)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(session_docs(), st.permutations(SESSION_COMMANDS))
+def test_one_session_matches_fresh_sessions(doc, order):
+    # The memos a session shares (weight products, translates of E) must
+    # not change a bit of any command, whatever ran before it.
+    sc = scenario.parse_scenario(doc)
+    for command, opts in order:
+        got = _command_outcome(sc, command, opts)
+        assert got == _command_outcome(scenario.parse_scenario(doc), command, opts), \
+            (command, opts)
+        label = f"{command}:{opts.get('id', '')}".rstrip(":")
+        if isinstance(got, type):
+            event(f"{label} raised {got.__name__}")
+            continue
+        event(f"{label} exit {got[0]}")
+        for flag in ("window-overflow", "series-truncated", "non-finite"):
+            if flag in got[1]:
+                event(f"a row flagged {flag}")
+
+
+def test_one_session_computes_each_translate_and_product_once(monkeypatch):
+    # Over a session set_convolve runs at most once per (E, point), and the
+    # cocycle of weight_product once per (x, factor count) that succeeds.
+    convolved = collections.Counter()
+    set_convolve = hz.HypergroupModel.set_convolve
+
+    def counted_convolve(self, a, b):
+        convolved[tuple(a), tuple(b)] += 1
+        return set_convolve(self, a, b)
+
+    products = collections.Counter()
+    cocycle = operators._cocycle
+
+    def counted_cocycle(model, w, eta, x, count, acc):
+        out = cocycle(model, w, eta, x, count, acc)
+        if sys._getframe(1).f_code is operators.weight_product.__code__:
+            products[x, count] += 1
+        return out
+
+    monkeypatch.setattr(hz.HypergroupModel, "set_convolve", counted_convolve)
+    monkeypatch.setattr(operators, "_cocycle", counted_cocycle)
+    sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
+    for command, opts in SESSION_COMMANDS:
+        assert cli.run_command(sc, command, opts, 0)[1] == 0, (command, opts)
+    assert convolved and set(convolved.values()) == {1}
+    assert products and set(products.values()) == {1}

@@ -620,30 +620,34 @@ def test_a_unit_mass_within_tolerance_keeps_the_general_path():
 
 
 def _stored(model, w):
-    """(pair-memo entries, weight values the factor rows and orbits hold)."""
-    factors = 0
+    """(pair-memo entries, weight values the factor rows and orbits hold,
+    weight products the product memo holds)."""
+    factors = products = 0
     for key, entries in w._memo.items():
         if key[0] == "rows":
             factors += sum(map(len, entries.values()))
         elif key[0] == "orbits":
             states = {id(orbit): orbit[0] for orbit, _ in entries.values()}
             factors += sum(len(vals) for _, vals, _, _ in states.values())
-    return len(model._pairs), factors
+        elif key[0] == "products":
+            products += len(entries)
+    return len(model._pairs), factors, products
 
 
 def test_necessary_sup_stores_linearly_in_the_horizon():
     """Each step pulls E back by one more power, so a row per point would
     hold about |E| h^2 / 2 values at horizon h; one row per orbit holds
-    about h.  Counts only: four times the horizon may at most about
-    quadruple them."""
+    about h, and the product memo one product per point of E and step.
+    Counts only: four times the horizon may at most about quadruple them."""
     stored = {}
+    e = range(-4, 4)
     for horizon in (250, 1000):
         model = hz.integer_group(10_000)
         w = hz.step_weight(0, 2.0, 0.5)
-        hz.probe_sup_necessary(model, w, hz.center_powers(model, 1),
-                               range(-4, 4), horizon)
+        hz.probe_sup_necessary(model, w, hz.center_powers(model, 1), e, horizon)
         stored[horizon] = _stored(model, w)
-    (pairs_250, factors_250), (pairs_1000, factors_1000) = stored[250], stored[1000]
+        assert 0 < stored[horizon][2] <= 2 * len(e) * horizon
+    (pairs_250, factors_250, _), (pairs_1000, factors_1000, _) = stored[250], stored[1000]
     assert pairs_1000 <= 5 * max(pairs_250, 1)
     assert 0 < factors_1000 <= 5 * factors_250
     assert factors_1000 < 2 * 1000 + 16

@@ -149,14 +149,14 @@ def test_hereditary_pair_edge_contract(zline, dr03, doubling_weight):
 
 
 def test_hereditary_pairs_share_the_rows_of_one_center_element():
-    # Every CenterPowers of one z is one sequence, so its factor rows are
-    # keyed by z: a loop over the pair on a model that is not a group keeps
-    # one memo entry, not one per call.
+    # Every CenterPowers of one z is one sequence, so its factor rows and
+    # its weight products are keyed by z: a loop over the pair on a model
+    # that is not a group keeps one memo entry of each, not one per call.
     model = hz.dunkl_ramirez(0.5, 32)
     w = hz.step_weight(0, 2.0, 0.5)
     pairs = {hz.hereditary_weight_pair(model, 3, 1, w, 8) for _ in range(200)}
     assert len(pairs) == 1
-    assert len(w._memo) == 1
+    assert sorted(key[0] for key in w._memo) == ["products", "rows"]
 
 
 def test_shifted_product_requires_central_sequence(su2m):
