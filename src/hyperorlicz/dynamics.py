@@ -25,6 +25,7 @@ reciprocal of one that underflowed to zero): its row is flagged
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import NonFiniteValue, PreconditionFailed, WindowOverflow
@@ -504,14 +505,9 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
     def tracked(n):
         return _center_pair(model, w, eta, e, n, convention)
 
-    residuals: dict[tuple[int, ...], float] = {}
-
+    @cache  # consecutive rows usually keep the same members
     def residual_norm(members):
-        # Consecutive rows usually keep the same members.
-        if members not in residuals:
-            residuals[members] = luxemburg_norm(
-                model, indicator(set(e) - set(members)), phi).value
-        return residuals[members]
+        return luxemburg_norm(model, indicator(set(e) - set(members)), phi).value
 
     rows = _sublevel_rows(model, e, good,
                           ("residual_norm", "sup_reciprocal", "sup_shifted"),
