@@ -128,9 +128,11 @@ def _translates(model: HypergroupModel, eta: EtaSequence,
                 e: tuple[int, ...]) -> Callable[[int], frozenset[int] | None]:
     """idx -> E translated by eta(idx), None off the window.  The model
     keeps E's translate by each point, so the checks of a session, along
-    any sequence and at any index that reaches the point, compute it once."""
+    any sequence and at any index that reaches the point, compute it once;
+    each index is looked up once per call."""
     memo = model._set_translates
 
+    @cache
     def translated(idx: int) -> frozenset[int] | None:
         try:
             y = eta(idx)
