@@ -783,20 +783,20 @@ def session_docs(draw):
         # A verdict other than inconclusive needs four rows.
         horizon = draw(st.integers(1 if weight is None else 4, reach))
         eta = {"generator": "center_powers", "z": z}
-    form = draw(st.sampled_from(("step", "geometric", "table")))
-    if weight is not None:
-        pass
-    elif form == "step":
-        weight = {"form": "step", "threshold": draw(st.integers(-2, 2)),
-                  "low": draw(st.sampled_from(LEVELS)),
-                  "high": draw(st.sampled_from(LEVELS))}
-    elif form == "geometric":
-        weight = {"form": "geometric", "base": draw(st.sampled_from((0.5, 1.0, 2.0))),
-                  "ratio": draw(st.sampled_from((0.5, 0.9, 2.0, 1e10)))}
-    else:
-        weight = {"form": "table", "default": draw(st.sampled_from(LEVELS)),
-                  "entries": {x: draw(st.sampled_from(LEVELS)) for x in draw(
-                      st.lists(st.sampled_from(labels), max_size=6, unique=True))}}
+    if weight is None:
+        form = draw(st.sampled_from(("step", "geometric", "table")))
+        if form == "step":
+            weight = {"form": "step", "threshold": draw(st.integers(-2, 2)),
+                      "low": draw(st.sampled_from(LEVELS)),
+                      "high": draw(st.sampled_from(LEVELS))}
+        elif form == "geometric":
+            weight = {"form": "geometric",
+                      "base": draw(st.sampled_from((0.5, 1.0, 2.0))),
+                      "ratio": draw(st.sampled_from((0.5, 0.9, 2.0, 1e10)))}
+        else:
+            weight = {"form": "table", "default": draw(st.sampled_from(LEVELS)),
+                      "entries": {x: draw(st.sampled_from(LEVELS)) for x in draw(
+                          st.lists(st.sampled_from(labels), max_size=6, unique=True))}}
 
     def points():
         return draw(st.lists(st.sampled_from(near), min_size=1, max_size=3,
