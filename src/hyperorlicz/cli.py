@@ -10,8 +10,6 @@ canonical JSON record lines; bodies are byte-identical across repeated runs.
 The CSV format renders the body records only.  The seed feeds only the random
 probe functions of the haar command.
 """
-from __future__ import annotations
-
 import argparse
 import random
 import sys

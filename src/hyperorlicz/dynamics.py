@@ -22,8 +22,6 @@ values are no finite float (a weight product that overflowed, or the
 reciprocal of one that underflowed to zero): its row is flagged
 ``non-finite``, and the orbit scan skips it.
 """
-from __future__ import annotations
-
 import math
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence

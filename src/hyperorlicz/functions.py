@@ -11,8 +11,6 @@ and makes no pair-memo entry; on a group (the integers, a validated Cayley
 table) every point is such an atom and a translate is a relabelling.  The
 memo is read only for products the law leaves open.
 """
-from __future__ import annotations
-
 import math
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple

@@ -34,8 +34,6 @@ Carrier conventions: families on the nonnegative integers use the labels
 ``0..window``; the integer-group family uses ``-window..window``; a
 table-defined model's carrier is exactly the table's label set.
 """
-from __future__ import annotations
-
 import math
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple

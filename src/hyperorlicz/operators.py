@@ -37,8 +37,6 @@ that raises keeps nothing, so computing it again raises the same error.
 The step operator starts each product at a translated value instead, so it
 multiplies the stored factors afresh.
 """
-from __future__ import annotations
-
 import enum
 import math
 from collections import defaultdict

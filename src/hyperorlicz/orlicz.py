@@ -19,8 +19,6 @@ every step evaluates).  So the steps, their count and every bit stay those
 of the search that evaluates each step; the other kinds evaluate every
 step.  Infinity is an explicit sentinel (math.inf), never a float overflow.
 """
-from __future__ import annotations
-
 import math
 import sys
 from bisect import bisect_right
@@ -504,9 +502,14 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     _gauge brackets it between adjacent floats, from the gauge search's
     start under phi, and the smaller F of the two ends is returned.  Where
     phi'(inf) = s is finite and psi(s) m(supp f) <= 1, F never rises, and
-    the value is its limit s ||f||_1.  Where the root lies beyond the float
-    range, F falls at least up to the last k tested, and its value there is
-    within 1 / k of the infimum.
+    the value is its limit s ||f||_1.  The test reads modular_G at k = inf,
+    the sum the search would reach, so the two cannot disagree: psi(s) is
+    0 for phi_p(1), and for a tabulated phi G's constant t0 s - y0 on the
+    last piece, exactly 0 on a single piece (complementary_eval's scan over
+    every knot reads the last knot's rounding there, 4e-16 at knot 1.5e-109,
+    which a Haar mass of 3.4e15 lifts past 1).  Where the root lies beyond
+    the float range, F falls at least up to the last k tested, and its
+    value there is within 1 / k of the infimum.
 
     As for the gauge norm, the search runs on f times the power of two that
     brings max|f| into [1/2, 1); the value and the bracket of k* are scaled
@@ -518,10 +521,14 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     shift = -math.frexp(f.max_abs())[1]
     pairs = _support(model, f, shift)
     limit = _slope(phi, math.inf)
-    if complementary_eval(phi, limit) * math.fsum(h for _, h in pairs) <= 1.0:
+    # Only phi_p(1) and tabulated phi have a finite limit; phi_p(1)'s G is
+    # 0, and the other kinds' modular_G is inf at k = inf.
+    p1 = phi.kind == "phi_p" and limit < math.inf
+    dual = None if p1 else _modular_of(pairs, phi, dual=True)
+    if dual is None or dual(math.inf) <= 1.0:
         value = _product(limit, math.fsum(a * h for a, h in pairs), -shift)
         return NormResult(_norm_value(value, 0), 0, (math.inf, math.inf))
-    lo, hi, iters = _gauge(pairs, phi, _modular_of(pairs, phi, dual=True), 0.0)
+    lo, hi, iters = _gauge(pairs, phi, dual, 0.0)
     modular = _modular_of(pairs, phi)
     value = min(_product(u, 1.0 + modular(1.0 / u), -shift) for u in (lo, hi) if u)
     bracket = (_ldexp(1.0 / hi, shift), _ldexp(1.0 / lo, shift) if lo else math.inf)

@@ -4,14 +4,25 @@ Bodies are canonical JSON lines: keys sorted, floats printed with %.12g,
 no whitespace variation.  Anything run-dependent (timestamp, content hash)
 lives only in the header record so repeated runs produce byte-identical
 bodies.
-"""
-from __future__ import annotations
 
-import hashlib
+The header's sha256 comes from CPython's lean builtin module (``_sha256``
+up to 3.11, ``_sha2`` from 3.12), as stdlib ``random`` takes its sha512:
+``hashlib`` loads OpenSSL's ``_hashlib``, which costs more than the rest of
+this module's import.  ``hashlib`` is the fallback where neither exists; the
+digest is the same either way.
+"""
 import json
 import math
 from datetime import datetime, timezone
 from typing import Any, Iterable, Sequence
+
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def _canon(value: Any) -> Any:
@@ -45,7 +56,7 @@ def body_lines(records: Iterable[dict[str, Any]]) -> list[str]:
 def header_record(command: str, scenario_id: str, body: Sequence[str]) -> str:
     """Head line carrying the run metadata: command, scenario id, record
     count, body content hash, and the (run-dependent) timestamp."""
-    digest = hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
+    digest = sha256("\n".join(body).encode("utf-8")).hexdigest()
     head = {
         "record": "header",
         "command": command,

@@ -61,8 +61,6 @@ labels with |x| <= bound, so a negative one would check none.  Parameter ranges 
 ValueError one raises is a ScenarioError at its section.  Failures raise
 ScenarioError with the offending path.
 """
-from __future__ import annotations
-
 import math
 from collections.abc import Hashable
 from typing import NamedTuple

@@ -7,6 +7,7 @@ at exit 2 print nothing on stdout.  ``doubling_shift axioms`` checks every
 associativity triple of a 129-point window.
 """
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -64,8 +65,13 @@ def _assert_pinned(pair, capsys):
     if want_sha is None:
         assert text == "", pair
         return
-    body = "\n".join(text.split("\n")[1:-1])
-    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == want_sha, pair
+    lines = text.split("\n")
+    body = "\n".join(lines[1:-1])
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    assert digest == want_sha, pair
+    # The header's digest and record count describe the body it heads.
+    header = json.loads(lines[0])
+    assert (header["sha256"], header["records"]) == (digest, len(lines) - 2), pair
 
 
 @pytest.mark.parametrize("pair", sorted(PINNED))

@@ -1077,6 +1077,23 @@ def test_tabulated_infimum_form_is_exact(all_models, data):
             exact * Fraction(1e-14) + 2 * Fraction(math.ulp(0.0)), (found, float(exact))
 
 
+def test_infimum_form_limit_of_one_tiny_piece_on_a_heavy_support(dr03):
+    # An example test_tabulated_infimum_form_is_exact drew.  On one piece
+    # psi of the final slope is 0, but the scan over the knots reads the
+    # rounding of its last one, 4.4e-16, which the Haar mass 3.4e15 of
+    # label 30 lifted past 1: the root search then ran on a dual modular
+    # that is 0 everywhere, and raised.  The limit s ||f||_1 is the infimum.
+    phi = hz.tabulated_young([(0.0, 0.0), (1.4999999999999999e-109, 3.0)])
+    f = hz.SparseFunction.from_dict({0: -1.0, 30: -1.0})
+    assert hz.complementary_eval(phi, orlicz._slope(phi, math.inf)) > 0.0
+    exact = _exact_tabulated_infimum(dr03, f, phi)
+    found = hz.orlicz_norm(dr03, f, phi)
+    assert found.bracket == (math.inf, math.inf)
+    assert abs(Fraction(found.value) - exact) <= exact * Fraction(1e-14)
+    assert float(exact) == 6.799710049466415e124
+    assert math.isclose(found.value, hz.luxemburg_norm(dr03, f, phi).value, rel_tol=1e-12)
+
+
 def test_a_norm_call_builds_no_sparse_function(monkeypatch):
     # A norm call scales the values of f itself and copies f into no new
     # SparseFunction, at every peak, in the k -> infinity limit (phi_p(1),

@@ -1,6 +1,7 @@
 """The public records are immutable named tuples that behave as the frozen
 records they replace, and importing the package stays lean."""
 import copy
+import json
 import pathlib
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import sys
 import pytest
 
 import hyperorlicz as hz
+import hyperorlicz.cli
 
 SRC = str(pathlib.Path(hz.__file__).resolve().parent.parent)
+SCENARIO = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "doubling_shift.yaml"
 
 MODEL = hz.integer_group(2)
 VERDICT = hz.AperiodicityVerdict(True, 1, 8, ())
@@ -218,3 +221,42 @@ def test_import_and_builds_load_no_dataclasses_inspect_or_fractions():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={"PYTHONPATH": SRC}, check=True)
     assert out.stdout.split() == ["none", "False"]
+
+
+HAAR_CALL = (
+    "import contextlib, io, json\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    f"    code = hyperorlicz.cli.main(['--scenario', {str(SCENARIO)!r}, '--command', 'haar'])\n"
+    "header = json.loads(out.getvalue().split('\\n')[0])\n")
+
+
+def test_a_cli_call_loads_no_openssl_digest():
+    # The header's sha256 comes from the lean builtin module: hashlib
+    # would load OpenSSL's _hashlib, the largest cost of importing report.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hyperorlicz, hyperorlicz.cli\n"
+        + HAAR_CALL +
+        "print(code, *sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before))"
+        " or ['none'])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={"PYTHONPATH": SRC}, check=True)
+    assert out.stdout.split() == ["0", "none"]
+
+
+def test_header_digest_falls_back_to_hashlib(capsys):
+    # Where neither lean module exists the digest comes from hashlib, and
+    # the header reads the same digest as on the lean path.
+    code = (
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "import hashlib, hyperorlicz, hyperorlicz.cli\n"
+        + HAAR_CALL +
+        "print(code, hyperorlicz.report.sha256 is hashlib.sha256, header['sha256'])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={"PYTHONPATH": SRC}, check=True)
+    assert hz.cli.main(["--scenario", str(SCENARIO), "--command", "haar"]) == 0
+    lean = json.loads(capsys.readouterr().out.split("\n")[0])["sha256"]
+    assert out.stdout.split() == ["0", "True", lean]
