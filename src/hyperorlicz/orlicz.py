@@ -505,11 +505,11 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     the value is its limit s ||f||_1.  The test reads modular_G at k = inf,
     the sum the search would reach, so the two cannot disagree: psi(s) is
     0 for phi_p(1), and for a tabulated phi G's constant t0 s - y0 on the
-    last piece, exactly 0 on a single piece (complementary_eval's scan over
-    every knot reads the last knot's rounding there, 4e-16 at knot 1.5e-109,
-    which a Haar mass of 3.4e15 lifts past 1).  Where the root lies beyond
-    the float range, F falls at least up to the last k tested, and its
-    value there is within 1 / k of the infimum.
+    last piece, exactly 0 on a single piece, where complementary_eval's
+    scan over every knot reads the last knot's rounding, which a heavy
+    Haar mass can lift past 1.  Where the root lies beyond the float range,
+    F falls at least up to the last k tested, and its value there is within
+    1 / k of the infimum.
 
     As for the gauge norm, the search runs on f times the power of two that
     brings max|f| into [1/2, 1); the value and the bracket of k* are scaled
@@ -521,9 +521,8 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     shift = -math.frexp(f.max_abs())[1]
     pairs = _support(model, f, shift)
     limit = _slope(phi, math.inf)
-    # Only phi_p(1) and tabulated phi have a finite limit; phi_p(1)'s G is
-    # 0, and the other kinds' modular_G is inf at k = inf.
-    p1 = phi.kind == "phi_p" and limit < math.inf
+    # phi_p(1)'s G is 0; the kinds with phi'(inf) = inf read inf at k = inf.
+    p1 = phi.kind == "phi_p" and phi.p == 1.0
     dual = None if p1 else _modular_of(pairs, phi, dual=True)
     if dual is None or dual(math.inf) <= 1.0:
         value = _product(limit, math.fsum(a * h for a, h in pairs), -shift)
