@@ -163,8 +163,8 @@ def young_inverse(phi: YoungFunction, y: float) -> float:
 def complementary_eval(phi: YoungFunction, y: float) -> float:
     """Value of the complementary function sup_x (x y - phi(x)).
 
-    Closed form for every kind but tabulated, whose value is an exact knot
-    scan.  Unbounded suprema return math.inf.
+    Closed form for every kind but tabulated, whose value is read at the
+    knot where its slopes cross y.  Unbounded suprema return math.inf.
     """
     if y < 0.0:
         raise ValueError("complementary functions are evaluated on [0, inf)")
@@ -183,7 +183,14 @@ def complementary_eval(phi: YoungFunction, y: float) -> float:
     if phi.kind == "tabulated":
         if y > _slope(phi, math.inf):
             return math.inf
-        return max(t * y - v for t, v in phi.knots)
+        # t y - phi(t) rises while phi's slope is below y, so its sup is at
+        # the left knot of the first piece whose slope is at least y: the
+        # value _dual_term reads on that piece.
+        knots = phi.knots
+        for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
+            if (v1 - v0) / (t1 - t0) >= y:
+                break
+        return t0 * y - v0
     if phi.kind == "exp_minus_linear":  # (1 + y) log(1 + y) - y
         if y <= 0.5:
             # The closed form cancels at small y; its Taylor series
@@ -505,11 +512,9 @@ def orlicz_norm(model: HypergroupModel, f: SparseFunction,
     the value is its limit s ||f||_1.  The test reads modular_G at k = inf,
     the sum the search would reach, so the two cannot disagree: psi(s) is
     0 for phi_p(1), and for a tabulated phi G's constant t0 s - y0 on the
-    last piece, exactly 0 on a single piece, where complementary_eval's
-    scan over every knot reads the last knot's rounding, which a heavy
-    Haar mass can lift past 1.  Where the root lies beyond the float range,
-    F falls at least up to the last k tested, and its value there is within
-    1 / k of the infimum.
+    last piece, exactly 0 on a single piece.  Where the root lies beyond the
+    float range, F falls at least up to the last k tested, and its value
+    there is within 1 / k of the infimum.
 
     As for the gauge norm, the search runs on f times the power of two that
     brings max|f| into [1/2, 1); the value and the bracket of k* are scaled

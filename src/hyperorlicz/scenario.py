@@ -44,9 +44,14 @@ Grammar (top-level keys, unknown keys rejected):
 A mapping may not repeat a key: the second ``window:`` in one section is
 an error, not a silent override (keys merged in with YAML's ``<<`` may
 still be overridden).  Files are parsed with libyaml's C parser when the
-PyYAML build has it, else with PyYAML's pure-Python parser; both resolve
-tags, integer keys and floats through the same Python constructor, so they
-give the same documents.
+PyYAML build has it, else with PyYAML's pure-Python parser, and both share
+PyYAML's Python resolver.  The document is then built straight from the
+node tree: lists, dicts, and each core scalar (str, int, float, bool, null)
+made once per tag and value by PyYAML's own constructor for its tag.  A
+file with an alias of a list or mapping, a ``<<`` merge key, any other tag,
+or a repeated or unhashable key is built again by PyYAML's whole
+constructor, which raises every error, so both parsers give the documents
+``yaml.load`` gives.
 
 Validation is eager: the hypergroup is built (axioms of table families are
 checked on construction), the declared sequence is dry-run over every index
@@ -120,9 +125,85 @@ class _UniqueKeys:
 
 
 # libyaml's scanner and parser when this PyYAML build has them; the
-# constructor and resolver are PyYAML's Python ones either way.
+# resolver and the constructor _load falls back to are PyYAML's Python ones
+# either way.
 class _Loader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    pass
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._tags = {}
+
+    def resolve(self, kind, value, implicit):
+        """PyYAML's tag, memoised per loader: SafeLoader registers no path
+        resolvers, so the tag depends on these three arguments alone."""
+        key = (kind, value, implicit)
+        tag = self._tags.get(key)
+        if tag is None:
+            tag = self._tags[key] = super().resolve(kind, value, implicit)
+        return tag
+
+
+_CORE_TAGS = frozenset(f"tag:yaml.org,2002:{name}"
+                       for name in ("str", "int", "float", "bool", "null"))
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_MAP_TAG = "tag:yaml.org,2002:map"
+
+
+class _OffPath(Exception):
+    """A node the direct build leaves to PyYAML's constructor."""
+
+
+def _direct(loader, root):
+    """The document under root as lists, dicts and core scalars, each core
+    scalar made by the loader's own constructor for its tag once per
+    (tag, value).  Raises _OffPath at a collection seen twice (an alias),
+    any other tag (a ``<<`` merge key included) or a repeated key; an
+    unhashable key raises TypeError.  An aliased scalar needs no check: the
+    memo hands out one object per (tag, value), as PyYAML's alias does."""
+    constructors = loader.yaml_constructors
+    scalars = {}
+    seen = set()
+
+    def build(node):
+        if node.id == "scalar":
+            key = (node.tag, node.value)
+            out = scalars.get(key, scalars)
+            if out is scalars:
+                if node.tag not in _CORE_TAGS:
+                    raise _OffPath
+                out = scalars[key] = constructors[node.tag](loader, node)
+            return out
+        if id(node) in seen:
+            raise _OffPath
+        seen.add(id(node))
+        if node.tag == _SEQ_TAG and node.id == "sequence":
+            return [build(item) for item in node.value]
+        if node.tag == _MAP_TAG and node.id == "mapping":
+            out = {build(k): build(v) for k, v in node.value}
+            if len(out) != len(node.value):
+                raise _OffPath
+            return out
+        raise _OffPath
+
+    return build(root)
+
+
+def _load(stream):
+    """The single YAML document in stream, as ``yaml.load(stream,
+    Loader=_Loader)`` gives it.  The node tree is composed by _Loader and
+    built by _direct; where a node is off that path, or anything raises
+    there, PyYAML's constructor builds the whole document again from the
+    same tree, so it decides every rare construct and every error text."""
+    loader = _Loader(stream)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        try:
+            return _direct(loader, node)
+        except Exception:  # PyYAML rebuilds it and raises what yaml.load would
+            return loader.construct_document(node)
+    finally:
+        loader.dispose()
 
 
 class RunSettings(NamedTuple):
@@ -364,7 +445,7 @@ def parse_scenario(data: dict) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=_Loader)
+            data = _load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -185,6 +185,19 @@ def test_complementary_tabulated_knot_scan():
     assert complementary_eval(phi, 3.0) == math.inf  # beyond the final slope
 
 
+def test_complementary_tabulated_reads_the_knot_where_the_slopes_cross():
+    # psi at a piece's own slope is read at that piece's left knot, the
+    # value _dual_term sums, not at the rounding of the piece's other knot:
+    # a max over every knot gave 4.44e-16 here.
+    phi = hz.tabulated_young([(0, 0), (1.4999999999999999e-109, 3.0)])
+    assert complementary_eval(phi, 2.0000000000000004e109) == 0.0
+    phi = hz.tabulated_young([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (3.0, 6.0)])
+    term = orlicz._dual_term(phi)
+    for (t0, v0), (t1, v1) in zip(phi.knots, phi.knots[1:]):
+        slope = (v1 - v0) / (t1 - t0)
+        assert complementary_eval(phi, slope) == term(0.5 * (t0 + t1)) == t0 * slope - v0
+
+
 def test_young_equality_holds_per_kind():
     # psi(phi'(t)) = t phi'(t) - phi(t) from t = 1e-300 to 1e300 wherever
     # the right side is finite: complementary_eval against the difference,
@@ -1079,13 +1092,13 @@ def test_tabulated_infimum_form_is_exact(all_models, data):
 
 def test_infimum_form_limit_of_one_tiny_piece_on_a_heavy_support(dr03):
     # An example test_tabulated_infimum_form_is_exact drew.  On one piece
-    # psi of the final slope is 0, but the scan over the knots reads the
-    # rounding of its last one, 4.4e-16, which the Haar mass 3.4e15 of
+    # psi of the final slope is 0, but a scan over every knot read the
+    # rounding of the last one, 4.4e-16, which the Haar mass 3.4e15 of
     # label 30 lifted past 1: the root search then ran on a dual modular
     # that is 0 everywhere, and raised.  The limit s ||f||_1 is the infimum.
     phi = hz.tabulated_young([(0.0, 0.0), (1.4999999999999999e-109, 3.0)])
     f = hz.SparseFunction.from_dict({0: -1.0, 30: -1.0})
-    assert hz.complementary_eval(phi, orlicz._slope(phi, math.inf)) > 0.0
+    assert hz.complementary_eval(phi, orlicz._slope(phi, math.inf)) == 0.0
     exact = _exact_tabulated_infimum(dr03, f, phi)
     found = hz.orlicz_norm(dr03, f, phi)
     assert found.bracket == (math.inf, math.inf)

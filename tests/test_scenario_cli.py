@@ -8,7 +8,7 @@ import sys
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
@@ -366,6 +366,187 @@ def test_c_and_python_parsers_give_equal_documents():
         text = path.read_text(encoding="utf-8")
         assert yaml.load(text, Loader=yaml.CSafeLoader) == \
             yaml.load(text, Loader=yaml.SafeLoader), path
+
+
+# Scalars the YAML 1.1 resolver reads as another type than they look, and
+# explicit core tags; then the scalars PyYAML's constructor alone builds, or
+# rejects.  Keys drawn from a small pool repeat, and 1, 1.0 and true are one
+# key.
+_CORE_SCALARS = ("017", "0x1f", "1_000", "+3", "1:30", ".inf", "-.inf", ".nan",
+                 "yes", "No", "~", "null", "'5'", '"1.0"', "1", "1.0", "-0",
+                 "1e3", "abc", "0b101", "!!float 1", "!!str 5", "!!int 0x10",
+                 "!!null ''", "!!bool yes")
+_RARE_SCALARS = ("!!binary aGk=", "2001-12-14", "2001-12-14 21:59:43.10 -5",
+                 "!!int 1.5", "!local x", "=", "<<")
+_CORE_KEYS = ("1", "1.0", "true", "a", "b", "'1'", "~", ".nan", "'<<'")
+
+
+def _yaml_text(root):
+    """root's text: a collection whose block flag is set, and that has items,
+    in block style below a block parent, everything else in flow style.
+    Anchors are numbered in document order, and an alias names one already
+    numbered, or is the scalar ~ before the first."""
+    anchors = 0
+
+    def flow(node):
+        nonlocal anchors
+        kind = node[0]
+        if kind == "scalar":
+            return node[1]
+        if kind == "alias":
+            return f"*a{node[1] % anchors}" if anchors else "~"
+        if kind == "anchor" and node[1][0] in ("alias", "anchor"):
+            return flow(node[1])  # a node takes one anchor, an alias none
+        if kind == "anchor":
+            anchors += 1
+            return f"&a{anchors - 1} {flow(node[1])}"
+        if kind == "set":
+            return "!!set {" + ", ".join(map(flow, node[1])) + "}"
+        if kind == "seq":
+            return "[" + ", ".join(map(flow, node[1])) + "]"
+        return "{" + ", ".join(f"{flow(k)}: {flow(v)}" for k, v in node[1]) + "}"
+
+    def block(node, indent):
+        """node as it follows ``-`` or ``key:`` in a block collection."""
+        nonlocal anchors
+        kind, pad = node[0], " " * indent
+        if kind == "anchor" and node[1][0] in ("alias", "anchor"):
+            return block(node[1], indent)
+        if kind == "anchor":
+            anchors += 1
+            return f" &a{anchors - 1}" + block(node[1], indent)
+        if kind == "seq" and node[2] and node[1]:
+            return "\n" + "".join(f"{pad}-{block(c, indent + 2)}" for c in node[1])
+        if kind == "map" and node[2] and node[1]:
+            return "\n" + "".join(f"{pad}{flow(k)}:{block(v, indent + 2)}"
+                                  for k, v in node[1])
+        return f" {flow(node)}\n"
+
+    return block(root, 0).lstrip(" \n")
+
+
+def _nodes(scalars, keys, rare):
+    """Node trees of the scalars and keys given; with rare, also sets,
+    anchors, aliases and unhashable keys."""
+    scalar = st.sampled_from(scalars).map(lambda text: ("scalar", text))
+    key = st.sampled_from(keys).map(lambda text: ("scalar", text))
+    if rare:
+        key = st.one_of(key, st.tuples(st.just("seq"), st.lists(
+            scalar, max_size=1).map(tuple), st.just(False)))
+
+    def collections(children):
+        options = [
+            st.tuples(st.just("seq"), st.lists(children, max_size=4), st.booleans()),
+            st.tuples(st.just("map"), st.lists(st.tuples(key, children), max_size=4,
+                                               unique_by=lambda item: item[0]),
+                      st.booleans())]
+        if rare:
+            options += [st.tuples(st.just("set"), st.lists(scalar, max_size=3, unique=True)),
+                        st.tuples(st.just("anchor"), children)]
+        return st.one_of(*options)
+
+    leaves = st.one_of(scalar, st.tuples(st.just("alias"), st.integers(0, 3))) \
+        if rare else scalar
+    return st.recursive(leaves, collections, max_leaves=12)
+
+
+_NODE = st.one_of(_nodes(_CORE_SCALARS, _CORE_KEYS, False),
+                  _nodes(_CORE_SCALARS + _RARE_SCALARS, _CORE_KEYS + ("<<",), True))
+# Larger documents as PyYAML dumps Python data, in block or flow style.
+_DUMPED = st.tuples(st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.one_of(st.integers(-2, 2), st.floats(-2, 2), st.text(max_size=2)),
+                        children, max_size=5)),
+    max_leaves=30), st.booleans()).map(
+        lambda drawn: yaml.safe_dump(drawn[0], default_flow_style=drawn[1]))
+_DOCUMENT = st.one_of(_NODE.map(_yaml_text), _DUMPED)
+# About one text in eight is empty, an explicit start or two documents.
+_YAML_TEXTS = st.tuples(st.sampled_from(range(24)), _DOCUMENT, _DOCUMENT).map(
+    lambda drawn: {1: "", 2: "# no document\n", 3: "---\n", 4: "---\n" + drawn[1],
+                   5: "---\n".join(drawn[1:])}.get(drawn[0], drawn[1]))
+
+
+def _outcome(load, text):
+    """What load makes of text: the document's repr, which tells 1, 1.0 and
+    True apart at every depth, prints every NaN alike and stops at a
+    recursive alias; or the error's class and message."""
+    try:
+        return "document", repr(load(text))
+    except Exception as exc:  # every error yaml.load raises must match
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_YAML_TEXTS)
+@example("[1.0, '1.0', \"1.0\", !!float 1.0, 1, '1', true, 'true']\n")
+@example("{1: a, 1.0: b}\n")
+@example("a: &x {b: [1]}\nc: *x\nd:\n  <<: *x\n  e: 2\n")
+def test_load_matches_yaml_load(text):
+    # _Loader's bases alone resolve every tag without _Loader's memo
+    plain = type("PlainLoader", scenario._Loader.__bases__, {})
+    expected = _outcome(lambda t: yaml.load(t, Loader=scenario._Loader), text)
+    assert _outcome(scenario._load, text) == expected, text
+    assert _outcome(lambda t: yaml.load(t, Loader=plain), text) == expected, text
+
+
+def _cyclic_table_text(order):
+    """A scenario holding the Cayley table of Z_order, written as PyYAML
+    dumps it."""
+    return yaml.safe_dump({
+        "id": f"cyclic-{order}",
+        "hypergroup": {"family": "table", "window": order, "identity": 0,
+                       "involution": {x: -x % order for x in range(order)},
+                       "table": [[x, y, {(x + y) % order: 1.0}]
+                                 for x in range(order) for y in range(order)]},
+        "young": {"kind": "phi_p", "p": 2.0},
+        "weight": {"form": "constant", "value": 1.0}}, sort_keys=True)
+
+
+def test_load_falls_back_only_off_the_direct_path(monkeypatch, request):
+    root = SCENARIO_DIR.parent
+    texts = [path.read_text(encoding="utf-8") for path in sorted(
+        SCENARIO_DIR.glob("*.yaml")) + sorted((root / "bench" / "shipped").glob("*.yaml"))]
+    texts.append(_cyclic_table_text(28))
+    assert len(texts) == 7
+    off_path = ("base: &b {family: integers}\nhypergroup: *b\n",
+                "base: {family: integers}\nhypergroup: {<<: {window: 8}}\n")
+    expected = [repr(yaml.load(text, Loader=scenario._Loader)) for text in texts + list(off_path)]
+    fallbacks = []
+    construct_document = scenario._Loader.construct_document
+
+    def counted(loader, node):
+        fallbacks.append(node)
+        return construct_document(loader, node)
+
+    monkeypatch.setattr(scenario._Loader, "construct_document", counted)
+    assert [repr(scenario._load(text)) for text in texts] == expected[:len(texts)]
+    assert fallbacks == []
+    for text, doc in zip(off_path, expected[len(texts):]):
+        assert repr(scenario._load(text)) == doc
+        assert len(fallbacks) == 1
+        fallbacks.clear()
+
+    # the differential once more on PyYAML's pure-Python parser
+    seed = request.config.getoption("hypothesis_seed", None)
+    code = ("import sys\n"
+            "sys.modules['yaml._yaml'] = None\n"
+            "import pytest, yaml\n"
+            "from hyperorlicz import scenario\n"
+            "assert not yaml.__with_libyaml__\n"
+            "assert issubclass(scenario._Loader, yaml.SafeLoader)\n"
+            "sys.exit(pytest.main(sys.argv[1:]))\n")
+    src = str(pathlib.Path(hz.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_load_matches_yaml_load",
+         *([] if seed is None else [f"--hypothesis-seed={seed}"])],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
 
 
 def test_cli_axioms_exit_zero(tmp_path, capsys):
