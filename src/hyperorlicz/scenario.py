@@ -172,9 +172,9 @@ def _direct(loader, root):
                     raise _OffPath
                 out = scalars[key] = constructors[node.tag](loader, node)
             return out
-        if id(node) in seen:
+        if node in seen:  # nodes hash by identity
             raise _OffPath
-        seen.add(id(node))
+        seen.add(node)
         if node.tag == _SEQ_TAG and node.id == "sequence":
             return [build(item) for item in node.value]
         if node.tag == _MAP_TAG and node.id == "mapping":
@@ -184,7 +184,10 @@ def _direct(loader, root):
             return out
         raise _OffPath
 
-    return build(root)
+    try:
+        return build(root)
+    finally:
+        del build  # its closure holds it: leave no cycle keeping the loader alive
 
 
 def _load(stream):

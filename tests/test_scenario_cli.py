@@ -1,5 +1,6 @@
 """Scenario parsing, CLI commands, exit codes, output determinism."""
 import copy
+import gc
 import json
 import os
 import pathlib
@@ -547,6 +548,25 @@ def test_load_falls_back_only_off_the_direct_path(monkeypatch, request):
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "1 passed" in proc.stdout
+
+
+def test_load_leaves_no_cycle_for_the_collector():
+    # the direct build recurses through a closure that holds itself; left
+    # in place, that cycle kept the loader and both memos alive until the
+    # next collection
+    texts = [(SCENARIO_DIR / "dr_axioms.yaml").read_text(encoding="utf-8"),
+             "a: &x [1]\nb: *x\n", "{1: a, 1.0: b}\n"]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            try:
+                scenario._load(text)
+            except yaml.YAMLError:
+                pass
+            assert gc.collect() == 0, text
+    finally:
+        gc.enable()
 
 
 def test_cli_axioms_exit_zero(tmp_path, capsys):
