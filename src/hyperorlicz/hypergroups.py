@@ -36,6 +36,8 @@ table-defined model's carrier is exactly the table's label set.
 """
 import math
 from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import eq, ne
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -138,6 +140,27 @@ class AxiomViolation(NamedTuple):
     axiom: str                 # one of AXIOMS
     witness: tuple[int, ...]
     detail: str
+
+
+# The detail of each axiom's findings, formatted with the witness labels as
+# positional fields; both paths of verify_axioms build findings from these.
+_DETAILS = {
+    "involution": "involution of {0} does not fold back",
+    "probability-mass": "mass deviates by {dev:.3e}",
+    "identity": "{tag} identity law fails at {0}",
+    "support-identity": "identity atom present iff x equals the involution of y",
+    "adjoint": "adjoint law deviates by {dev:.3e}",
+    "associativity": "triple product deviates by {dev:.3e}",
+}
+
+
+def _violation(axiom: str, witness: tuple[int, ...], **fields) -> AxiomViolation:
+    return AxiomViolation(axiom, witness, _DETAILS[axiom].format(*witness, **fields))
+
+
+def _differences(a: tuple, b: tuple) -> Iterable[int]:
+    """The positions where the equally long tuples a and b differ."""
+    return compress(range(len(a)), map(ne, a, b))
 
 
 class CenterReport(NamedTuple):
@@ -548,6 +571,16 @@ class HypergroupModel:
         return list(findings)
 
     def _check_axioms(self, pts: tuple[int, ...]) -> tuple[AxiomViolation, ...]:
+        inv = self.involution
+        found = self._check_on_labels(pts)
+        if found is None:
+            found = self._check_on_rows(pts)
+        found["involution"] = [_violation("involution", (x,)) for x in pts
+                               if (xi := inv(x)) not in self._labels or inv(xi) != x]
+        return tuple(v for name in AXIOMS for v in found[name])
+
+    def _check_on_rows(self, pts: tuple[int, ...]) -> dict[str, list[AxiomViolation]]:
+        """Every axiom but the involution's, on the atoms of the pair memo."""
         found: dict[str, list[AxiomViolation]] = {name: [] for name in AXIOMS}
         e = self.identity
         inv = self.involution
@@ -555,31 +588,96 @@ class HypergroupModel:
 
         for x in pts:
             xi = inv(x)
-            if xi not in self._labels or inv(xi) != x:
-                found["involution"].append(AxiomViolation(
-                    "involution", (x,), f"involution of {x} does not fold back"))
             for (atoms, tag) in ((pair(x, e)[0], "right"), (pair(e, x)[0], "left")):
                 if not _is_point_mass(atoms, x):
-                    found["identity"].append(AxiomViolation(
-                        "identity", (x,), f"{tag} identity law fails at {x}"))
+                    found["identity"].append(_violation("identity", (x,), tag=tag))
             for y in pts:
                 xy = pair(x, y)[0]
                 dm = abs(sum(xy.values()) - 1.0)
                 if dm > EPS_PROB:
-                    found["probability-mass"].append(AxiomViolation(
-                        "probability-mass", (x, y), f"mass deviates by {dm:.3e}"))
+                    found["probability-mass"].append(
+                        _violation("probability-mass", (x, y), dev=dm))
                 if (xy.get(e, 0.0) > TOL_ATOM) != (x == inv(y)):
-                    found["support-identity"].append(AxiomViolation(
-                        "support-identity", (x, y),
-                        "identity atom present iff x equals the involution of y"))
+                    found["support-identity"].append(_violation("support-identity", (x, y)))
                 lhs = {inv(u): m for u, m in xy.items()}
                 dev = _max_deviation(lhs, pair(inv(y), xi)[0])
                 if dev > TOL_ATOM:
-                    found["adjoint"].append(AxiomViolation(
-                        "adjoint", (x, y), f"adjoint law deviates by {dev:.3e}"))
+                    found["adjoint"].append(_violation("adjoint", (x, y), dev=dev))
 
         found["associativity"] = self._associativity(pts)
-        return tuple(v for name in AXIOMS for v in found[name])
+        return found
+
+    def _check_on_labels(self, pts: tuple[int, ...]) -> dict[str, list[AxiomViolation]] | None:
+        """What _check_on_rows finds, decided on the point law's labels alone,
+        or None where the law gives no label for a row that check reads.
+
+        Every row is then a unit atom {u: 1.0}: its mass is exact, it holds
+        the identity atom exactly when u is the identity, and two rows
+        deviate by exactly 0.0 or 1.0.  The associativity sides of a pair
+        (i, j) are the tuples over k of the labels of (pts[i] pts[j]) pts[k]
+        and pts[i] (pts[j] pts[k]); where pts[j] pts[k] leaves the window the
+        right one takes the left one's label, so one C comparison clears the
+        pair, and k is scanned, with the fit of both sides, only where the
+        tuples differ.  No pair-memo entry is made.
+        """
+        law, labels, e = self._law, self._labels, self.identity
+        n = len(pts)
+        prods = []  # prods[i][j]: the label of pts[i] * pts[j]
+        for x in pts:
+            row = tuple(map(law, repeat(x, n), pts))
+            if None in row:
+                return None
+            prods.append(row)
+        invs = tuple(map(self.involution, pts))
+        rights = tuple(map(law, pts, repeat(e, n)))
+        lefts = tuple(map(law, repeat(e, n), pts))
+        adjoints = [tuple(map(law, invs, repeat(xi, n))) for xi in invs]
+        if None in rights or None in lefts or any(None in row for row in adjoints):
+            return None
+        # pts and the labels of their fitting pairs; the rows (u, c) and
+        # (c, u) are read for each u here and c in pts.
+        reach = tuple(set(pts).union(labels.intersection(chain.from_iterable(prods))))
+        m = len(reach)
+        outer = {}  # u -> the labels of u * c over c in pts
+        for u in reach:
+            row = outer[u] = tuple(map(law, repeat(u, n), pts))
+            if None in row:
+                return None
+        inner = []  # inner[i]: the label of pts[i] * u for each u in reach
+        for a in pts:
+            row = dict(zip(reach, map(law, repeat(a, m), reach)))
+            if None in row.values():
+                return None
+            inner.append(row)
+
+        found: dict[str, list[AxiomViolation]] = {name: [] for name in AXIOMS}
+        found["identity"] = [_violation("identity", (x,), tag=tag)
+                             for x, r, l in zip(pts, rights, lefts)
+                             for tag, u in (("right", r), ("left", l)) if u != x]
+        support, adjoint, assoc = (found["support-identity"], found["adjoint"],
+                                   found["associativity"])
+        for i, x in enumerate(pts):
+            row = prods[i]
+            has_e, is_inverse = tuple(map(eq, row, repeat(e))), tuple(map(eq, repeat(x), invs))
+            if has_e != is_inverse:
+                support.extend(_violation("support-identity", (x, pts[j]))
+                               for j in _differences(has_e, is_inverse))
+            swapped = tuple(map(self.involution, row))
+            if swapped != adjoints[i]:
+                adjoint.extend(_violation("adjoint", (x, pts[j]), dev=1.0)
+                               for j in _differences(swapped, adjoints[i]))
+        for i, x in enumerate(pts):
+            by_x = inner[i]
+            for j, u in enumerate(prods[i]):
+                if u not in labels:
+                    continue
+                left = outer[u]
+                right = tuple(map(by_x.get, prods[j], left))
+                if left != right:
+                    assoc.extend(_violation("associativity", (x, pts[j], pts[k]), dev=1.0)
+                                 for k in _differences(left, right)
+                                 if left[k] in labels and right[k] in labels)
+        return found
 
     def _associativity(self, pts: tuple[int, ...]) -> list[AxiomViolation]:
         """(delta_x * delta_y) * delta_z against delta_x * (delta_y * delta_z)
@@ -655,9 +753,8 @@ class HypergroupModel:
             dev = _max_deviation(p, q)  # symmetric in p and q, bit for bit
             if dev > TOL_ASSOC:
                 for key in keys:
-                    hits[key] = AxiomViolation(
-                        "associativity", tuple(pts[i] for i in key),
-                        f"triple product deviates by {dev:.3e}")
+                    hits[key] = _violation("associativity", tuple(pts[i] for i in key),
+                                           dev=dev)
 
         n = len(pts)
         if commutes:

@@ -453,4 +453,11 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario file is not valid YAML: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
+    except (KeyError, ValueError) as exc:
+        # PyYAML's constructors raise these, not a YAMLError, for a tagged
+        # scalar they cannot read, such as !!bool foo or !!int 1.5.
+        raise ScenarioError(f"scenario file {path} holds a tagged value YAML "
+                            f"cannot construct: {type(exc).__name__}: {exc}") from exc
     return parse_scenario(data)

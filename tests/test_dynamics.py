@@ -260,6 +260,7 @@ def _cyclic_group(labels):
     return hz.table_hypergroup(conv, involution, identity=labels[0])
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_center_and_hereditary_track_one_pair(data):
@@ -351,6 +352,7 @@ def _report_bits(probe):
         for row in report.rows]
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_sup_necessary_values_along_center_powers_match_the_translate_path(data):
@@ -684,6 +686,7 @@ ORBIT_YOUNG = (hz.phi_p(1.0), hz.phi_p(2.5), hz.phi_p(1e6), hz.exp_minus_linear(
                hz.tabulated_young([(0.0, 0.0), (1e-200, 1.0), (2e-200, 4.0)]))
 
 
+@pytest.mark.seeded
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_orbit_pruning_matches_the_unpruned_scan(zline, dr05, data):
@@ -832,6 +835,7 @@ def _command_outcome(sc, command, opts):
     return code, render_records(command, sc.scenario_id, records).split("\n", 1)[1]
 
 
+@pytest.mark.seeded
 @settings(max_examples=100, deadline=None)
 @given(session_docs(), st.permutations(SESSION_COMMANDS))
 def test_one_session_matches_fresh_sessions(doc, order):
@@ -852,6 +856,7 @@ def test_one_session_matches_fresh_sessions(doc, order):
                 event(f"a row flagged {flag}")
 
 
+@pytest.mark.seeded
 def test_one_session_computes_each_translate_and_product_once(monkeypatch):
     # Over a session set_convolve runs at most once per (E, point), and the
     # cocycle of weight_product once per (x, factor count) that succeeds.

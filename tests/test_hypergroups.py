@@ -253,6 +253,7 @@ def test_translate_reach_guards(dr03, su2m, zline):
         table.translate_reach_ok([5], 1)
 
 
+@pytest.mark.seeded
 @settings(max_examples=15, deadline=None)
 @given(a=st.floats(min_value=0.05, max_value=0.5),
        r=st.integers(min_value=0, max_value=8),
@@ -264,6 +265,7 @@ def test_dr_family_axioms_hold_for_random_a(a, r, s):
     assert model.verify_axioms(4) == []
 
 
+@pytest.mark.seeded
 @settings(max_examples=25, deadline=None)
 @given(x=st.integers(min_value=0, max_value=20),
        y=st.integers(min_value=0, max_value=20))

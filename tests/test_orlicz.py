@@ -198,6 +198,7 @@ def test_complementary_tabulated_reads_the_knot_where_the_slopes_cross():
         assert complementary_eval(phi, slope) == term(0.5 * (t0 + t1)) == t0 * slope - v0
 
 
+@pytest.mark.seeded
 def test_young_equality_holds_per_kind():
     # psi(phi'(t)) = t phi'(t) - phi(t) from t = 1e-300 to 1e300 wherever
     # the right side is finite: complementary_eval against the difference,
@@ -562,6 +563,7 @@ def test_embedding_constant_takes_one_norm_search(monkeypatch, dr05):
         search(dr05, whole, phi).value / hz.integrate_haar(dr05, whole)
 
 
+@pytest.mark.seeded
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_embedding_constant_bounds_every_ratio(data):
@@ -582,6 +584,7 @@ def test_embedding_constant_bounds_every_ratio(data):
     assert ratio >= _embedding_constant(name, phi) * (1 - 1e-9)
 
 
+@pytest.mark.seeded
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(min_value=0.01, max_value=100.0),
        vals=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1,
@@ -596,6 +599,7 @@ def test_gauge_norm_homogeneity(dr03, scale, vals):
     assert scaled == pytest.approx(scale * base, rel=1e-9)
 
 
+@pytest.mark.seeded
 @settings(max_examples=25, deadline=None)
 @given(a=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4),
        b=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4))
@@ -717,6 +721,7 @@ def _draw_function(data, model, peak):
         {x: s * v for x, s, v in zip(labels, signs, values)})
 
 
+@pytest.mark.seeded
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_gauge_norm_keeps_the_bits_of_the_unrescaled_search(all_models, data):
@@ -734,6 +739,7 @@ def test_gauge_norm_keeps_the_bits_of_the_unrescaled_search(all_models, data):
         assert hz.luxemburg_norm(model, f, phi) == expected
 
 
+@pytest.mark.seeded
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_norms_at_extreme_scales_are_sandwiched_or_named(all_models, data):
@@ -791,6 +797,7 @@ def test_gauge_norm_at_the_edges_of_the_float_range():
             search(model, f, phi)
 
 
+@pytest.mark.seeded
 def test_gauge_midpoint_near_the_largest_float():
     # The search starts at 6.6e307 and doubles to 1.3e308, so the sum of its
     # ends is inf; the midpoint halves each end instead.  The norm was named
@@ -1012,6 +1019,7 @@ def _assert_both_norms_match_the_frozen_copies(model, f, phi):
         assert found.value == pytest.approx(expected.value, rel=RTOL_INFIMUM_FORM, abs=0)
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_norm_kernel_keeps_every_bit(all_models, data):
@@ -1042,6 +1050,7 @@ def _draw_full_range_function(data, model):
          for x, s, u in zip(labels, signs, exponents)})
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_norm_kernel_keeps_every_bit_over_the_full_range(all_models, data):
@@ -1058,6 +1067,7 @@ def test_norm_kernel_keeps_every_bit_over_the_full_range(all_models, data):
     _assert_both_norms_match_the_frozen_copies(model, f, phi)
 
 
+@pytest.mark.seeded
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_tabulated_infimum_form_is_exact(all_models, data):
@@ -1195,6 +1205,7 @@ def test_norm_calls_hash_no_knot_table():
     assert _CountedKnots.hashes == 0
 
 
+@pytest.mark.seeded
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_phi_p_norms_match_their_closed_forms(all_models, data):
@@ -1254,6 +1265,7 @@ def _bits(outcome):
     return outcome.value.hex(), outcome.iterations, lo.hex(), hi.hex()
 
 
+@pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_phi_p_root_keeps_every_bit_of_the_plain_search(data):

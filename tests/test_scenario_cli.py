@@ -140,6 +140,7 @@ ODD_VALUES = st.one_of(st.none(), st.text(max_size=4),
                                        max_size=2))
 
 
+@pytest.mark.seeded
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_any_replaced_leaf_parses_or_is_a_scenario_error(data):
@@ -349,6 +350,26 @@ def test_cli_malformed_yaml_exits_two(tmp_path, capsys):
             capsys.readouterr().err, text
 
 
+def test_cli_tagged_scalar_yaml_cannot_construct_exits_two(tmp_path, capsys):
+    # !!bool foo ended in a KeyError traceback and exit 1, the others in
+    # "bad arguments:", which blames --args
+    text = (SCENARIO_DIR / "doubling_shift.yaml").read_text()
+    for i, value in enumerate(("!!bool foo", "!!int 1.5", "!!float abc",
+                               "!!timestamp 2001-13-45")):
+        path = tmp_path / f"tagged{i}.yaml"
+        path.write_text(text.replace("  window: 64\n", f"  window: {value}\n"))
+        assert run_cli(["--scenario", str(path), "--command", "haar"]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: scenario file {path} holds a tagged "
+                              "value YAML cannot construct: "), value
+    # a decoding error is a ValueError too, but not a tagged value
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"id: \xff\n")
+    assert run_cli(["--scenario", str(path), "--command", "haar"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"scenario error: scenario file {path} is not UTF-8 text: ")
+
+
 def test_merged_keys_may_still_be_overridden():
     doc = yaml.load("base: &b {family: integers, window: 64}\n"
                     "hypergroup:\n  <<: *b\n  window: 8\n",
@@ -479,6 +500,7 @@ def _outcome(load, text):
         return type(exc), str(exc)
 
 
+@pytest.mark.seeded
 @settings(max_examples=300, deadline=None)
 @given(_YAML_TEXTS)
 @example("[1.0, '1.0', \"1.0\", !!float 1.0, 1, '1', true, 'true']\n")
@@ -505,6 +527,7 @@ def _cyclic_table_text(order):
         "weight": {"form": "constant", "value": 1.0}}, sort_keys=True)
 
 
+@pytest.mark.seeded
 def test_load_falls_back_only_off_the_direct_path(monkeypatch, request):
     root = SCENARIO_DIR.parent
     texts = [path.read_text(encoding="utf-8") for path in sorted(
