@@ -18,13 +18,19 @@ an atom at u exactly when delta_u * delta_{y^-} has one at x, so the pair
 (u, y^-) lists the preimages of u and says whether they fit the window.
 Exact results whose support leaves the window raise
 :class:`~hyperorlicz.errors.WindowOverflow`; nothing is ever truncated
-silently.  The associativity check takes a side of a triple only once it is
-known to fit.  Where the rows it reads are bitwise symmetric (every family
-here but a non-commutative or broken table) it takes each side once per
-multiset of labels and shares it among the orderings; a side built on a
-unit row {u: 1.0} is then the memo's row (u, c) itself, with no sum, and
-two sides that are one shared unit row are not compared.  The findings are
-those of the plain triple loop, in its order.
+silently.  The axiom check reads no row at all where the point law gives a
+label for every row it needs (the products of the labels checked, the
+products of what those reach with them, both ways round, and the identity
+and adjoint rows): on the integers and on any table of unit rows, broken or
+not, it decides every axiom on labels, since two unit rows deviate by 0.0
+or 1.0, and makes no pair-memo entry.  Elsewhere the associativity check
+takes a side of a triple only once it is known to fit.  Where the rows it
+reads are bitwise symmetric (every family here but a non-commutative or
+broken table) it takes each side once per multiset of labels and shares it
+among the orderings; a side built on a unit row {u: 1.0} is then the memo's
+row (u, c) itself, with no sum, and two sides that are one shared unit row
+are not compared.  The findings are those of the plain triple loop, in its
+order, on either path.
 
 All operations are pure.  The memo only ever adds entries equal to what any
 caller would compute, so instances can be shared between threads: a race
@@ -556,9 +562,12 @@ class HypergroupModel:
         multiset {a, b, c} and shared among its orderings; there a side on
         a unit row is that row, not a sum, and two sides that are one shared
         unit row are not compared, which skips most comparisons on the
-        integers, an abelian Cayley table or the off-diagonal of
-        Dunkl-Ramirez.  Elsewhere each ordered triple sums its two sides.
-        Both give the same violations in the same order, bit for bit.
+        off-diagonal of Dunkl-Ramirez.  Elsewhere each ordered triple sums
+        its two sides.  Where the point law gives a label for every row
+        these read (the integers, a table of unit rows), no row is read:
+        each axiom is decided on labels, associativity by one comparison of
+        label tuples per pair of labels.  All give the same violations in
+        the same order, bit for bit.
         Violations come grouped by axiom in the order of :data:`AXIOMS`,
         each group in label order.  The findings are memoised per set of
         labels checked, so a table validated at load is not checked again;
@@ -621,6 +630,10 @@ class HypergroupModel:
         tuples differ.  No pair-memo entry is made.
         """
         law, labels, e = self._law, self._labels, self.identity
+        # The diagonal first, where SU(2) and Dunkl-Ramirez spread: the
+        # first None there ends the gate.
+        if None in map(law, pts, pts):
+            return None
         n = len(pts)
         prods = []  # prods[i][j]: the label of pts[i] * pts[j]
         for x in pts:
@@ -666,9 +679,8 @@ class HypergroupModel:
             if swapped != adjoints[i]:
                 adjoint.extend(_violation("adjoint", (x, pts[j]), dev=1.0)
                                for j in _differences(swapped, adjoints[i]))
-        for i, x in enumerate(pts):
             by_x = inner[i]
-            for j, u in enumerate(prods[i]):
+            for j, u in enumerate(row):
                 if u not in labels:
                     continue
                 left = outer[u]
