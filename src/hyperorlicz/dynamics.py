@@ -30,6 +30,7 @@ from .errors import NonFiniteValue, PreconditionFailed, WindowOverflow
 from .functions import (
     ZERO_FUNCTION,
     SparseFunction,
+    _translate_sums,
     indicator,
     measure_of_set,
     translate,
@@ -335,7 +336,16 @@ def _sup_necessary_values(model: HypergroupModel, w: Weight, eta: EtaSequence,
     are relabellings with mass exactly 1.0, so the value at x is
     ``shifted_weight_product(x, n)``, with the same bits, and a value that
     is not finite raises NonFiniteValue once all are computed, as
-    SparseFunction does on the translate path."""
+    SparseFunction does on the translate path.
+
+    On any other sequence the forward translate is summed at the points of
+    E only, from the terms ``translate`` sums there, in its order and after
+    its window checks, so the values keep their bits.  The whole translate
+    also raises NonFiniteValue where a sum off E overflows.  That cannot
+    happen when every row is a probability measure and 2 * sum |weighted|
+    is finite: no atom exceeds 1 + EPS_PROB and rounding grows a sum of k
+    terms by at most a factor (1 + 2^-53)^k, so every sum stays below
+    2 * sum |weighted|.  Otherwise the whole translate is taken."""
     if isinstance(eta, CenterPowers):
         values = [shifted_weight_product(model, w, eta, x, n, convention) for x in e]
         if not all(map(math.isfinite, values)):
@@ -345,7 +355,12 @@ def _sup_necessary_values(model: HypergroupModel, w: Weight, eta: EtaSequence,
     weighted = SparseFunction.from_dict(
         {x: tv * weight_product(model, w, eta, x, n, convention)
          for x, tv in pulled.values})
-    profile = translate(model, weighted, eta(n))
+    y = eta(n)
+    if model._fam.probability_rows and math.isfinite(
+            2.0 * sum(abs(v) for _, v in weighted.values)):
+        sums = _translate_sums(model, weighted, y, set(e))
+        return [sums.get(x, 0.0) for x in e]
+    profile = translate(model, weighted, y)
     return [profile.value_at(x) for x in e]
 
 
@@ -493,11 +508,28 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
     function has proven doubling regularity and the reciprocal weight is
     bounded on the window, an empirically holding verdict also certifies the
     sufficiency construction, recorded in ``certification``.
+
+    The weight keeps the report per (model, center element) and (phi, E,
+    horizon, convention), so the transitivity witness of a session reads
+    the report its ``center`` probe made; a call that raises keeps nothing.
     """
     e = _require_set(model, e_set)
     if not isinstance(eta, CenterPowers):
         raise PreconditionFailed("central-sequence",
                                  "the probe needs powers of a center element")
+    reports = w._memo["reports", model, eta.z]
+    key = (phi, e, horizon, convention)
+    report = reports.get(key)
+    if report is None:
+        report = reports[key] = _center_report(model, w, eta, phi, e, horizon,
+                                               convention)
+    return report
+
+
+def _center_report(model: HypergroupModel, w: Weight, eta: CenterPowers,
+                   phi: YoungFunction, e: tuple[int, ...], horizon: int,
+                   convention: ProductConvention) -> CriterionReport:
+    """The report of probe_center_conditions, computed."""
     good = _center_indices(model, eta, e, horizon)
     sufficiency_ok = (delta2_check(phi).state == "proven"
                       and w.inf_over(model.carrier) > 0.0)
@@ -576,8 +608,10 @@ def build_transitivity_witness(model: HypergroupModel, f: SparseFunction,
     """Two-sided approximation witnesses: near the source function, mapped
     near the target by the step operator.
 
-    Requires the center-conditions probe to hold on the union of supports.
-    Per row the witness keeps f on the sublevel subset and adds the right
+    Requires the center-conditions probe to hold on the union of supports;
+    its report is the one a ``center`` probe of the session on that union
+    made, if any (``probe_center_conditions`` keeps it on the weight).  Per
+    row the witness keeps f on the sublevel subset and adds the right
     inverse of the restricted target; both error norms use the gauge norm.
     """
     e = tuple(sorted(set(f.support()) | set(g.support())))

@@ -97,6 +97,14 @@ def translate(model: HypergroupModel, f: SparseFunction, y: int) -> SparseFuncti
     point law gives is exactly 1.0, so its term has the bits the memo's
     would.
     """
+    return SparseFunction.from_dict(_translate_sums(model, f, y))
+
+
+def _translate_sums(model: HypergroupModel, f: SparseFunction, y: int,
+                    at: set[int] | None = None) -> dict[int, float]:
+    """The sums of ``translate`` before they are stored, zeros included;
+    with ``at``, only those at its points, each from the same terms in the
+    same order, after the same window checks."""
     model._require_in_window(y)
     out: dict[int, float] = {}
     law, pair = model._law, model._pair
@@ -105,12 +113,12 @@ def translate(model: HypergroupModel, f: SparseFunction, y: int) -> SparseFuncti
         if not fits:
             raise WindowOverflow(
                 f"translate by {y} needs preimages of {u} outside the window")
-        for x in xs:
+        for x in xs if at is None else at.intersection(xs):
             v = law(x, y)
             m = pair(x, y)[0].get(u, 0.0) if v is None else float(v == u)
             if m != 0.0:
                 out[x] = out.get(x, 0.0) + fv * m
-    return SparseFunction.from_dict(out)
+    return out
 
 
 def integrate_haar(model: HypergroupModel, f: SparseFunction) -> float:

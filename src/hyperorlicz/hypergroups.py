@@ -185,6 +185,9 @@ class _Family:
     # Every point product is an exact unit atom of an associative law, so
     # the space is a group under point_law.
     group = False
+    # Every row is a probability measure: nonnegative atoms of mass one
+    # within EPS_PROB, so no atom exceeds 1 + EPS_PROB.
+    probability_rows = False
 
     def has_label(self, u: int) -> bool:
         return self.signed or u >= 0
@@ -220,6 +223,8 @@ class _DunklRamirez(_Family):
     Distinct points convolve to the point mass at their maximum; equal points
     spread geometrically over the initial segment.
     """
+
+    probability_rows = True
 
     def __init__(self, a: float):
         if not (0.0 < a <= 0.5):
@@ -260,6 +265,8 @@ class _SU2(_Family):
     tensor decompositions: supports run every second label between the
     difference and the sum."""
 
+    probability_rows = True
+
     def involution(self, x):
         return x
 
@@ -281,6 +288,7 @@ class _IntegerGroup(_Family):
 
     signed = True
     group = True
+    probability_rows = True
 
     def involution(self, x):
         return -x
@@ -331,6 +339,12 @@ class _TableFamily(_Family):
             raise ValueError(f"table row ({x},{self._inv[x]}) has the identity atom "
                              f"{v!r}, whose reciprocal Haar weight exceeds the float range")
         return 1.0 / v
+
+    @cached_property
+    def probability_rows(self):
+        # A table loaded with validate=False may hold any finite masses.
+        return all(abs(math.fsum(atoms.values()) - 1.0) <= EPS_PROB
+                   for atoms in self._conv.values())
 
     def has_label(self, u):
         return u in self._inv

@@ -35,13 +35,21 @@ A weight product, the one started at 1.0, is kept per (model, sequence) and
 and the shifted products of one session compute each product once; a call
 that raises keeps nothing, so computing it again raises the same error.
 The step operator starts each product at a translated value instead, so it
-multiplies the stored factors afresh.
+multiplies the stored factors afresh.  The shifted products along powers of
+z on a group form a running product in n: the factors at step n are w at
+x z^1..x z^n (x z^0..x z^n inclusive), so the product at step n is the one
+at step n-1 times w(x z^n), the left fold ``math.prod`` makes.  The weight
+keeps one column of them per (model, z, convention) and x, lengthened from
+the orbit's values when a step past its end is asked for, and a step reads
+one entry instead of multiplying n factors.
 """
 import enum
 import math
 from collections import defaultdict
 from collections.abc import Hashable
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Mapping, NamedTuple
 
 from .errors import NotCentral, WindowOverflow
@@ -113,9 +121,13 @@ class Weight(Checked, _WeightFields):
         """Caches of values derived from this weight, one dict per key:
         ("rows", model, sequence key) maps a point to its factor row,
         ("orbits", model, z) a point to its orbit state along powers of z,
-        and ("products", model, sequence key) an (x, factor count) pair to
-        its weight product.  An entry is only ever added, or replaced by one
-        that extends it, so a reader racing a writer sees correct values."""
+        ("products", model, sequence key) an (x, factor count) pair to its
+        weight product, ("columns", model, z, convention) a point to its
+        shifted products by step, and ("reports", model, z) a (phi, E,
+        horizon, convention) key to the center-conditions report
+        (``dynamics.probe_center_conditions``).  An entry is only ever
+        added, or replaced whole by one that agrees with it wherever both
+        hold a value, so a reader racing a writer sees correct values."""
         return defaultdict(dict)
 
     def sup_over(self, labels) -> float:
@@ -268,7 +280,15 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
 
 def _orbit_product(model: HypergroupModel, w: Weight, z: int, x: int,
                    count: int, acc: float) -> float:
-    """Multiply w at x z^-(count-1), ..., x z^-1, x onto acc, in that order.
+    """Multiply w at x z^-(count-1), ..., x z^-1, x onto acc, in that order."""
+    vals, i = _orbit_span(model, w, z, x, count - 1, 0)
+    return math.prod(vals[i - count + 1:i + 1], start=acc)
+
+
+def _orbit_span(model: HypergroupModel, w: Weight, z: int, x: int,
+                below: int, above: int) -> tuple[tuple[float, ...], int]:
+    """(vals, i) with vals[i + j] the value of w at x z^j for
+    -below <= j <= above.
 
     Each orbit of z keeps one state (lo, vals, first, last): vals[i] is w at
     the point of position lo + i, where position q + 1 is the point of
@@ -292,10 +312,10 @@ def _orbit_product(model: HypergroupModel, w: Weight, z: int, x: int,
         where.setdefault(x, hit)
     orbit, q = hit
     lo, vals, first, last = orbit[0]
-    start = q - count + 1
-    if start < lo or q >= lo + len(vals):
+    start, stop = q - below, q + above
+    if start < lo or stop >= lo + len(vals):
         up = []
-        for p in range(lo + len(vals), q + 1):
+        for p in range(lo + len(vals), stop + 1):
             last = law(last, z)
             up.append(w(last))
             where.setdefault(last, (orbit, p))
@@ -308,7 +328,7 @@ def _orbit_product(model: HypergroupModel, w: Weight, z: int, x: int,
         lo = min(lo, start)
         vals = (*down, *vals, *up)
         orbit[0] = (lo, vals, first, last)
-    return math.prod(vals[start - lo:q - lo + 1], start=acc)
+    return vals, q - lo
 
 
 def weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
@@ -329,7 +349,39 @@ def shifted_weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
                            convention: ProductConvention = DEFAULT_CONVENTION) -> float:
     """The step-n product evaluated at the point x shifted by the n-th
     sequence element, which must be central."""
+    if n >= 0 and isinstance(eta, CenterPowers) and model.group:
+        return _shifted_column(model, w, eta, x, n, convention)
     return weight_product(model, w, eta, model.point_product(x, eta(n)), n, convention)
+
+
+def _shifted_column(model: HypergroupModel, w: Weight, eta: CenterPowers, x: int,
+                    n: int, convention: ProductConvention) -> float:
+    """The shifted product at x and n along powers of z on a group, read
+    from x's column: col[m] is the product at step m, and the factors of
+    step m are w at x z^1..x z^m (x z^0..x z^m inclusive), so col[m] is
+    col[m-1] * w(x z^m), the left fold ``math.prod`` makes, bit for bit.
+
+    A column that reaches n passed the plain path's checks at its end, and
+    on a group those hold at every step below it; a shorter one runs them
+    at n, in the plain path's order, before it is extended, so a call that
+    raises raises the plain path's error and stores nothing."""
+    cols = w._memo["columns", model, eta.z, convention]
+    col = cols.get(x, ())
+    if n < len(col):
+        return col[n]
+    count = convention.factors(n)
+    y = model.point_product(x, eta(n))
+    if count:
+        eta(1 - count)
+        model._require_in_window(y)
+    if not col and convention is ProductConvention.ITERATE_EXCLUSIVE:
+        col = (1.0,)  # step 0 takes no factor
+    vals, i = _orbit_span(model, w, eta.z, x, 0, n)
+    more = accumulate(vals[i + len(col):i + n + 1], mul,
+                      initial=col[-1] if col else 1.0)
+    next(more)  # the initial value
+    col = cols[x] = col + tuple(more)
+    return col[n]
 
 
 def apply_weighted_translation(model: HypergroupModel, f: SparseFunction, w: Weight,

@@ -416,14 +416,95 @@ def test_sup_necessary_values_along_center_powers_match_the_translate_path(data)
 def test_center_and_hereditary_keep_one_orbit_cache():
     # The hereditary pair reads the center probe's factor rows: the weight
     # keeps no walk of its own along an orbit.  Besides the orbits it keeps
-    # one memo of the weight products both probes read.
+    # one memo of the weight products and one of the shifted-product
+    # columns both probes read, and the center probe's report.
     sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
     for probe in ("center", "hereditary"):
         _, code = cli.run_command(sc, "probe", {"id": probe}, 0)
         assert code == 0, probe
     kinds = sorted(key[0] for key in sc.weight._memo)
     assert "orbit" not in kinds
-    assert kinds == ["orbits", "products"]
+    assert kinds == ["columns", "orbits", "products", "reports"]
+
+
+def test_center_report_is_kept_per_session():
+    # A repeated call returns the stored report.  The witness reads the
+    # report of its support union: computed once for a union no probe has
+    # seen, kept for the next witness, never another set's.  A call that
+    # raises keeps nothing.
+    model = hz.integer_group(64)
+    w = hz.step_weight(0, 2.0, 0.5)
+    eta, phi = hz.center_powers(model, 1), hz.phi_p(2.0)
+    first = hz.probe_center_conditions(model, w, eta, phi, [0, 1], 20)
+    assert first.verdict == "fails"
+    again = hz.probe_center_conditions(model, w, hz.center_powers(model, 1), phi,
+                                       (1, 0), 20)
+    assert again is first
+    assert again == hz.probe_center_conditions(model, hz.step_weight(0, 2.0, 0.5),
+                                               eta, phi, [0, 1], 20)
+    reports = w._memo["reports", model, 1]
+    assert list(reports) == [(phi, (0, 1), 20, hz.DEFAULT_CONVENTION)]
+
+    chi = hz.indicator([0])
+    witness = hz.build_transitivity_witness(model, chi, chi, w, eta, phi,
+                                            k_max=8, horizon=20)
+    assert list(reports) == [(phi, (0, 1), 20, hz.DEFAULT_CONVENTION),
+                             (phi, (0,), 20, hz.DEFAULT_CONVENTION)]
+    kept = reports[phi, (0,), 20, hz.DEFAULT_CONVENTION]
+    assert kept.verdict == "holds_empirically"
+    assert hz.probe_center_conditions(model, w, eta, phi, [0], 20) is kept
+    fresh = hz.build_transitivity_witness(model, chi, chi, hz.step_weight(0, 2.0, 0.5),
+                                          eta, phi, k_max=8, horizon=20)
+    assert witness == fresh
+    assert hz.build_transitivity_witness(model, chi, chi, w, eta, phi,
+                                         k_max=8, horizon=20) == fresh
+    assert len(reports) == 2
+
+    with pytest.raises(hz.PreconditionFailed):
+        hz.probe_center_conditions(model, w, eta, phi, [0], 0)
+    assert len(reports) == 2
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of a call's result, so floats compare by their bits, or the type
+    of what it raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (hz.PreconditionFailed, hz.WindowOverflow, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.seeded
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kept_center_reports_match_fresh_ones(data):
+    # Probes and witnesses in any order on one weight give what each gives
+    # on a fresh weight: a stored report serves only its own (phi, E,
+    # horizon, convention).
+    model = hz.integer_group(24)
+    w = hz.step_weight(data.draw(st.integers(-2, 2)), 2.0, data.draw(
+        st.sampled_from((0.25, 0.5, 1.0))))
+    eta = hz.center_powers(model, 1)
+    # Few choices of each, so that calls share some keys and not others.
+    labels = st.sampled_from(([0], [1], [0, 1]))
+    for _ in range(6):
+        phi = hz.phi_p(data.draw(st.sampled_from((1.5, 2.0))))
+        horizon = data.draw(st.sampled_from((4, 8, 12)))
+        convention = data.draw(st.sampled_from(tuple(hz.ProductConvention)))
+        fresh = w._replace()
+        if data.draw(st.booleans()):
+            e = data.draw(labels)
+            assert (_outcome(hz.probe_center_conditions, model, w, eta, phi, e,
+                             horizon, convention)
+                    == _outcome(hz.probe_center_conditions, model, fresh, eta, phi,
+                                e, horizon, convention))
+        else:
+            f = hz.indicator(data.draw(labels))
+            g = hz.indicator(data.draw(labels))
+            assert (_outcome(hz.build_transitivity_witness, model, f, g, w, eta, phi,
+                             8, horizon, convention)
+                    == _outcome(hz.build_transitivity_witness, model, f, g, fresh, eta,
+                                phi, 8, horizon, convention))
 
 
 def test_witness_errors_golden(zline, doubling_weight):

@@ -14,15 +14,23 @@ along the orbits of a center element on a group) as on its memo path.
 """
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
-from hyperorlicz import hypergroups
-from hyperorlicz.errors import EPS_PROB, TOL_ASSOC, TOL_ATOM, NotCentral, WindowOverflow
-from hyperorlicz.functions import SparseFunction
+from hyperorlicz import dynamics, hypergroups
+from hyperorlicz.errors import (
+    EPS_PROB,
+    TOL_ASSOC,
+    TOL_ATOM,
+    NonFiniteValue,
+    NotCentral,
+    WindowOverflow,
+)
+from hyperorlicz.functions import SparseFunction, _translate_sums
 from hyperorlicz.hypergroups import (
     AxiomViolation,
     SparseMeasure,
@@ -577,6 +585,119 @@ def test_group_law_path_matches_eager_table(data):
     assert len(model._pairs) == pairs
 
 
+def _bits(value):
+    """A float's exact bits, so 0.0 and -0.0 or two NaNs compare as bits;
+    anything else (an exception type) as itself."""
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.seeded
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shifted_columns_match_the_plain_product(data):
+    """On a group the shifted products along powers of z come from one
+    running column per point and convention.  Whatever order the steps
+    come in, rising by one or by several, falling, negative or past the
+    window, and after calls that raised, each must have the bits and the
+    error of the product at the shifted point, computed by weight_product
+    on a weight of its own and by the eager table."""
+    model, ref = data.draw(groups())
+    w = data.draw(st.one_of(weights(), st.just(hz.geometric_weight(1e300, 1e8))))
+    plain = w._replace()  # an equal weight with memos of its own
+    eta = hz.center_powers(model, data.draw(st.sampled_from(
+        model.center_elements().members)))
+    reach = 2 * model.window + 3
+    edges = (model.carrier[0], model.carrier[-1])
+    outside = (edges[0] - 1, edges[1] + 1)
+    xs = edges + outside + tuple(data.draw(st.lists(st.sampled_from(model.carrier),
+                                                    max_size=2)))
+    stride = data.draw(st.sampled_from((1, 2, 5)))
+    ns = (list(range(0, reach + 1, stride))
+          + data.draw(st.lists(st.integers(-2, reach), max_size=6)))
+
+    def fresh(x, n, convention):
+        return hz.weight_product(model, plain, eta, model.point_product(x, eta(n)),
+                                 n, convention)
+
+    for n in ns:
+        for x in xs:
+            for convention in ProductConvention:
+                got = _bits(outcome(hz.shifted_weight_product, model, w, eta, x, n,
+                                    convention))
+                assert got == _bits(outcome(fresh, x, n, convention))
+                if n >= 0:  # the eager loop reads no sequence point below 0
+                    assert got == _bits(outcome(ref.shifted_weight_product, w, eta,
+                                                x, n, convention))
+    assert "columns" in {key[0] for key in w._memo}
+
+
+def _full_sup_values(model, w, eta, e, n, convention):
+    """The sup-criterion values at E read off the whole forward translate."""
+    pulled = hz.translate(model, hz.indicator(e), eta(-n))
+    weighted = SparseFunction.from_dict(
+        {x: tv * hz.weight_product(model, w, eta, x, n, convention)
+         for x, tv in pulled.values})
+    profile = hz.translate(model, weighted, eta(n))
+    return [profile.value_at(x) for x in e]
+
+
+# Table weights up to the largest float, so weighted functions near the
+# float range send the values at E back to the whole translate.
+HUGE = st.floats(1e300, sys.float_info.max)
+
+
+@pytest.mark.seeded
+@settings(max_examples=80, deadline=None)  # about 16 per strategy
+@given(st.data())
+def test_sup_values_at_e_match_the_whole_translate(data):
+    """The forward translate summed at the points of E only gives the
+    values, and the errors (NonFiniteValue included), of the whole
+    translate read at E, on every family and on broken tables."""
+    model, ref = data.draw(st.one_of(models(), broken_tables(), skewed_integers()))
+    w = data.draw(st.one_of(weights(), st.dictionaries(
+        st.sampled_from(model.carrier), HUGE, max_size=4).map(hz.table_weight)))
+    eta = hz.eta_from_table(model, {k: data.draw(st.sampled_from(model.carrier))
+                                    for k in range(1, 5)})
+    e = tuple(sorted(data.draw(st.sets(st.sampled_from(model.carrier), min_size=1,
+                                       max_size=4))))
+    plain = w._replace()
+    for n in range(0, 6):
+        for convention in ProductConvention:
+            got = outcome(dynamics._sup_necessary_values, model, w, eta, e, n, convention)
+            want = outcome(_full_sup_values, model, plain, eta, e, n, convention)
+            assert ([_bits(v) for v in got] if isinstance(got, list) else got) == (
+                [_bits(v) for v in want] if isinstance(want, list) else want)
+
+
+def test_sup_values_overflowing_off_e_keep_the_flag():
+    """A broken table of probability rows on {0, 1, 2}, by eta(1) = 1, with
+    the weight at the largest float on 1 and 2: the weighted function is
+    about {0: 0.5, 1: MAX, 2: MAX}, the forward translate overflows at 0,
+    off E = {2}, and is MAX at 2.  Summed at E alone the value would be
+    finite, so the values must come from the whole translate, which
+    raises NonFiniteValue."""
+    top = sys.float_info.max
+    conv = {(x, y): {x + y: 1.0} for x in range(3) for y in range(3) if 0 in (x, y)}
+    conv.update({(0, 1): {1: 0.5, 2: 0.5 + 1e-13}, (1, 1): {0: 1e-300, 2: 1.0},
+                 (2, 1): {0: 1e-300, 1: 1e-300, 2: 1.0}, (1, 2): {0: 1.0},
+                 (2, 2): {0: 1.0}})
+    model = hz.table_hypergroup(conv, {0: 0, 1: 1, 2: 2}, validate=False)
+    assert model._fam.probability_rows
+    w = hz.table_weight({1: top, 2: top})
+    eta = hz.eta_from_table(model, {1: 1})
+    convention = ProductConvention.ITERATE_EXCLUSIVE
+    pulled = hz.translate(model, hz.indicator([2]), eta(-1))
+    weighted = SparseFunction.from_dict(
+        {x: tv * hz.weight_product(model, w, eta, x, 1, convention)
+         for x, tv in pulled.values})
+    assert weighted.values == ((0, 0.5 + 1e-13), (1, top), (2, top))
+    assert _translate_sums(model, weighted, 1, {2}) == {2: top}
+    with pytest.raises(NonFiniteValue):
+        hz.translate(model, weighted, 1)
+    with pytest.raises(NonFiniteValue):
+        dynamics._sup_necessary_values(model, w, eta, (2,), 1, convention)
+
+
 def test_an_off_window_point_raises_after_the_sequence_index():
     """The plain loop reads the sequence at index -(count-1) before it checks
     x, so a power past the window wins over an off-window point, also once
@@ -626,7 +747,7 @@ def test_a_unit_mass_within_tolerance_keeps_the_general_path():
 
 def _stored(model, w):
     """(pair-memo entries, weight values the factor rows and orbits hold,
-    weight products the product memo holds)."""
+    weight products the product memo and the shifted-product columns hold)."""
     factors = products = 0
     for key, entries in w._memo.items():
         if key[0] == "rows":
@@ -636,13 +757,15 @@ def _stored(model, w):
             factors += sum(len(vals) for _, vals, _, _ in states.values())
         elif key[0] == "products":
             products += len(entries)
+        elif key[0] == "columns":
+            products += sum(map(len, entries.values()))
     return len(model._pairs), factors, products
 
 
 def test_necessary_sup_stores_linearly_in_the_horizon():
     """Each step pulls E back by one more power, so a row per point would
     hold about |E| h^2 / 2 values at horizon h; one row per orbit holds
-    about h, and the product memo one product per point of E and step.
+    about h, and the columns one product per point of E and step.
     Counts only: four times the horizon may at most about quadruple them."""
     stored = {}
     e = range(-4, 4)
