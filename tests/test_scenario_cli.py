@@ -1041,3 +1041,52 @@ def test_cli_bodies_byte_identical(tmp_path):
                         "--args", "id=hereditary", "--out", str(out)]) == 0
         bodies.append(out.read_text().split("\n", 1)[1])
     assert bodies[0] == bodies[1]
+
+
+def _haar_run(hypergroup, seed):
+    """(exit code, invariance records) of the haar command on a model, or
+    the scenario error's message where the model cannot be built."""
+    data = {"id": "haar-bound", "hypergroup": hypergroup,
+            "young": {"kind": "phi_p", "p": 2.0},
+            "weight": {"form": "constant", "value": 1.0}}
+    try:
+        sc = scenario.parse_scenario(data)
+    except hz.ScenarioError as exc:
+        return str(exc), []
+    records, code = cli.run_command(sc, "haar", {}, seed)
+    return code, [r for r in records if r["record"] == "invariance"]
+
+
+@pytest.mark.seeded
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.0, 0.5, exclude_min=True), window=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+@example(a=0.1, window=24, seed=0)  # 3 of 54 rows failed the absolute 1e-10
+@example(a=0.05, window=24, seed=0)
+@example(a=0.01, window=24, seed=0)
+def test_haar_invariance_bound_scales_with_the_weights(a, window, seed):
+    # The Haar weights (1 - a) / a^x grow without bound as a falls, and the
+    # integrals with them; the invariance bound grows along, so every row
+    # holds, unless a weight leaves the float range and the model is refused.
+    code, rows = _haar_run({"family": "dunkl_ramirez", "window": window, "a": a}, seed)
+    if isinstance(code, str):
+        assert code.startswith("hypergroup.window: the Haar weight at label ")
+        return
+    assert code == 0 and len(rows) == 6 * min(window // 2 + 1, 9)
+    assert all(r["ok"] for r in rows)
+
+
+@pytest.mark.seeded
+@settings(max_examples=20, deadline=None)
+@given(exponent=st.integers(0, 11), seed=st.integers(0, 2**32 - 1))
+def test_haar_invariance_bound_on_a_heavy_table(exponent, seed):
+    # The two-point hypergroup on {0, 2} with delta_2 * delta_2 =
+    # {0: m, 2: 1 - m}: the Haar weight at 2 is 1 / m, up to 1e11 (an
+    # identity atom at TOL_ATOM or below breaks the support-identity axiom).
+    m = 10.0**-exponent
+    table = [[0, 0, {0: 1.0}], [0, 2, {2: 1.0}], [2, 0, {2: 1.0}],
+             [2, 2, {0: m, 2: 1.0 - m} if m < 1.0 else {0: 1.0}]]
+    code, rows = _haar_run({"family": "table", "window": 2, "identity": 0,
+                            "involution": {0: 0, 2: 2}, "table": table}, seed)
+    assert code == 0 and len(rows) == 12
+    assert all(r["ok"] for r in rows)
