@@ -266,7 +266,8 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
         # check on x; its factors are then w at x z^-j for j < count.
         eta(1 - count)
         model._require_in_window(x)
-        return _orbit_product(model, w, eta.z, x, count, acc)
+        vals, i = _orbit_span(model, w, eta.z, x, count - 1, 0)
+        return math.prod(vals[i - count + 1:i + 1], start=acc)
     rows = w._memo["rows", model, eta._key]
     row = rows.get(x, ())
     if len(row) < count:
@@ -276,13 +277,6 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
                for j in range(count - 1, len(row) - 1, -1)]
         row = rows[x] = row + tuple(reversed(new))
     return math.prod(row[count - 1::-1], start=acc)
-
-
-def _orbit_product(model: HypergroupModel, w: Weight, z: int, x: int,
-                   count: int, acc: float) -> float:
-    """Multiply w at x z^-(count-1), ..., x z^-1, x onto acc, in that order."""
-    vals, i = _orbit_span(model, w, z, x, count - 1, 0)
-    return math.prod(vals[i - count + 1:i + 1], start=acc)
 
 
 def _orbit_span(model: HypergroupModel, w: Weight, z: int, x: int,
