@@ -284,8 +284,8 @@ def _orbit_span(model: HypergroupModel, w: Weight, z: int, x: int,
     """(vals, i) with vals[i + j] the value of w at x z^j for
     -below <= j <= above.
 
-    Each orbit of z keeps one state (lo, vals, first, last): vals[i] is w at
-    the point of position lo + i, where position q + 1 is the point of
+    Each orbit of z keeps one state (lo, vals, first, last): vals[k] is w at
+    the point of position lo + k, where position q + 1 is the point of
     position q times z, and first and last are the end points.  ``where``
     gives each point reached its orbit and position.  A new point takes the
     position next to a neighbour already placed, or starts an orbit of its
