@@ -545,11 +545,13 @@ class HypergroupModel:
         if not self.is_central(z):
             raise NotCentral(f"label {z} is not in the center")
         self._require_in_window(x)
-        supp = tuple(self._support(x, z)[0])
-        if len(supp) != 1:
-            raise NotCentral(
-                f"convolution with center label {z} is not a point mass at ({x},{z})")
-        p = supp[0]
+        p = self._law(x, z)
+        if p is None:
+            supp = tuple(self._pair(x, z)[0])
+            if len(supp) != 1:
+                raise NotCentral(
+                    f"convolution with center label {z} is not a point mass at ({x},{z})")
+            p = supp[0]
         if p not in self._labels:
             raise WindowOverflow(f"point product {x}*{z} leaves the window")
         return p

@@ -6,6 +6,7 @@ point.  Two product conventions are supported: the exclusive convention takes
 n factors (indices 0..n-1) and makes the step operator the n-th iterate of
 the single-step operator on group models; the inclusive convention takes n+1
 factors (indices 0..n).  The exclusive convention is the default everywhere.
+A negative step index raises ValueError before any other check.
 
 Weight factors at a point x are translated values, i.e. integrals of the
 weight against delta_x convolved with the reflected sequence point; closed
@@ -35,21 +36,17 @@ A weight product, the one started at 1.0, is kept per (model, sequence) and
 and the shifted products of one session compute each product once; a call
 that raises keeps nothing, so computing it again raises the same error.
 The step operator starts each product at a translated value instead, so it
-multiplies the stored factors afresh.  The shifted products along powers of
-z on a group form a running product in n: the factors at step n are w at
-x z^1..x z^n (x z^0..x z^n inclusive), so the product at step n is the one
-at step n-1 times w(x z^n), the left fold ``math.prod`` makes.  The weight
-keeps one column of them per (model, z, convention) and x, lengthened from
-the orbit's values when a step past its end is asked for, and a step reads
-one entry instead of multiplying n factors.
+multiplies the stored factors afresh.  Along powers of z on a group the
+product at (x, count) is the one at (x z^-1, count-1) times w(x), the left
+fold ``math.prod`` makes, so a product whose shorter neighbour is kept
+multiplies one factor, after the plain loop's checks; the shifted product at
+step n, the product at x z^n, thus extends the one at step n-1.
 """
 import enum
 import math
 from collections import defaultdict
 from collections.abc import Hashable
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
 from typing import Mapping, NamedTuple
 
 from .errors import NotCentral, WindowOverflow
@@ -63,8 +60,12 @@ class ProductConvention(enum.Enum):
     ITERATE_EXCLUSIVE = "iterate_exclusive"  # n factors, indices 0..n-1
 
     def factors(self, n: int) -> int:
-        """Number of weight factors used at step n."""
-        return n + 1 if self is ProductConvention.INCLUSIVE else n
+        """Number of weight factors used at step n, which must be
+        nonnegative."""
+        if n < 0:
+            raise ValueError("step index must be nonnegative")
+        # The member's value: the enum class's attribute lookup is slower.
+        return n + 1 if self._value_ == "inclusive" else n
 
 
 DEFAULT_CONVENTION = ProductConvention.ITERATE_EXCLUSIVE
@@ -122,9 +123,8 @@ class Weight(Checked, _WeightFields):
         ("rows", model, sequence key) maps a point to its factor row,
         ("orbits", model, z) a point to its orbit state along powers of z,
         ("products", model, sequence key) an (x, factor count) pair to its
-        weight product, ("columns", model, z, convention) a point to its
-        shifted products by step, and ("reports", model, z) a (phi, E,
-        horizon, convention) key to the center-conditions report
+        weight product, shifted ones included, and ("reports", model, z) a
+        (phi, E, horizon, convention) key to the center-conditions report
         (``dynamics.probe_center_conditions``).  An entry is only ever
         added, or replaced whole by one that agrees with it wherever both
         hold a value, so a reader racing a writer sees correct values."""
@@ -170,12 +170,9 @@ class EtaSequence:
     def __init__(self, model: HypergroupModel):
         self.model = model
         self._points: dict[int, int] = {}
-
-    @property
-    def _key(self) -> Hashable:
-        """The key of this sequence in the weight's memos of factor rows and
-        weight products."""
-        return self
+        # The key of this sequence in the weight's memos of factor rows and
+        # weight products.
+        self._key: Hashable = self
 
     def __call__(self, n: int) -> int:
         a = self._points.get(n)
@@ -200,13 +197,8 @@ class CenterPowers(EtaSequence):
         if not model.is_central(z):
             raise NotCentral(f"label {z} is not central")
         super().__init__(model)
-        self.z = z
+        self.z = self._key = z  # every CenterPowers of one z is one sequence
         self._powers = [model.identity]
-
-    @property
-    def _key(self) -> Hashable:
-        # Every CenterPowers of one z is the same sequence.
-        return self.z
 
     def _forward(self, n: int) -> int:
         powers = self._powers
@@ -255,10 +247,12 @@ def translated_weight(model: HypergroupModel, w: Weight, x: int, y: int) -> floa
 
 
 def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
-             count: int, acc: float) -> float:
+             count: int, acc: float, products: dict | None = None) -> float:
     """Multiply the translated weight factors at x for indices count-1 down
     to 0 onto acc, innermost first, from the weight's row for (model, eta, x);
-    see the module docstring for why the bits match the plain loop."""
+    see the module docstring for why the bits match the plain loop.  Given
+    the weight-product memo (acc is then 1.0), a product one factor short,
+    at (x z^-1, count-1) along powers of z on a group, is extended by w(x)."""
     if count == 0:
         return acc
     if isinstance(eta, CenterPowers) and model.group:
@@ -266,7 +260,11 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
         # check on x; its factors are then w at x z^-j for j < count.
         eta(1 - count)
         model._require_in_window(x)
-        vals, i = _orbit_span(model, w, eta.z, x, count - 1, 0)
+        if products is not None:
+            shorter = products.get((model._law(x, model.involution(eta.z)), count - 1))
+            if shorter is not None:
+                return shorter * w(x)
+        vals, i = _orbit_span(model, w, eta, x, count - 1)
         return math.prod(vals[i - count + 1:i + 1], start=acc)
     rows = w._memo["rows", model, eta._key]
     row = rows.get(x, ())
@@ -279,24 +277,29 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
     return math.prod(row[count - 1::-1], start=acc)
 
 
-def _orbit_span(model: HypergroupModel, w: Weight, z: int, x: int,
-                below: int, above: int) -> tuple[tuple[float, ...], int]:
-    """(vals, i) with vals[i + j] the value of w at x z^j for
-    -below <= j <= above.
+def _orbit_span(model: HypergroupModel, w: Weight, eta: CenterPowers, x: int,
+                below: int) -> tuple[tuple[float, ...], int]:
+    """(vals, i) with vals[i - j] the value of w at x z^-j for
+    0 <= j <= below, z being eta's center element.
 
     Each orbit of z keeps one state (lo, vals, first, last): vals[k] is w at
     the point of position lo + k, where position q + 1 is the point of
     position q times z, and first and last are the end points.  ``where``
     gives each point reached its orbit and position.  A new point takes the
-    position next to a neighbour already placed, or starts an orbit of its
-    own; the state is extended at either end and replaced whole, so a
-    reader racing a writer sees a consistent one.
+    position next to a neighbour already placed, or ``below`` above its
+    span's far end x z^-below if that is placed, or starts an orbit of its
+    own.  The state is extended at either end and replaced whole, so a
+    reader racing a writer sees a consistent one; an end that reaches a
+    point another state holds takes that state in whole, its values keeping
+    their bits (both hold w at the same labels) and its points placed anew,
+    so no point is held twice.
     """
+    z = eta.z
     where = w._memo["orbits", model, z]
     law, zi = model._law, model.involution(z)
     hit = where.get(x)
     if hit is None:
-        for nb, step in ((law(x, zi), 1), (law(x, z), -1)):
+        for nb, step in ((law(x, zi), 1), (law(x, z), -1), (law(x, eta(-below)), below)):
             near = where.get(nb)
             if near is not None:
                 hit = (near[0], near[1] + step)
@@ -306,23 +309,49 @@ def _orbit_span(model: HypergroupModel, w: Weight, z: int, x: int,
         where.setdefault(x, hit)
     orbit, q = hit
     lo, vals, first, last = orbit[0]
-    start, stop = q - below, q + above
-    if start < lo or stop >= lo + len(vals):
-        up = []
-        for p in range(lo + len(vals), stop + 1):
+    start = q - below
+    if start < lo or q >= lo + len(vals):
+        up, p = [], lo + len(vals)
+        while p <= q:
             last = law(last, z)
-            up.append(w(last))
-            where.setdefault(last, (orbit, p))
-        down = []
-        for p in range(lo - 1, start - 1, -1):
+            held = where.setdefault(last, (orbit, p))
+            if held[0] is orbit:
+                up.append(w(last))
+                p += 1
+            else:  # another state starts at last: take it in
+                olo, ovals, _, last = held[0][0]
+                _take_in(where, law, z, held[0], orbit, p - olo)
+                up += ovals
+                p += len(ovals)
+        down, p = [], lo - 1
+        while p >= start:
             first = law(first, zi)
-            down.append(w(first))
-            where.setdefault(first, (orbit, p))
+            held = where.setdefault(first, (orbit, p))
+            if held[0] is orbit:
+                down.append(w(first))
+                p -= 1
+            else:  # another state ends at first: take it in
+                olo, ovals, first, _ = held[0][0]
+                _take_in(where, law, z, held[0], orbit, p - olo - len(ovals) + 1)
+                down += reversed(ovals)
+                p -= len(ovals)
         down.reverse()
-        lo = min(lo, start)
+        lo = min(lo, p + 1)
         vals = (*down, *vals, *up)
         orbit[0] = (lo, vals, first, last)
     return vals, q - lo
+
+
+def _take_in(where: dict, law, z: int, other: list, orbit: list,
+             shift: int) -> None:
+    """Place every point the state ``other`` holds in ``orbit``, at its
+    position there moved by shift."""
+    _, vals, point, _ = other[0]
+    for _ in vals:
+        held = where[point]
+        if held[0] is other:
+            where[point] = (orbit, held[1] + shift)
+        point = law(point, z)
 
 
 def weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
@@ -334,7 +363,7 @@ def weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
     products = w._memo["products", model, eta._key]
     product = products.get((x, count))
     if product is None:  # a call that raises stores nothing
-        product = products[x, count] = _cocycle(model, w, eta, x, count, 1.0)
+        product = products[x, count] = _cocycle(model, w, eta, x, count, 1.0, products)
     return product
 
 
@@ -343,39 +372,8 @@ def shifted_weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
                            convention: ProductConvention = DEFAULT_CONVENTION) -> float:
     """The step-n product evaluated at the point x shifted by the n-th
     sequence element, which must be central."""
-    if n >= 0 and isinstance(eta, CenterPowers) and model.group:
-        return _shifted_column(model, w, eta, x, n, convention)
+    convention.factors(n)  # a negative step is rejected first
     return weight_product(model, w, eta, model.point_product(x, eta(n)), n, convention)
-
-
-def _shifted_column(model: HypergroupModel, w: Weight, eta: CenterPowers, x: int,
-                    n: int, convention: ProductConvention) -> float:
-    """The shifted product at x and n along powers of z on a group, read
-    from x's column: col[m] is the product at step m, and the factors of
-    step m are w at x z^1..x z^m (x z^0..x z^m inclusive), so col[m] is
-    col[m-1] * w(x z^m), the left fold ``math.prod`` makes, bit for bit.
-
-    A column that reaches n passed the plain path's checks at its end, and
-    on a group those hold at every step below it; a shorter one runs them
-    at n, in the plain path's order, before it is extended, so a call that
-    raises raises the plain path's error and stores nothing."""
-    cols = w._memo["columns", model, eta.z, convention]
-    col = cols.get(x, ())
-    if n < len(col):
-        return col[n]
-    count = convention.factors(n)
-    y = model.point_product(x, eta(n))
-    if count:
-        eta(1 - count)
-        model._require_in_window(y)
-    if not col and convention is ProductConvention.ITERATE_EXCLUSIVE:
-        col = (1.0,)  # step 0 takes no factor
-    vals, i = _orbit_span(model, w, eta.z, x, 0, n)
-    more = accumulate(vals[i + len(col):i + n + 1], mul,
-                      initial=col[-1] if col else 1.0)
-    next(more)  # the initial value
-    col = cols[x] = col + tuple(more)
-    return col[n]
 
 
 def apply_weighted_translation(model: HypergroupModel, f: SparseFunction, w: Weight,
@@ -387,8 +385,8 @@ def apply_weighted_translation(model: HypergroupModel, f: SparseFunction, w: Wei
     Per point the factors multiply innermost-first onto the translated value,
     matching the float rounding of iterating the single-step operator.
     """
-    t = translate(model, f, eta(-n))
     count = convention.factors(n)
+    t = translate(model, f, eta(-n))
     return SparseFunction.from_dict(
         {x: _cocycle(model, w, eta, x, count, tv) for x, tv in t.values})
 
@@ -416,6 +414,7 @@ def apply_right_inverse(model: HypergroupModel, f: SparseFunction, w: Weight,
     """Right inverse of the step-n operator: divide by the weight product
     and shift the support back by the (-n)-th sequence element, which must
     be central."""
+    convention.factors(n)  # a negative step is rejected first
     out: dict[int, float] = {}
     for u, fv in f.values:
         x = model.point_product(u, eta(-n))
@@ -430,7 +429,5 @@ def hereditary_weight_pair(model: HypergroupModel, x: int, z: int, w: Weight,
     product over shifts by z^0..z^-(n-1) (1 / ``weight_product``), under
     ``CenterPowers(model, z)``.  x, z^n and x z^n must lie in the window."""
     eta = CenterPowers(model, z)
-    if n < 0:
-        raise ValueError("step index must be nonnegative")
     return (shifted_weight_product(model, w, eta, x, n),
             1.0 / weight_product(model, w, eta, x, n))

@@ -416,15 +416,15 @@ def test_sup_necessary_values_along_center_powers_match_the_translate_path(data)
 def test_center_and_hereditary_keep_one_orbit_cache():
     # The hereditary pair reads the center probe's factor rows: the weight
     # keeps no walk of its own along an orbit.  Besides the orbits it keeps
-    # one memo of the weight products and one of the shifted-product
-    # columns both probes read, and the center probe's report.
+    # one memo of the weight products, shifted ones included, that both
+    # probes read, and the center probe's report.
     sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
     for probe in ("center", "hereditary"):
         _, code = cli.run_command(sc, "probe", {"id": probe}, 0)
         assert code == 0, probe
     kinds = sorted(key[0] for key in sc.weight._memo)
     assert "orbit" not in kinds
-    assert kinds == ["columns", "orbits", "products", "reports"]
+    assert kinds == ["orbits", "products", "reports"]
 
 
 def test_center_report_is_kept_per_session():
@@ -940,7 +940,9 @@ def test_one_session_matches_fresh_sessions(doc, order):
 @pytest.mark.seeded
 def test_one_session_computes_each_translate_and_product_once(monkeypatch):
     # Over a session set_convolve runs at most once per (E, point), and the
-    # cocycle of weight_product once per (x, factor count) that succeeds.
+    # cocycle of weight_product once per (x, factor count) that succeeds,
+    # the shifted products included: each product the weight keeps was
+    # counted.
     convolved = collections.Counter()
     set_convolve = hz.HypergroupModel.set_convolve
 
@@ -951,8 +953,8 @@ def test_one_session_computes_each_translate_and_product_once(monkeypatch):
     products = collections.Counter()
     cocycle = operators._cocycle
 
-    def counted_cocycle(model, w, eta, x, count, acc):
-        out = cocycle(model, w, eta, x, count, acc)
+    def counted_cocycle(model, w, eta, x, count, acc, memo=None):
+        out = cocycle(model, w, eta, x, count, acc, memo)
         if sys._getframe(1).f_code is operators.weight_product.__code__:
             products[x, count] += 1
         return out
@@ -964,3 +966,6 @@ def test_one_session_computes_each_translate_and_product_once(monkeypatch):
         assert cli.run_command(sc, command, opts, 0)[1] == 0, (command, opts)
     assert convolved and set(convolved.values()) == {1}
     assert products and set(products.values()) == {1}
+    kept = {key for memo, entries in sc.weight._memo.items()
+            if memo[0] == "products" for key in entries}
+    assert kept == set(products)

@@ -594,9 +594,9 @@ def _bits(value):
 @pytest.mark.seeded
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_shifted_columns_match_the_plain_product(data):
-    """On a group the shifted products along powers of z come from one
-    running column per point and convention.  Whatever order the steps
+def test_shifted_products_match_the_plain_product(data):
+    """On a group the shifted products along powers of z extend the stored
+    product one factor short by one factor.  Whatever order the steps
     come in, rising by one or by several, falling, negative or past the
     window, and after calls that raised, each must have the bits and the
     error of the product at the shifted point, computed by weight_product
@@ -624,11 +624,12 @@ def test_shifted_columns_match_the_plain_product(data):
             for convention in ProductConvention:
                 got = _bits(outcome(hz.shifted_weight_product, model, w, eta, x, n,
                                     convention))
+                if n < 0:  # rejected before the shifted point is computed
+                    assert got is ValueError
+                    continue
                 assert got == _bits(outcome(fresh, x, n, convention))
-                if n >= 0:  # the eager loop reads no sequence point below 0
-                    assert got == _bits(outcome(ref.shifted_weight_product, w, eta,
-                                                x, n, convention))
-    assert "columns" in {key[0] for key in w._memo}
+                assert got == _bits(outcome(ref.shifted_weight_product, w, eta,
+                                            x, n, convention))
 
 
 def _full_sup_values(model, w, eta, e, n, convention):
@@ -747,7 +748,7 @@ def test_a_unit_mass_within_tolerance_keeps_the_general_path():
 
 def _stored(model, w):
     """(pair-memo entries, weight values the factor rows and orbits hold,
-    weight products the product memo and the shifted-product columns hold)."""
+    weight products the product memo holds)."""
     factors = products = 0
     for key, entries in w._memo.items():
         if key[0] == "rows":
@@ -757,15 +758,14 @@ def _stored(model, w):
             factors += sum(len(vals) for _, vals, _, _ in states.values())
         elif key[0] == "products":
             products += len(entries)
-        elif key[0] == "columns":
-            products += sum(map(len, entries.values()))
     return len(model._pairs), factors, products
 
 
 def test_necessary_sup_stores_linearly_in_the_horizon():
     """Each step pulls E back by one more power, so a row per point would
     hold about |E| h^2 / 2 values at horizon h; one row per orbit holds
-    about h, and the columns one product per point of E and step.
+    about h, and the product memo one shifted product per point of E and
+    step.
     Counts only: four times the horizon may at most about quadruple them."""
     stored = {}
     e = range(-4, 4)
@@ -779,6 +779,47 @@ def test_necessary_sup_stores_linearly_in_the_horizon():
     assert pairs_1000 <= 5 * max(pairs_250, 1)
     assert 0 < factors_1000 <= 5 * factors_250
     assert factors_1000 < 2 * 1000 + 16
+
+
+def test_an_orbit_state_reaching_another_takes_it_in():
+    """The span of 10 reaches from the state of 0 through 5, which a
+    state of its own holds, and the span of 12 down through 10.  One state
+    is left, each point in it once, and every product read from it, at the
+    points taken in too, has the eager loop's bits."""
+    model = hz.integer_group(16)
+    ref = EagerReference(model)
+    w = hz.table_weight({x: 1.0 + x / 64 for x in range(-16, 17)})
+    eta = hz.center_powers(model, 1)
+    for x, n in ((0, 1), (5, 1), (10, 11), (5, 6), (12, 15), (10, 3), (-3, 4)):
+        for convention in ProductConvention:
+            assert (_bits(hz.weight_product(model, w, eta, x, n, convention))
+                    == _bits(ref.weight_product(w, eta, x, n, convention)))
+    where = w._memo["orbits", model, 1]
+    states = {id(orbit): orbit[0] for orbit, _ in where.values()}
+    assert len(states) == 1
+    (lo, vals, first, last), = states.values()
+    assert (first, last) == (-7, 12) and len(vals) == len(where) == 20
+    assert all(vals[where[x][1] - lo] == w(x) for x in where)
+
+
+def test_probes_on_one_orbit_keep_one_state():
+    """The sup probe's shifted products and the center probe's products
+    at E = (-6, 0, 5) reach the orbit of 1 from several points; a state
+    that reaches a point another holds takes it in, so the orbit keeps one
+    state and no value twice."""
+    horizon = 1000
+    model = hz.integer_group(10_000)
+    w = hz.step_weight(0, 2.0, 0.5)
+    eta, e = hz.center_powers(model, 1), (-6, 0, 5)
+    hz.probe_sup_necessary(model, w, eta, e, horizon)
+    hz.probe_center_conditions(model, w, eta, hz.phi_p(2.0), e, horizon)
+    where = w._memo["orbits", model, 1]
+    states = {id(orbit): orbit[0] for orbit, _ in where.values()}
+    assert len(states) == 1
+    (lo, vals, first, last), = states.values()
+    assert len(vals) <= 2 * horizon + 16
+    assert [where[x][1] for x in (first, last)] == [lo, lo + len(vals) - 1]
+    assert all(vals[where[x][1] - lo] == w(x) for x in where)
 
 
 @pytest.mark.seeded

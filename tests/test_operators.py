@@ -165,6 +165,31 @@ def test_shifted_product_requires_central_sequence(su2m):
         hz.shifted_weight_product(su2m, hz.constant_weight(1.0), eta, 0, 2)
 
 
+def test_a_negative_step_is_rejected_first():
+    # Powers of -1 on integer_group(1) stay in the window, so before the
+    # step index was checked the orbit path read eta(2) and overflowed
+    # (exclusive) or returned 1.0 (inclusive), and the step operator on
+    # integer_group(8) returned an unweighted shift.
+    model = hz.integer_group(1)
+    w = hz.step_weight(0, 2.0, 0.5)
+    eta = hz.center_powers(model, -1)
+    for convention in ProductConvention:
+        for product in (hz.weight_product, hz.shifted_weight_product):
+            with pytest.raises(ValueError, match="step index must be nonnegative"):
+                product(model, w, eta, -1, -1, convention)
+    model = hz.integer_group(8)
+    eta = hz.center_powers(model, 1)
+    for apply in (hz.apply_weighted_translation, hz.apply_right_inverse):
+        for f in (hz.indicator([0]), hz.ZERO_FUNCTION):
+            with pytest.raises(ValueError, match="step index must be nonnegative"):
+                apply(model, f, w, eta, -2)
+    # A negative step wins over a sequence index and a point past the window.
+    with pytest.raises(ValueError, match="step index must be nonnegative"):
+        hz.shifted_weight_product(model, w, eta, 99, -20)
+    with pytest.raises(ValueError, match="step index must be nonnegative"):
+        hz.weight_product(model, w, eta, 99, -20)
+
+
 def test_center_powers_validation(dr03, dr05):
     with pytest.raises(hz.NotCentral):
         hz.center_powers(dr03, 1)
