@@ -336,7 +336,7 @@ def _orbit_span(model: HypergroupModel, w: Weight, eta: CenterPowers, x: int,
                 down += reversed(ovals)
                 p -= len(ovals)
         down.reverse()
-        lo = min(lo, p + 1)
+        lo = p + 1
         vals = (*down, *vals, *up)
         orbit[0] = (lo, vals, first, last)
     return vals, q - lo
