@@ -334,34 +334,25 @@ def _sup_necessary_values(model: HypergroupModel, w: Weight, eta: EtaSequence,
     E: translate back the indicator, multiply the weight product in,
     translate forward.  Along powers of a center element both translates
     are relabellings with mass exactly 1.0, so the value at x is
-    ``shifted_weight_product(x, n)``, with the same bits, and a value that
-    is not finite raises NonFiniteValue once all are computed, as
-    SparseFunction does on the translate path.
-
-    On any other sequence the forward translate is summed at the points of
-    E only, from the terms ``translate`` sums there, in its order and after
-    its window checks, so the values keep their bits.  The whole translate
-    also raises NonFiniteValue where a sum off E overflows.  That cannot
-    happen when every row is a probability measure and 2 * sum |weighted|
-    is finite: no atom exceeds 1 + EPS_PROB and rounding grows a sum of k
-    terms by at most a factor (1 + 2^-53)^k, so every sum stays below
-    2 * sum |weighted|.  Otherwise the whole translate is taken."""
+    ``shifted_weight_product(x, n)``, with the same bits.  On any other
+    sequence the forward translate is summed at the points of E only, from
+    the terms ``translate`` sums there, in its order and after its window
+    checks, so the values keep their bits; a sum off E is never formed, so
+    one that would overflow there flags nothing.  On either path a value
+    at E that is not finite raises NonFiniteValue once all are computed,
+    as SparseFunction does on the translate path."""
     if isinstance(eta, CenterPowers):
         values = [shifted_weight_product(model, w, eta, x, n, convention) for x in e]
-        if not all(map(math.isfinite, values)):
-            raise NonFiniteValue("stored values must be finite")
-        return values
-    pulled = translate(model, indicator(e), eta(-n))
-    weighted = SparseFunction.from_dict(
-        {x: tv * weight_product(model, w, eta, x, n, convention)
-         for x, tv in pulled.values})
-    y = eta(n)
-    if model._fam.probability_rows and math.isfinite(
-            2.0 * sum(abs(v) for _, v in weighted.values)):
-        sums = _translate_sums(model, weighted, y, set(e))
-        return [sums.get(x, 0.0) for x in e]
-    profile = translate(model, weighted, y)
-    return [profile.value_at(x) for x in e]
+    else:
+        pulled = translate(model, indicator(e), eta(-n))
+        weighted = SparseFunction.from_dict(
+            {x: tv * weight_product(model, w, eta, x, n, convention)
+             for x, tv in pulled.values})
+        sums = _translate_sums(model, weighted, eta(n), set(e))
+        values = [sums.get(x, 0.0) for x in e]
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteValue("stored values must be finite")
+    return values
 
 
 def _sublevel_rows(model: HypergroupModel, e: tuple[int, ...], good: Sequence[int],

@@ -28,9 +28,9 @@ takes a side of a triple only once it is known to fit.  Where the rows it
 reads are bitwise symmetric (every family here but a non-commutative or
 broken table) it takes each side once per multiset of labels and shares it
 among the orderings; a side built on a unit row {u: 1.0} is then the memo's
-row (u, c) itself, with no sum, and two sides that are one shared unit row
-are not compared.  The findings are those of the plain triple loop, in its
-order, on either path.
+row (u, c) itself, with no sum, and two sides with equal atoms, which
+deviate by exactly 0.0, are not compared.  The findings are those of the
+plain triple loop, in its order, on either path.
 
 All operations are pure.  The memo only ever adds entries equal to what any
 caller would compute, so instances can be shared between threads: a race
@@ -185,9 +185,6 @@ class _Family:
     # Every point product is an exact unit atom of an associative law, so
     # the space is a group under point_law.
     group = False
-    # Every row is a probability measure: nonnegative atoms of mass one
-    # within EPS_PROB, so no atom exceeds 1 + EPS_PROB.
-    probability_rows = False
 
     def has_label(self, u: int) -> bool:
         return self.signed or u >= 0
@@ -223,8 +220,6 @@ class _DunklRamirez(_Family):
     Distinct points convolve to the point mass at their maximum; equal points
     spread geometrically over the initial segment.
     """
-
-    probability_rows = True
 
     def __init__(self, a: float):
         if not (0.0 < a <= 0.5):
@@ -265,8 +260,6 @@ class _SU2(_Family):
     tensor decompositions: supports run every second label between the
     difference and the sum."""
 
-    probability_rows = True
-
     def involution(self, x):
         return x
 
@@ -288,7 +281,6 @@ class _IntegerGroup(_Family):
 
     signed = True
     group = True
-    probability_rows = True
 
     def involution(self, x):
         return -x
@@ -340,12 +332,6 @@ class _TableFamily(_Family):
                              f"{v!r}, whose reciprocal Haar weight exceeds the float range")
         return 1.0 / v
 
-    @cached_property
-    def probability_rows(self):
-        # A table loaded with validate=False may hold any finite masses.
-        return all(abs(math.fsum(atoms.values()) - 1.0) <= EPS_PROB
-                   for atoms in self._conv.values())
-
     def has_label(self, u):
         return u in self._inv
 
@@ -383,8 +369,6 @@ class HypergroupModel:
             raise ValueError("identity label missing from carrier")
         # (x, y) -> (atoms of delta_x * delta_y in label order, support fits)
         self._pairs: dict[tuple[int, int], tuple[dict[int, float], bool]] = {}
-        # u -> the one {u: 1.0} dict that every such row of _pairs holds
-        self._unit_rows: dict[int, dict[int, float]] = {}
         # labels checked -> verify_axioms findings on them
         self._findings: dict[tuple[int, ...], tuple[AxiomViolation, ...]] = {}
         # label -> whether it is central, filled in by is_central
@@ -438,19 +422,13 @@ class HypergroupModel:
 
     def _pair(self, x: int, y: int) -> tuple[dict[int, float], bool]:
         """Memoised (atoms, fits) of delta_x * delta_y: the exact nonzero
-        atoms in label order, and whether they all lie in the window.
-
-        Every row that is exactly {u: 1.0} is one dict per u, shared by all
-        such rows, so the associativity sweep can tell two equal unit sides
-        by identity.  No reader of the memo (translate, translated_weight,
-        convolve_*, is_central, _check_axioms) mutates a row."""
+        atoms in label order, and whether they all lie in the window.  No
+        reader of the memo (translate, translated_weight, convolve_*,
+        is_central, _check_axioms) mutates a row."""
         entry = self._pairs.get((x, y))
         if entry is None:
             raw = self._fam.raw_convolve(x, y)
             atoms = {u: m for u, m in sorted(raw.items()) if m != 0.0}
-            u = _unit_label(atoms)
-            if u is not None:
-                atoms = self._unit_rows.setdefault(u, atoms)
             labels = self._labels
             entry = (atoms, all(u in labels for u in atoms))
             self._pairs[(x, y)] = entry
@@ -576,13 +554,13 @@ class HypergroupModel:
         and every u those triples reach, which is derived from the rows and
         never declared, (delta_a * delta_b) * delta_c is taken once per
         multiset {a, b, c} and shared among its orderings; there a side on
-        a unit row is that row, not a sum, and two sides that are one shared
-        unit row are not compared, which skips most comparisons on the
-        off-diagonal of Dunkl-Ramirez.  Elsewhere each ordered triple sums
-        its two sides.  Where the point law gives a label for every row
-        these read (the integers, a table of unit rows), no row is read:
-        each axiom is decided on labels, associativity by one comparison of
-        label tuples per pair of labels.  All give the same violations in
+        a unit row is that row, not a sum, and two sides with equal atoms
+        are not compared, which skips most comparisons on the off-diagonal
+        of Dunkl-Ramirez.  Elsewhere each ordered triple sums its two sides.
+        Where the point law gives a label for every row these read (the
+        integers, a table of unit rows), no row is read: each axiom is
+        decided on labels, associativity by one comparison of label tuples
+        per pair of labels.  All give the same violations in
         the same order, bit for bit.
         Violations come grouped by axiom in the order of :data:`AXIOMS`,
         each group in label order.  The findings are memoised per set of
@@ -720,11 +698,11 @@ class HypergroupModel:
         ordering of its multiset, and a side whose first product is a unit
         row {u: 1.0} is the row (u, c) it equals, with no sum: the sum would
         add 1.0 * w to 0.0 for each mass w of that row, in its order, which
-        gives the row's bits.  Two sides that are one object (two unit
-        sides on one label, see _pair) are not compared; which orderings a
-        multiset compares is decided by its indices alone.  Any other side,
-        and every side of the plain loop, is summed in a plain dict; the
-        plain loop compares every fitting triple.
+        gives the row's bits.  Two sides with equal atoms deviate by exactly
+        0.0 and are not compared; which orderings a multiset compares is
+        decided by its indices alone.  Any other side, and every side of the
+        plain loop, is summed in a plain dict; the plain loop compares every
+        fitting triple.
         """
         pair = self._pair
         pairs = self._pairs
@@ -792,8 +770,8 @@ class HypergroupModel:
             # (a,b,c) and (c,b,a) P with R, (a,c,b) and (b,c,a) Q with R,
             # (b,a,c) and (c,a,b) P with Q.  i == j makes R the sum Q is and
             # j == k makes Q the sum P is, which leaves P with R alone.  The
-            # indices say which comparisons remain: two sides of distinct
-            # orderings can be one shared unit row, and are then equal.
+            # indices say which comparisons remain; two sides of distinct
+            # orderings can still be equal, and then deviate by 0.0.
             # left_units[i][j][k] is (pts[i] pts[j]) pts[k] where
             # pts[i] pts[j] fits and is a unit row {u: 1.0}, one list per u.
             cols: dict[int, list[dict[int, float]]] = {}
@@ -832,13 +810,13 @@ class HypergroupModel:
                             R = side(rows_j[k], a) if units is None else units[i]
                         else:
                             R = None
-                        if R is not None and P is not None and P is not R:
+                        if R is not None and P is not None and P != R:
                             check(P, R, (i, j, k), (k, j, i))
                         if i == j or j == k:
                             continue
-                        if R is not None and Q is not None and Q is not R:
+                        if R is not None and Q is not None and Q != R:
                             check(Q, R, (i, k, j), (j, k, i))
-                        if P is not None and Q is not None and P is not Q:
+                        if P is not None and Q is not None and P != Q:
                             check(P, Q, (j, i, k), (k, i, j))
         else:
             for i, x in enumerate(pts):

@@ -131,16 +131,10 @@ class Weight(Checked, _WeightFields):
         return defaultdict(dict)
 
     def sup_over(self, labels) -> float:
-        vals = [self(x) for x in labels]
-        if self.form == "table":
-            vals.append(self.default)
-        return max(vals)
+        return max(map(self, labels))
 
     def inf_over(self, labels) -> float:
-        vals = [self(x) for x in labels]
-        if self.form == "table":
-            vals.append(self.default)
-        return min(vals)
+        return min(map(self, labels))
 
 
 def constant_weight(value: float) -> Weight:

@@ -17,6 +17,9 @@ def test_weight_forms():
     assert g(3) == 0.25
     assert w.sup_over(range(-2, 3)) == 2.0
     assert w.inf_over(range(-2, 3)) == 0.5
+    # a table's default is read only off its entries
+    assert hz.table_weight({0: 2.0}, default=5.0).sup_over([0]) == 2.0
+    assert hz.table_weight({0: 2.0}, default=0.5).inf_over([0]) == 2.0
 
 
 def test_weight_positivity_enforced():
