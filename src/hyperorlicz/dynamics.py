@@ -14,7 +14,9 @@ row inside the quartile):
   goal, else ``fails``.
 
 The transitivity witness reads its trend by the same rule: both error norms
-must vanish over the last quartile of its unflagged rows.
+must vanish over the last quartile of its unflagged rows.  It reads the
+center-conditions report, as the hereditary probe does: the weight keeps
+one per (phi, E, horizon, convention), computed once.
 
 Per-step window overflows never abort a check; the step is recorded as
 inconclusive or the row is flagged and skipped.  Neither does a step whose
@@ -60,23 +62,6 @@ _STEP_ERRORS = (WindowOverflow, NonFiniteValue, ZeroDivisionError)
 
 def _step_flag(exc: Exception) -> str:
     return "window-overflow" if isinstance(exc, WindowOverflow) else "non-finite"
-
-
-def _step_memo(fn: Callable[[int], float]) -> Callable[[int], float]:
-    """fn memoised per index, a step error included: it is raised again."""
-    memo: dict[int, tuple[float | None, Exception | None]] = {}
-
-    def memoised(m: int) -> float:
-        entry = memo.get(m)
-        if entry is None:
-            try:
-                entry = memo[m] = (fn(m), None)
-            except _STEP_ERRORS as exc:
-                entry = memo[m] = (None, exc)
-        if entry[1] is not None:
-            raise entry[1]
-        return entry[0]
-    return memoised
 
 
 # -- aperiodicity -----------------------------------------------------------
@@ -187,28 +172,32 @@ def strongly_aperiodic_check(model: HypergroupModel, eta: EtaSequence,
                              rs_bound: int) -> AperiodicityVerdict:
     """Pairwise disjointness of E translated by the (r n)-th and (s n)-th
     sequence points over distinct multipliers bounded by rs_bound, with the
-    multiplied indices kept within the horizon."""
+    multiplied indices kept within the horizon.  A bound below 1 leaves no
+    pair to test, so it raises ValueError."""
+    if rs_bound < 1:
+        raise ValueError(f"rs_bound must be at least 1, got {rs_bound}")
     e = _require_set(model, e_set)
     return _pairwise_verdict(_translates(model, eta, e), horizon, rs_bound)
 
 
 def _pairwise_verdict(translated: Callable, horizon: int,
                       rs_bound: int) -> AperiodicityVerdict:
-    """The verdict of strongly_aperiodic_check from E's translates."""
+    """The verdict of strongly_aperiodic_check from E's translates at r n
+    (|r| <= rs_bound, |r n| <= horizon), each read once: the labels seen in
+    two of them overlap; n is skipped where none do and one is None."""
     overlaps: dict[int, set[int] | None] = {}
     for n in range(1, horizon + 1):
+        seen: set[int] = set()
         overlap: set[int] = set()
         skipped = False
-        for r in range(-rs_bound, rs_bound + 1):
-            for s in range(r + 1, rs_bound + 1):
-                if abs(r * n) > horizon or abs(s * n) > horizon:
-                    continue
-                a = translated(r * n)
-                b = translated(s * n)
-                if a is None or b is None:
-                    skipped = True
-                    continue
-                overlap |= a & b
+        reach = min(rs_bound, horizon // n)
+        for r in range(-reach, reach + 1):
+            shifted = translated(r * n)
+            if shifted is None:
+                skipped = True
+                continue
+            overlap |= seen & shifted
+            seen |= shifted
         overlaps[n] = None if skipped and not overlap else overlap
     return _tail_verdict(horizon, overlaps)
 
@@ -224,7 +213,10 @@ def aperiodic_center_check(model: HypergroupModel, z: int, e_set: Iterable[int],
     """Aperiodicity of a center element along its powers, checked two ways:
     directly (E against E shifted by the n-th power) and through pairwise
     disjointness of multiplied shifts.  Negative powers use the involution;
-    both readings share one memo of translates."""
+    both readings share one memo of translates.  A multiplier bound below 1
+    raises ValueError, as in strongly_aperiodic_check."""
+    if rs_bound < 1:
+        raise ValueError(f"rs_bound must be at least 1, got {rs_bound}")
     e = _require_set(model, e_set)
     translated = _translates(model, CenterPowers(model, z), e)
     # The direct reading uses positive shifts only.
@@ -247,10 +239,7 @@ class CriterionRow(NamedTuple):
     flags: tuple[str, ...] = ()
 
     def metric(self, name: str) -> float:
-        for key, v in self.metrics:
-            if key == name:
-                return v
-        raise KeyError(name)
+        return dict(self.metrics)[name]
 
 
 class _CriterionReportFields(NamedTuple):
@@ -306,25 +295,6 @@ def _verdict(rows: Sequence[CriterionRow], ratio_goal: bool,
         vals = [r.metric(name) for r in quart]
         ok = ok and _vanishes(vals) and vals[-1] <= ZERO_LEVEL
     return "holds_empirically" if ok else "fails"
-
-
-def _center_indices(model: HypergroupModel, eta: CenterPowers, e: Sequence[int],
-                    horizon: int) -> list[int]:
-    """The indices n at which E is disjoint from both its translates by the
-    n-th and (-n)-th powers of the center element, after the
-    center-aperiodicity gate: the forward translates must be disjoint from E
-    at the horizon.  One forward and one backward pass serve both."""
-    translated = _translates(model, eta, e)
-    forward = _overlaps(translated, e, horizon, (1,))
-    if not _tail_verdict(horizon, forward).holds_at_horizon:
-        raise PreconditionFailed(
-            "center-aperiodicity",
-            f"powers of {eta.z} keep meeting the set below the horizon")
-    backward = _overlaps(translated, e, horizon, (-1,))
-    good = [n for n in forward if forward[n] == set() and backward[n] == set()]
-    if not good:
-        raise PreconditionFailed("aperiodicity", "no separating index below horizon")
-    return good
 
 
 def _sup_necessary_values(model: HypergroupModel, w: Weight, eta: EtaSequence,
@@ -436,14 +406,14 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
         raise PreconditionFailed(
             "strong-aperiodicity",
             "multiplied translates keep meeting below the horizon")
-    # The terms depend only on the multiplied index m = s n: each is computed
-    # once per call, and a step error once caught is raised again.
-    @_step_memo
+    # The terms depend only on the multiplied index m = s n.  A step that
+    # raised is not kept: computed again, it raises the same error type.
+    @cache
     def forward_term(m):
         values = _sup_necessary_values(model, w, eta, e, m, convention)
         return sum(v * model.haar[x] for x, v in zip(e, values))
 
-    @_step_memo
+    @cache
     def reciprocal_term(m):
         return sum(model.haar[x] / weight_product(model, w, eta, x, m, convention)
                    for x in e)
@@ -478,16 +448,6 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
         notes=("both series use the multiplied step index inside the integrand",))
 
 
-def _center_pair(model: HypergroupModel, w: Weight, eta: CenterPowers,
-                 e: Sequence[int], n: int, convention: ProductConvention
-                 ) -> tuple[list[float], list[float]]:
-    """At the points of E, the reciprocal weight products and the shifted
-    weight products along powers of the center element: the pair that both
-    the center-conditions and the hereditary probe track."""
-    return ([1.0 / weight_product(model, w, eta, x, n, convention) for x in e],
-            [shifted_weight_product(model, w, eta, x, n, convention) for x in e])
-
-
 def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
                             phi: YoungFunction, e_set: Iterable[int], horizon: int,
                             convention: ProductConvention = DEFAULT_CONVENTION
@@ -501,32 +461,41 @@ def probe_center_conditions(model: HypergroupModel, w: Weight, eta: EtaSequence,
     sufficiency construction, recorded in ``certification``.
 
     The weight keeps the report per (model, center element) and (phi, E,
-    horizon, convention), so the transitivity witness of a session reads
-    the report its ``center`` probe made; a call that raises keeps nothing.
+    horizon, convention), and the hereditary probe and the transitivity
+    witness read it too; a call that raises keeps nothing.
     """
+    return _center_report(model, w, eta, phi, e_set, horizon, convention)
+
+
+def _center_report(model: HypergroupModel, w: Weight, eta: EtaSequence,
+                   phi: YoungFunction, e_set: Iterable[int], horizon: int,
+                   convention: ProductConvention) -> CriterionReport:
+    """The kept report of probe_center_conditions after its gates, computed
+    on a miss; the probe, the hereditary probe and the witness read it."""
     e = _require_set(model, e_set)
     if not isinstance(eta, CenterPowers):
         raise PreconditionFailed("central-sequence",
                                  "the probe needs powers of a center element")
     reports = w._memo["reports", model, eta.z]
     key = (phi, e, horizon, convention)
-    report = reports.get(key)
-    if report is None:
-        report = reports[key] = _center_report(model, w, eta, phi, e, horizon,
-                                               convention)
-    return report
-
-
-def _center_report(model: HypergroupModel, w: Weight, eta: CenterPowers,
-                   phi: YoungFunction, e: tuple[int, ...], horizon: int,
-                   convention: ProductConvention) -> CriterionReport:
-    """The report of probe_center_conditions, computed."""
-    good = _center_indices(model, eta, e, horizon)
-    sufficiency_ok = (delta2_check(phi).state == "proven"
-                      and w.inf_over(model.carrier) > 0.0)
+    if key in reports:
+        return reports[key]
+    # Gated on E's forward translates being disjoint from E at the horizon;
+    # the rows sit where both translates are.  One pass each way serves both.
+    translated = _translates(model, eta, e)
+    forward = _overlaps(translated, e, horizon, (1,))
+    if not _tail_verdict(horizon, forward).holds_at_horizon:
+        raise PreconditionFailed(
+            "center-aperiodicity",
+            f"powers of {eta.z} keep meeting the set below the horizon")
+    backward = _overlaps(translated, e, horizon, (-1,))
+    good = [n for n in forward if forward[n] == set() and backward[n] == set()]
+    if not good:
+        raise PreconditionFailed("aperiodicity", "no separating index below horizon")
 
     def tracked(n):
-        return _center_pair(model, w, eta, e, n, convention)
+        return ([1.0 / weight_product(model, w, eta, x, n, convention) for x in e],
+                [shifted_weight_product(model, w, eta, x, n, convention) for x in e])
 
     @cache  # consecutive rows usually keep the same members
     def residual_norm(members):
@@ -539,11 +508,13 @@ def _center_report(model: HypergroupModel, w: Weight, eta: CenterPowers,
                        vanish_names=("sup_reciprocal", "sup_shifted"),
                        zero_names=("residual_norm",))
     certification = None
-    if verdict == "holds_empirically" and sufficiency_ok:
+    if (verdict == "holds_empirically" and delta2_check(phi).state == "proven"
+            and w.inf_over(model.carrier) > 0.0):  # the sufficiency side
         certification = f"densely hypercyclic certified at horizon {horizon}"
-    return CriterionReport(criterion="center-conditions", verdict=verdict,
-                           rows=rows, horizon=horizon,
-                           convention=convention, certification=certification)
+    report = reports[key] = CriterionReport(
+        criterion="center-conditions", verdict=verdict, rows=rows,
+        horizon=horizon, convention=convention, certification=certification)
+    return report
 
 
 def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
@@ -551,25 +522,30 @@ def probe_hereditary(model: HypergroupModel, z: int, w: Weight,
                      ) -> CriterionReport:
     """Hereditary two-sided condition along powers of a center element: the
     forward products and reciprocal backward products must both vanish on
-    sublevel subsets exhausting E."""
+    sublevel subsets exhausting E.  After its own gates it reads the kept
+    center-conditions report at the default convention: its rows are those
+    rows, the shifted products as ``sup_forward`` and the reciprocal ones as
+    ``sup_backward``, with the ratio goal in place of ``residual_norm``."""
     e = _require_set(model, e_set)
     if not model.is_central(z):
         raise PreconditionFailed("central-element", f"label {z} is not central")
     if delta2_check(phi).state != "proven":
         raise PreconditionFailed("doubling-regularity",
                                  "the criterion needs proven doubling regularity")
-    eta = CenterPowers(model, z)
-    good = _center_indices(model, eta, e, horizon)
-
-    def tracked(n):
-        reciprocal, shifted = _center_pair(model, w, eta, e, n, DEFAULT_CONVENTION)
-        return shifted, reciprocal
-
-    rows = _sublevel_rows(model, e, good, ("sup_forward", "sup_backward"), tracked)
+    center = _center_report(model, w, CenterPowers(model, z), phi, e, horizon,
+                            DEFAULT_CONVENTION)
+    rows = []
+    for row in center.rows:
+        if row.flags:
+            metrics = (("sup_forward", math.nan),)
+        else:
+            _, (_, reciprocal), (_, shifted), eps = row.metrics
+            metrics = (("sup_forward", shifted), ("sup_backward", reciprocal), eps)
+        rows.append(row._replace(metrics=metrics))
     verdict = _verdict(rows, ratio_goal=True,
                        vanish_names=("sup_forward", "sup_backward"))
     return CriterionReport(criterion="hereditary", verdict=verdict,
-                           rows=rows, horizon=horizon,
+                           rows=tuple(rows), horizon=horizon,
                            convention=DEFAULT_CONVENTION)
 
 
@@ -600,14 +576,12 @@ def build_transitivity_witness(model: HypergroupModel, f: SparseFunction,
     near the target by the step operator.
 
     Requires the center-conditions probe to hold on the union of supports;
-    its report is the one a ``center`` probe of the session on that union
-    made, if any (``probe_center_conditions`` keeps it on the weight).  Per
-    row the witness keeps f on the sublevel subset and adds the right
+    it reads the report the weight keeps for that union, as the probe does.
+    Per row the witness keeps f on the sublevel subset and adds the right
     inverse of the restricted target; both error norms use the gauge norm.
     """
     e = tuple(sorted(set(f.support()) | set(g.support())))
-    probe = probe_center_conditions(model, w, eta, phi, e, horizon,
-                                    convention=convention)
+    probe = _center_report(model, w, eta, phi, e, horizon, convention)
     if probe.verdict != "holds_empirically":
         raise PreconditionFailed(
             "center-conditions",
@@ -615,19 +589,18 @@ def build_transitivity_witness(model: HypergroupModel, f: SparseFunction,
     rows: list[WitnessRow] = []
     final = None
     for row in probe.rows[:k_max]:
-        if row.flags:
+        flags = row.flags
+        if not flags:
+            try:
+                witness = f.restrict(row.members) + apply_right_inverse(
+                    model, g.restrict(row.members), w, eta, row.n, convention)
+                mapped = apply_weighted_translation(model, witness, w, eta, row.n,
+                                                    convention)
+            except _STEP_ERRORS as exc:
+                flags = (_step_flag(exc),)
+        if flags:
             rows.append(WitnessRow(k=row.k, n=row.n, err_source=math.nan,
-                                   err_target=math.nan, flags=row.flags))
-            continue
-        keep = row.members
-        try:
-            witness = f.restrict(keep) + apply_right_inverse(
-                model, g.restrict(keep), w, eta, row.n, convention)
-            mapped = apply_weighted_translation(model, witness, w, eta, row.n,
-                                                convention)
-        except _STEP_ERRORS as exc:
-            rows.append(WitnessRow(k=row.k, n=row.n, err_source=math.nan,
-                                   err_target=math.nan, flags=(_step_flag(exc),)))
+                                   err_target=math.nan, flags=flags))
             continue
         err_source = luxemburg_norm(model, witness - f, phi).value
         err_target = luxemburg_norm(model, mapped - g, phi).value

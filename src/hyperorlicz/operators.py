@@ -124,8 +124,9 @@ class Weight(Checked, _WeightFields):
         ("orbits", model, z) a point to its orbit state along powers of z,
         ("products", model, sequence key) an (x, factor count) pair to its
         weight product, shifted ones included, and ("reports", model, z) a
-        (phi, E, horizon, convention) key to the center-conditions report
-        (``dynamics.probe_center_conditions``).  An entry is only ever
+        (phi, E, horizon, convention) key to the center-conditions report,
+        which ``dynamics.probe_center_conditions``, ``probe_hereditary``
+        and ``build_transitivity_witness`` read.  An entry is only ever
         added, or replaced whole by one that agrees with it wherever both
         hold a value, so a reader racing a writer sees correct values."""
         return defaultdict(dict)

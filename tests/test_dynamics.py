@@ -107,6 +107,103 @@ def test_center_check_translates_each_index_once(monkeypatch):
     assert len(checked) == 1
 
 
+def test_multiplier_bound_below_one_is_rejected():
+    # E = {0, 1} meets E + 1, which the multipliers 0 and 1 find at n = 1.
+    # A bound below 1 leaves no pair to test, so every index passed, and the
+    # series probe built rows from n = 1.
+    model = hz.integer_group(32)
+    eta = hz.center_powers(model, 1)
+    found = hz.strongly_aperiodic_check(model, eta, [0, 1], 8, 1)
+    assert (found.first_n, found.counterexamples) == (2, ((1, (0, 1)),))
+    w = hz.step_weight(0, 2.0, 0.5)
+    for bound in (0, -2):
+        for check in (lambda: hz.strongly_aperiodic_check(model, eta, [0, 1], 8, bound),
+                      lambda: hz.aperiodic_center_check(model, 1, [0, 1], 8, bound),
+                      lambda: hz.probe_series_necessary(model, w, eta, [0, 1], 8, 2,
+                                                        rs_bound=bound),
+                      # before any other check: E is empty here
+                      lambda: hz.strongly_aperiodic_check(model, eta, [], 8, bound),
+                      lambda: hz.aperiodic_center_check(model, 1, [], 8, bound)):
+            with pytest.raises(ValueError, match="rs_bound"):
+                check()
+
+
+def _window_translates(model, eta, e):
+    """idx -> E translated by eta(idx), None off the window."""
+    def translated(idx):
+        try:
+            return model.set_convolve(e, [eta(idx)])
+        except hz.WindowOverflow:
+            return None
+    return translated
+
+
+def _pair_loop_overlaps(translated, horizon, rs_bound):
+    """The pairwise overlaps as the loop over pairs of multipliers r < s,
+    kept as the reference: each pair within the horizon is intersected, and
+    an index with a translate off the window and no overlap is skipped."""
+    overlaps = {}
+    for n in range(1, horizon + 1):
+        overlap, skipped = set(), False
+        for r in range(-rs_bound, rs_bound + 1):
+            for s in range(r + 1, rs_bound + 1):
+                if abs(r * n) > horizon or abs(s * n) > horizon:
+                    continue
+                a, b = translated(r * n), translated(s * n)
+                if a is None or b is None:
+                    skipped = True
+                    continue
+                overlap |= a & b
+        overlaps[n] = None if skipped and not overlap else overlap
+    return overlaps
+
+
+@pytest.mark.seeded
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pairwise_checks_match_the_pair_loop(data):
+    # Each multiplied translate is read once, and the overlap is the labels
+    # seen in two of them: the verdicts are the pair loop's for every bound
+    # from 1, with translates leaving the window (None) included.
+    kind = data.draw(st.sampled_from(("integers", "dunkl_ramirez", "su2")))
+    if kind == "integers":  # sets and steps near 0 pass in many examples
+        model = hz.integer_group(data.draw(st.integers(6, 24)))
+        labels = st.integers(-3, 3)
+        z = data.draw(st.one_of(st.sampled_from((1, -1, 2, 3)),
+                                st.sampled_from(model.center_elements().members)))
+    elif kind == "dunkl_ramirez":
+        model = hz.dunkl_ramirez(data.draw(st.sampled_from((0.3, 0.5))),
+                                 data.draw(st.integers(4, 16)))
+    else:
+        model = hz.su2(data.draw(st.integers(4, 16)))
+    if kind != "integers":
+        labels = st.sampled_from(model.carrier)
+    e = data.draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    horizon = data.draw(st.integers(1, 16))
+    rs_bound = data.draw(st.integers(1, 4))
+    if kind == "integers" or data.draw(st.booleans()):
+        if kind != "integers":
+            z = data.draw(st.sampled_from(model.center_elements().members))
+        eta = hz.center_powers(model, z)
+    else:  # a table that may stop short of the horizon
+        z = None
+        eta = hz.eta_from_table(model, data.draw(st.dictionaries(
+            st.integers(1, horizon), labels, min_size=1)))
+    translated = _window_translates(model, eta, e)
+    pairwise = dynamics._tail_verdict(
+        horizon, _pair_loop_overlaps(translated, horizon, rs_bound))
+    assert hz.strongly_aperiodic_check(model, eta, e, horizon, rs_bound) == pairwise
+    event(f"{kind}: holds {pairwise.holds_at_horizon}, "
+          f"skipped {bool(pairwise.inconclusive)}")
+    if z is None:
+        return
+    direct = dynamics._tail_verdict(horizon, {
+        n: None if translated(n) is None else set(e) & translated(n)
+        for n in range(1, horizon + 1)})
+    assert hz.aperiodic_center_check(model, z, e, horizon, rs_bound) == (
+        direct, pairwise, direct.holds_at_horizon == pairwise.holds_at_horizon)
+
+
 def test_verdict_dataclass_validation():
     with pytest.raises(ValueError):
         AperiodicityVerdict(holds_at_horizon=True, first_n=None, horizon=8,
@@ -260,14 +357,57 @@ def _cyclic_group(labels):
     return hz.table_hypergroup(conv, involution, identity=labels[0])
 
 
+def _reference_center_rows(model, w, z, e, horizon):
+    """The sublevel rows over the shifted and the reciprocal weight products
+    at each good index, built from the operators alone: the failing
+    precondition, or per row (k, n, flag) where it is flagged and else (k,
+    n, members, ratio, sup of the shifted, sup of the reciprocal, eps)."""
+    e = tuple(sorted(e))
+    eta = hz.center_powers(model, z)
+    translated = _window_translates(model, eta, e)
+
+    def disjoint(idx):
+        shifted = translated(idx)
+        return shifted is not None and not set(e) & shifted
+
+    if not disjoint(horizon):
+        return "center-aperiodicity"
+    good = [n for n in range(1, horizon + 1) if disjoint(n) and disjoint(-n)]
+    if not good:
+        return "aperiodicity"
+    rows = []
+    for k, n in enumerate(good, start=1):
+        eps = 2.0**-k
+        try:  # the reciprocal products first, as the probes compute them
+            reciprocal = [1.0 / hz.weight_product(model, w, eta, x, n) for x in e]
+            shifted = [hz.shifted_weight_product(model, w, eta, x, n) for x in e]
+        except hz.WindowOverflow:
+            rows.append((k, n, "window-overflow"))
+            continue
+        except (hz.NonFiniteValue, ZeroDivisionError):
+            rows.append((k, n, "non-finite"))
+            continue
+        if not all(map(math.isfinite, reciprocal + shifted)):
+            rows.append((k, n, "non-finite"))
+            continue
+        inside = [i for i in range(len(e)) if max(shifted[i], reciprocal[i]) <= eps]
+        members = tuple(e[i] for i in inside)
+        rows.append((k, n, members,
+                     hz.measure_of_set(model, members) / hz.measure_of_set(model, e),
+                     max((shifted[i] for i in inside), default=0.0),
+                     max((reciprocal[i] for i in inside), default=0.0), eps))
+    return rows
+
+
 @pytest.mark.seeded
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_center_and_hereditary_track_one_pair(data):
-    # Both probes read the shifted and the reciprocal products along powers
-    # of z, so their rows carry the same values, members and flags, and the
-    # ratio goal of the one meets exactly when the residual goal of the other
-    # does.
+    # Both probes track the shifted and the reciprocal products along powers
+    # of z, and the hereditary probe reads the center report, so each row of
+    # either is the reference row, flags included, whichever probe ran
+    # first; the ratio goal of the one meets exactly when the residual goal
+    # of the other does.
     kind = data.draw(st.sampled_from(("integers", "table", "dunkl_ramirez")))
     if kind == "integers":
         model = hz.integer_group(data.draw(st.integers(12, 40)))
@@ -307,24 +447,65 @@ def test_center_and_hereditary_track_one_pair(data):
         except hz.PreconditionFailed as exc:
             return exc.hypothesis
 
+    # The hereditary probe alone computes the center report; after the
+    # center probe on the same weight it reads the kept one.
+    alone = run(lambda: hz.probe_hereditary(model, z, w._replace(), phi, e, horizon))
     center = run(lambda: hz.probe_center_conditions(
         model, w, hz.center_powers(model, z), phi, e, horizon))
     hereditary = run(lambda: hz.probe_hereditary(model, z, w, phi, e, horizon))
-    if isinstance(center, str):
-        assert hereditary == center
-        event(f"{kind}: precondition {center}")
+    expected = _reference_center_rows(model, w._replace(), z, e, horizon)
+    assert alone == hereditary
+    if isinstance(expected, str):
+        assert hereditary == center == expected
+        event(f"{kind}: precondition {expected}")
         return
     assert hereditary.verdict == center.verdict
     event(f"{kind}: {center.verdict}")
-    assert len(hereditary.rows) == len(center.rows)
-    for her, cen in zip(hereditary.rows, center.rows):
-        assert (her.k, her.n, her.members, her.flags, her.measure_ratio) == (
-            cen.k, cen.n, cen.members, cen.flags, cen.measure_ratio)
-        if cen.flags:
-            event(f"flag {cen.flags[0]}")
+    assert len(hereditary.rows) == len(center.rows) == len(expected)
+    for her, cen, ref in zip(hereditary.rows, center.rows, expected):
+        if len(ref) == 3:
+            k, n, flag = ref
+            event(f"flag {flag}")
+            for row, name in ((her, "sup_forward"), (cen, "residual_norm")):
+                assert (row.k, row.n, row.members, row.measure_ratio, row.flags) == (
+                    k, n, (), 0.0, (flag,))
+                assert [key for key, _ in row.metrics] == [name]
+                assert math.isnan(row.metric(name))
             continue
-        assert her.metric("sup_forward") == cen.metric("sup_shifted")
-        assert her.metric("sup_backward") == cen.metric("sup_reciprocal")
+        k, n, members, ratio, shifted, reciprocal, eps = ref
+        assert her == CriterionRow(k, n, members, ratio,
+                                   (("sup_forward", shifted),
+                                    ("sup_backward", reciprocal), ("eps", eps)))
+        assert (cen.k, cen.n, cen.members, cen.measure_ratio, cen.flags) == (
+            k, n, members, ratio, ())
+        assert cen.metrics[1:] == (("sup_reciprocal", reciprocal),
+                                   ("sup_shifted", shifted), ("eps", eps))
+
+
+def test_hereditary_after_center_reads_the_kept_report(monkeypatch):
+    # After the center probe of a session, the hereditary probe on the same
+    # set multiplies no weight product and computes no gauge norm: its rows
+    # are the kept center rows relabelled, and its body is the one a session
+    # running it alone prints.
+    def session():
+        return hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
+
+    alone = cli.run_command(session(), "probe", {"id": "hereditary"}, 0)
+    sc = session()
+    assert cli.run_command(sc, "probe", {"id": "center"}, 0)[1] == 0
+    calls = collections.Counter()
+    for module, name in ((dynamics, "weight_product"),
+                         (dynamics, "shifted_weight_product"),
+                         (dynamics, "luxemburg_norm"),
+                         (operators, "weight_product"),
+                         (operators, "_cocycle")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert cli.run_command(sc, "probe", {"id": "hereditary"}, 0) == alone
+    assert alone[1] == 0
+    assert calls == {}
 
 
 def _frozen_sup_necessary_values(model, w, eta, e, n, convention):
