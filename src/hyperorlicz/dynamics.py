@@ -44,9 +44,12 @@ from .operators import (
     EtaSequence,
     ProductConvention,
     Weight,
+    _read_runs,
+    _relabelled_step,
+    _shifted_products,
+    _weight_products,
     apply_right_inverse,
     apply_weighted_translation,
-    shifted_weight_product,
     weight_product,
 )
 from .orlicz import YoungFunction, _gauge_exceeds, delta2_check, luxemburg_norm
@@ -304,7 +307,8 @@ def _sup_necessary_values(model: HypergroupModel, w: Weight, eta: EtaSequence,
     E: translate back the indicator, multiply the weight product in,
     translate forward.  Along powers of a center element both translates
     are relabellings with mass exactly 1.0, so the value at x is
-    ``shifted_weight_product(x, n)``, with the same bits.  On any other
+    ``shifted_weight_product(x, n)``, with the same bits, read from the
+    shifted-product columns where they reach n.  On any other
     sequence the forward translate is summed at the points of E only, from
     the terms ``translate`` sums there, in its order and after its window
     checks, so the values keep their bits; a sum off E is never formed, so
@@ -312,7 +316,7 @@ def _sup_necessary_values(model: HypergroupModel, w: Weight, eta: EtaSequence,
     at E that is not finite raises NonFiniteValue once all are computed,
     as SparseFunction does on the translate path."""
     if isinstance(eta, CenterPowers):
-        values = [shifted_weight_product(model, w, eta, x, n, convention) for x in e]
+        values = list(_shifted_products(model, w, eta, e, n, convention))
     else:
         pulled = translate(model, indicator(e), eta(-n))
         weighted = SparseFunction.from_dict(
@@ -382,6 +386,8 @@ def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
         raise PreconditionFailed(
             "aperiodicity", "no index below the horizon separates the set")
 
+    _read_runs(model, w, eta, e, good[-1], (), convention)
+
     def tracked(n):
         return (_sup_necessary_values(model, w, eta, e, n, convention),)
 
@@ -408,6 +414,10 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
             "multiplied translates keep meeting below the horizon")
     # The terms depend only on the multiplied index m = s n.  A step that
     # raised is not kept: computed again, it raises the same error type.
+    steps = range(strong.first_n, horizon + 1)
+    _read_runs(model, w, eta, e, series_cutoff * horizon,
+               {s * n for s in range(1, series_cutoff + 1) for n in steps}, convention)
+
     @cache
     def forward_term(m):
         values = _sup_necessary_values(model, w, eta, e, m, convention)
@@ -415,12 +425,12 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
 
     @cache
     def reciprocal_term(m):
-        return sum(model.haar[x] / weight_product(model, w, eta, x, m, convention)
-                   for x in e)
+        return sum(model.haar[x] / product for x, product in
+                   zip(e, _weight_products(model, w, eta, e, m, convention)))
 
     # Every skipped index lies below first_n, so all indices from it are good.
     rows: list[CriterionRow] = []
-    for k, n in enumerate(range(strong.first_n, horizon + 1), start=1):
+    for k, n in enumerate(steps, start=1):
         fwd_sum = 0.0
         rec_sum = 0.0
         flags: tuple[str, ...] = ()
@@ -493,9 +503,11 @@ def _center_report(model: HypergroupModel, w: Weight, eta: EtaSequence,
     if not good:
         raise PreconditionFailed("aperiodicity", "no separating index below horizon")
 
+    _read_runs(model, w, eta, e, good[-1], good, convention)
+
     def tracked(n):
-        return ([1.0 / weight_product(model, w, eta, x, n, convention) for x in e],
-                [shifted_weight_product(model, w, eta, x, n, convention) for x in e])
+        return ([1.0 / p for p in _weight_products(model, w, eta, e, n, convention)],
+                list(_shifted_products(model, w, eta, e, n, convention)))
 
     @cache  # consecutive rows usually keep the same members
     def residual_norm(members):
@@ -639,15 +651,20 @@ def orbit_density_probe(model: HypergroupModel, f: SparseFunction, w: Weight,
     modular at k = best error exceeds 1 + 1e-9), since its search could not
     win; the result is the one the full scan gives.  Only a skipped
     candidate whose own search would raise NonFiniteIntegrand no longer ends
-    the scan.
+    the scan.  Each step after one computed is that one relabelled where
+    ``operators._relabelled_step`` gives it.
     """
     orbit: list[tuple[int, SparseFunction | None]] = []
+    point = None
     for n in range(0, horizon + 1):
         try:
-            orbit.append((n, apply_weighted_translation(model, f, w, eta, n,
-                                                        convention)))
+            if point is not None:
+                point = _relabelled_step(model, w, eta, f, point, n - 1)
+            if point is None:
+                point = apply_weighted_translation(model, f, w, eta, n, convention)
         except (WindowOverflow, NonFiniteValue):
-            orbit.append((n, None))
+            point = None
+        orbit.append((n, point))
     results = []
     for idx, g in enumerate(targets):
         best_n, best_err = 0, math.inf

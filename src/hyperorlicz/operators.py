@@ -29,25 +29,33 @@ its two operands, so the result has the bits of the loop
 ``acc = row[j] * acc`` for j from the last factor down to 0, the rounding
 of iterating the single-step operator.  The hereditary pair is the shifted
 product and the reciprocal product along powers of a center element, so it
-reads the same rows.
+reads the same columns and rows.
 
 A weight product, the one started at 1.0, is kept per (model, sequence) and
-(x, factor count) once computed, so the probes, the witness's right inverse
-and the shifted products of one session compute each product once; a call
-that raises keeps nothing, so computing it again raises the same error.
-The step operator starts each product at a translated value instead, so it
-multiplies the stored factors afresh.  Along powers of z on a group the
-product at (x, count) is the one at (x z^-1, count-1) times w(x), the left
-fold ``math.prod`` makes, so a product whose shorter neighbour is kept
-multiplies one factor, after the plain loop's checks; the shifted product at
-step n, the product at x z^n, thus extends the one at step n-1.
+(x, factor count) once computed, so the probes and the witness's right
+inverse of one session compute each product once; a call that raises keeps
+nothing, so computing it again raises the same error.  The step operator
+starts each product at a translated value instead, so it multiplies the
+stored factors afresh.  The weight keeps its value at each label read
+(``translated_weight`` reads it), so each label's value is computed once.
+
+Along powers of z on a group the probes read a run at a time instead of
+one call per (x, n).  The shifted product at x and step n folds w at
+x z .. x z^n (x .. x z^n inclusive) left from 1.0, so it is the one at step
+n-1 times w(x z^n), the left fold ``math.prod`` makes: each x keeps one
+column of them per convention, grown one multiplication a step as far as a
+caller asks, and ``shifted_weight_product`` reads it.  The weight products
+a probe needs at x are ``math.prod`` slices of one orbit read there.  The
+step operator at n+1 is the one at n relabelled by z times w at each new
+point, the same left fold, so the orbit scan relabels.  A step whose checks
+might fail is left to the per-(x, n) call, which raises as it always has.
 """
 import enum
 import math
 from collections import defaultdict
 from collections.abc import Hashable
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NotCentral, WindowOverflow
 from .functions import SparseFunction, translate
@@ -118,13 +126,20 @@ class Weight(Checked, _WeightFields):
         return dict(self.entries)
 
     @cached_property
+    def _values(self) -> "_LabelValues":
+        """The value at each label read so far, computed on its first read."""
+        return _LabelValues(self)
+
+    @cached_property
     def _memo(self) -> defaultdict:
         """Caches of values derived from this weight, one dict per key:
         ("rows", model, sequence key) maps a point to its factor row,
         ("orbits", model, z) a point to its orbit state along powers of z,
         ("products", model, sequence key) an (x, factor count) pair to its
-        weight product, shifted ones included, and ("reports", model, z) a
-        (phi, E, horizon, convention) key to the center-conditions report,
+        weight product, ("columns", model, z, convention) a point x to its
+        shifted products at steps 0, 1, ... along powers of z on a group,
+        and ("reports", model, z) a (phi, E, horizon, convention) key to
+        the center-conditions report,
         which ``dynamics.probe_center_conditions``, ``probe_hereditary``
         and ``build_transitivity_witness`` read.  An entry is only ever
         added, or replaced whole by one that agrees with it wherever both
@@ -136,6 +151,20 @@ class Weight(Checked, _WeightFields):
 
     def inf_over(self, labels) -> float:
         return min(map(self, labels))
+
+
+class _LabelValues(dict):
+    """A weight's value at each label read so far."""
+
+    __slots__ = ("_weight",)
+
+    def __init__(self, weight: Weight):
+        super().__init__()
+        self._weight = weight
+
+    def __missing__(self, label: int) -> float:
+        value = self[label] = self._weight(label)
+        return value
 
 
 def constant_weight(value: float) -> Weight:
@@ -233,21 +262,20 @@ def translated_weight(model: HypergroupModel, w: Weight, x: int, y: int) -> floa
     w(u) where the point law gives the unit atom u."""
     model._require_in_window(x, y)
     u = model._law(x, y)
+    values = w._values
     if u is not None:
-        return w(u)
+        return values[u]
     s = 0.0
     for u, m in model._pair(x, y)[0].items():
-        s += w(u) * m
+        s += values[u] * m
     return s
 
 
 def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
-             count: int, acc: float, products: dict | None = None) -> float:
+             count: int, acc: float) -> float:
     """Multiply the translated weight factors at x for indices count-1 down
     to 0 onto acc, innermost first, from the weight's row for (model, eta, x);
-    see the module docstring for why the bits match the plain loop.  Given
-    the weight-product memo (acc is then 1.0), a product one factor short,
-    at (x z^-1, count-1) along powers of z on a group, is extended by w(x)."""
+    see the module docstring for why the bits match the plain loop."""
     if count == 0:
         return acc
     if isinstance(eta, CenterPowers) and model.group:
@@ -255,10 +283,6 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
         # check on x; its factors are then w at x z^-j for j < count.
         eta(1 - count)
         model._require_in_window(x)
-        if products is not None:
-            shorter = products.get((model._law(x, model.involution(eta.z)), count - 1))
-            if shorter is not None:
-                return shorter * w(x)
         vals, i = _orbit_span(model, w, eta, x, count - 1)
         return math.prod(vals[i - count + 1:i + 1], start=acc)
     rows = w._memo["rows", model, eta._key]
@@ -358,7 +382,7 @@ def weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
     products = w._memo["products", model, eta._key]
     product = products.get((x, count))
     if product is None:  # a call that raises stores nothing
-        product = products[x, count] = _cocycle(model, w, eta, x, count, 1.0, products)
+        product = products[x, count] = _cocycle(model, w, eta, x, count, 1.0)
     return product
 
 
@@ -366,9 +390,106 @@ def shifted_weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
                            x: int, n: int,
                            convention: ProductConvention = DEFAULT_CONVENTION) -> float:
     """The step-n product evaluated at the point x shifted by the n-th
-    sequence element, which must be central."""
+    sequence element, which must be central; along powers of z on a group,
+    read from the column of x (``_shifted_column``)."""
     convention.factors(n)  # a negative step is rejected first
-    return weight_product(model, w, eta, model.point_product(x, eta(n)), n, convention)
+    p = model.point_product(x, eta(n))
+    if not (isinstance(eta, CenterPowers) and model.group):
+        return weight_product(model, w, eta, p, n, convention)
+    # The powers up to z^n and the points x z^k between x and x z^n lie in
+    # the window, so the checks weight_product would make at p pass, and
+    # the column reaches n.
+    return _shifted_column(model, w, eta, x, n, convention)[n]
+
+
+def _power_reach(eta: CenterPowers, top: int) -> int:
+    """The largest k <= top whose power eta(k) lies in the window."""
+    try:
+        eta(top)
+    except WindowOverflow:
+        return len(eta._powers) - 1
+    return top
+
+
+def _shifted_column(model: HypergroupModel, w: Weight, eta: CenterPowers, x: int,
+                    top: int, convention: ProductConvention) -> tuple[float, ...]:
+    """The shifted products at x along powers of z on a group, for steps
+    0, 1, ... up to top or to the last step whose checks pass (z^n and x z^n
+    in the window), kept per (model, z, convention, x).
+
+    Step n folds w at x z^1 .. x z^n (x z^0 .. x z^n inclusive) left from
+    1.0, so step n is step n - 1 times w(x z^n), the left fold ``math.prod``
+    makes: the column grows by one multiplication a step, and only as far
+    as a caller asks.  It is replaced whole when it grows."""
+    columns = w._memo["columns", model, eta.z, convention]
+    column = columns.get(x)
+    if column is None:
+        if x not in model._labels:
+            return ()
+        inclusive = convention is ProductConvention.INCLUSIVE
+        column = columns[x] = (w._values[x] if inclusive else 1.0,)
+    n = len(column)
+    if n <= top:
+        reach = _power_reach(eta, top)
+        law, z, labels, values = model._law, eta.z, model._labels, w._values
+        p, acc, grown = law(x, eta(n - 1)), column[-1], []
+        while n <= reach:
+            p = law(p, z)
+            if p not in labels:
+                break
+            acc *= values[p]
+            grown.append(acc)
+            n += 1
+        if grown:
+            column = columns[x] = column + tuple(grown)
+    return column
+
+
+def _read_runs(model: HypergroupModel, w: Weight, eta: EtaSequence,
+               e: Sequence[int], top: int, steps: Iterable[int],
+               convention: ProductConvention) -> None:
+    """Along powers of a center element on a group (elsewhere do nothing),
+    grow the shifted-product column of each point of e towards step top,
+    and keep its weight product at each of the steps whose checks pass:
+    those not yet kept are ``math.prod`` slices of one ``_orbit_span`` read
+    at the point, as ``_cocycle`` computes each."""
+    if not (isinstance(eta, CenterPowers) and model.group):
+        return
+    counts = sorted({c for c in map(convention.factors, steps) if c})
+    reach = _power_reach(eta, counts[-1] - 1) if counts else -1
+    products = w._memo["products", model, eta._key]
+    for x in e:
+        _shifted_column(model, w, eta, x, top, convention)
+        todo = [c for c in counts if c - 1 <= reach and (x, c) not in products]
+        if todo and x in model._labels:  # else weight_product raises
+            vals, i = _orbit_span(model, w, eta, x, todo[-1] - 1)
+            for c in todo:
+                products[x, c] = math.prod(vals[i - c + 1:i + 1], start=1.0)
+
+
+def _weight_products(model: HypergroupModel, w: Weight, eta: EtaSequence,
+                     e: Iterable[int], n: int, convention: ProductConvention
+                     ) -> Iterator[float]:
+    """``weight_product`` at each point of e in turn, the kept ones read
+    without a call."""
+    count = convention.factors(n)
+    products = w._memo.get(("products", model, eta._key), {})
+    for x in e:
+        product = products.get((x, count))
+        yield (weight_product(model, w, eta, x, n, convention)
+               if product is None else product)
+
+
+def _shifted_products(model: HypergroupModel, w: Weight, eta: CenterPowers,
+                      e: Iterable[int], n: int, convention: ProductConvention
+                      ) -> Iterator[float]:
+    """``shifted_weight_product`` at each point of e in turn, read from the
+    columns that reach n without a call."""
+    columns = w._memo.get(("columns", model, eta.z, convention), {})
+    for x in e:
+        column = columns.get(x, ())
+        yield (column[n] if n < len(column)
+               else shifted_weight_product(model, w, eta, x, n, convention))
 
 
 def apply_weighted_translation(model: HypergroupModel, f: SparseFunction, w: Weight,
@@ -384,6 +505,28 @@ def apply_weighted_translation(model: HypergroupModel, f: SparseFunction, w: Wei
     t = translate(model, f, eta(-n))
     return SparseFunction.from_dict(
         {x: _cocycle(model, w, eta, x, count, tv) for x, tv in t.values})
+
+
+def _relabelled_step(model: HypergroupModel, w: Weight, eta: EtaSequence,
+                     f: SparseFunction, g: SparseFunction, n: int
+                     ) -> SparseFunction | None:
+    """The step-(n+1) operator applied to f, given g, the step-n one: along
+    powers of z on a group its translated value at x z is the one at x, and
+    its product at x z is the one at x times w(x z), the left fold
+    ``math.prod`` makes, so it is g relabelled by z times w at each new
+    point.  None where that is not known to be the step: off a group under
+    CenterPowers, where g lost a point of f to a zero product, or where a
+    check of the step (z^(n+1) and each new point in the window) fails."""
+    if not (isinstance(eta, CenterPowers) and model.group) or len(g.values) != len(f.values):
+        return None
+    if _power_reach(eta, n + 1) <= n:
+        return None
+    labels, law, z = model._labels, model._law, eta.z
+    moved = [(law(x, z), v) for x, v in g.values]
+    if not all(x in labels for x, _ in moved):
+        return None
+    values = w._values
+    return SparseFunction.from_dict({x: v * values[x] for x, v in moved})
 
 
 def apply_single_step(model: HypergroupModel, f: SparseFunction, a: int,

@@ -407,9 +407,13 @@ def test_center_and_hereditary_track_one_pair(data):
     # of z, and the hereditary probe reads the center report, so each row of
     # either is the reference row, flags included, whichever probe ran
     # first; the ratio goal of the one meets exactly when the residual goal
-    # of the other does.
-    kind = data.draw(st.sampled_from(("integers", "table", "dunkl_ramirez")))
-    if kind == "integers":
+    # of the other does.  With E next to the window's edges along powers of
+    # 1 on the integers, the last rows read products at the edge and the
+    # columns end there; a good index keeps E z^n, E z^-n and z^n in the
+    # window, so no row can be flagged window-overflow on a group.
+    kind = data.draw(st.sampled_from(("integers", "integers-edge", "table",
+                                      "dunkl_ramirez")))
+    if kind.startswith("integers"):
         model = hz.integer_group(data.draw(st.integers(12, 40)))
     elif kind == "table":
         model = _cyclic_group(data.draw(st.lists(st.integers(-16, 16), min_size=2,
@@ -422,6 +426,10 @@ def test_center_and_hereditary_track_one_pair(data):
         central = st.one_of(st.sampled_from((1, 2)), central)
         labels = range(-4, 5)
         top = (model.window - 4) // 2
+    elif kind == "integers-edge":
+        top = data.draw(st.integers(4, 8))
+        labels = (-model.window + top, 0, model.window - top)
+        central = st.sampled_from((1, -1))
     z = data.draw(central)
     level = st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0, 1e-160, 1e160))
     form = data.draw(st.sampled_from(("step", "geometric", "table")))
@@ -463,9 +471,12 @@ def test_center_and_hereditary_track_one_pair(data):
     event(f"{kind}: {center.verdict}")
     assert len(hereditary.rows) == len(center.rows) == len(expected)
     for her, cen, ref in zip(hereditary.rows, center.rows, expected):
+        if kind == "integers-edge" and max(map(abs, e)) + ref[1] == model.window:
+            event("integers-edge: a row at the window edge")
         if len(ref) == 3:
             k, n, flag = ref
             event(f"flag {flag}")
+            assert not (model.group and flag == "window-overflow")
             for row, name in ((her, "sup_forward"), (cen, "residual_norm")):
                 assert (row.k, row.n, row.members, row.measure_ratio, row.flags) == (
                     k, n, (), 0.0, (flag,))
@@ -480,6 +491,39 @@ def test_center_and_hereditary_track_one_pair(data):
             k, n, members, ratio, ())
         assert cen.metrics[1:] == (("sup_reciprocal", reciprocal),
                                    ("sup_shifted", shifted), ("eps", eps))
+        assert [v.hex() for _, v in cen.metrics[1:]] == [
+            v.hex() for v in (reciprocal, shifted, eps)]
+
+
+def test_runs_end_at_the_window_edge_and_the_next_step_raises():
+    # Along powers of 1 on integer_group(20) with E = {0, 14}, the center
+    # probe's last row, n = 6, reads the shifted product at 20, the window
+    # edge.  Each column grows only as far as a probe asks: 0's stops at
+    # step 6 too, though 0 + 20 still lies in the window.  Past the edge the
+    # run read falls back to the per-step call, which raises WindowOverflow,
+    # so the series probe's multiplied steps from 7 on truncate its rows,
+    # and 0's column grows to the window edge, no further.
+    model = hz.integer_group(20)
+    eta = hz.center_powers(model, 1)
+    w = hz.step_weight(0, 4.0, 0.25)
+    convention = hz.DEFAULT_CONVENTION
+    report = hz.probe_center_conditions(model, w, eta, hz.phi_p(2.0), (0, 14), 6)
+    assert [(row.n, row.flags) for row in report.rows] == [(n, ()) for n in range(1, 7)]
+    columns = w._memo["columns", model, 1, convention]
+    assert {x: len(column) for x, column in columns.items()} == {0: 7, 14: 7}
+    fresh = hz.step_weight(0, 4.0, 0.25)
+    for n in range(7):
+        assert [v.hex() for v in operators._shifted_products(
+            model, w, eta, (0, 14), n, convention)] == [
+            hz.shifted_weight_product(model, fresh, eta, x, n).hex() for x in (0, 14)]
+    with pytest.raises(hz.WindowOverflow):
+        hz.shifted_weight_product(model, fresh, eta, 14, 7)
+    with pytest.raises(hz.WindowOverflow):
+        list(operators._shifted_products(model, w, eta, (0, 14), 7, convention))
+    series = hz.probe_series_necessary(model, w, eta, (0, 14), 6, 4)
+    assert [(row.n, row.flags) for row in series.rows] == [(1, ())] + [
+        (n, ("series-truncated",)) for n in range(2, 7)]
+    assert {x: len(column) for x, column in columns.items()} == {0: 21, 14: 7}
 
 
 def test_hereditary_after_center_reads_the_kept_report(monkeypatch):
@@ -495,10 +539,12 @@ def test_hereditary_after_center_reads_the_kept_report(monkeypatch):
     assert cli.run_command(sc, "probe", {"id": "center"}, 0)[1] == 0
     calls = collections.Counter()
     for module, name in ((dynamics, "weight_product"),
-                         (dynamics, "shifted_weight_product"),
                          (dynamics, "luxemburg_norm"),
                          (operators, "weight_product"),
-                         (operators, "_cocycle")):
+                         (operators, "shifted_weight_product"),
+                         (operators, "_cocycle"),
+                         (operators, "_shifted_column"),
+                         (operators, "_orbit_span")):
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -597,15 +643,16 @@ def test_sup_necessary_values_along_center_powers_match_the_translate_path(data)
 def test_center_and_hereditary_keep_one_orbit_cache():
     # The hereditary pair reads the center probe's factor rows: the weight
     # keeps no walk of its own along an orbit.  Besides the orbits it keeps
-    # one memo of the weight products, shifted ones included, that both
-    # probes read, and the center probe's report.
+    # one memo of the weight products and one of the shifted-product
+    # columns, both of which both probes read, and the center probe's
+    # report.
     sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
     for probe in ("center", "hereditary"):
         _, code = cli.run_command(sc, "probe", {"id": probe}, 0)
         assert code == 0, probe
     kinds = sorted(key[0] for key in sc.weight._memo)
     assert "orbit" not in kinds
-    assert kinds == ["orbits", "products", "reports"]
+    assert kinds == ["columns", "orbits", "products", "reports"]
 
 
 def test_center_report_is_kept_per_session():
@@ -854,12 +901,15 @@ def test_orbit_probe_flat_weight_stays_away(zline):
     assert results[0].best_n == 0
 
 
-def _unpruned_orbit(model, f, w, eta, targets, horizon, phi):
-    """The orbit scan without its skip: a full gauge search per candidate."""
+def _unpruned_orbit(model, f, w, eta, targets, horizon, phi,
+                    convention=hz.DEFAULT_CONVENTION):
+    """The orbit scan without its skip: a full gauge search per candidate,
+    each step from its own call of the operator."""
     orbit = []
     for n in range(horizon + 1):
         try:
-            orbit.append((n, hz.apply_weighted_translation(model, f, w, eta, n)))
+            orbit.append((n, hz.apply_weighted_translation(model, f, w, eta, n,
+                                                           convention)))
         except (hz.WindowOverflow, hz.NonFiniteValue):
             orbit.append((n, None))
     results = []
@@ -876,13 +926,14 @@ def _unpruned_orbit(model, f, w, eta, targets, horizon, phi):
     return tuple(results)
 
 
-def _both_scans(model, f, w, eta, targets, horizon, phi):
+def _both_scans(model, f, w, eta, targets, horizon, phi,
+                convention=hz.DEFAULT_CONVENTION):
     """(pruned, unpruned) results, each the NonFiniteIntegrand type where
     that scan raised it."""
     found = []
     for scan in (hz.orbit_density_probe, _unpruned_orbit):
         try:
-            found.append(scan(model, f, w, eta, targets, horizon, phi))
+            found.append(scan(model, f, w, eta, targets, horizon, phi, convention))
         except hz.NonFiniteIntegrand:
             found.append(hz.NonFiniteIntegrand)
     return found
@@ -954,13 +1005,24 @@ ORBIT_YOUNG = (hz.phi_p(1.0), hz.phi_p(2.5), hz.phi_p(1e6), hz.exp_minus_linear(
 def test_orbit_pruning_matches_the_unpruned_scan(zline, dr05, data):
     # The skip never changes a result.  A skipped candidate whose own search
     # would raise NonFiniteIntegrand no longer ends the scan, so where the
-    # full scan raises, the pruned one may return.
-    model = data.draw(st.sampled_from((zline, dr05)))
-    eta = hz.center_powers(model, 1)
+    # full scan raises, the pruned one may return.  On a group (the
+    # integers, a relabelled cyclic table) the pruned scan relabels each
+    # step from the one before, and the full one calls the operator.
+    kind = data.draw(st.sampled_from(("integers", "dunkl_ramirez", "table")))
+    if kind == "table":
+        model = _cyclic_group(data.draw(st.lists(st.integers(-16, 16), min_size=2,
+                                                 max_size=9, unique=True)))
+        eta = hz.center_powers(model, data.draw(st.sampled_from(model.carrier)))
+    else:
+        model = zline if kind == "integers" else dr05
+        eta = hz.center_powers(model, 1)
+    convention = data.draw(st.sampled_from(tuple(hz.ProductConvention)))
     level = st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0, 1e-160, 1e160))
     w = hz.step_weight(data.draw(st.integers(-3, 3)), data.draw(level), data.draw(level))
     phi = data.draw(st.sampled_from(ORBIT_YOUNG))
     labels = [x for x in model.carrier if abs(x) <= 40]
+    if kind == "integers" and data.draw(st.booleans()):  # steps leave the window
+        labels = [x for x in model.carrier if x >= model.window - 12]
     scale = 10.0 ** data.draw(st.integers(-320, 300))
 
     def function():
@@ -975,10 +1037,10 @@ def test_orbit_pruning_matches_the_unpruned_scan(zline, dr05, data):
     if data.draw(st.booleans()):  # a target on the orbit
         try:
             targets.append(hz.apply_weighted_translation(
-                model, f, w, eta, data.draw(st.integers(0, horizon))))
+                model, f, w, eta, data.draw(st.integers(0, horizon)), convention))
         except (hz.WindowOverflow, hz.NonFiniteValue):
             pass
-    pruned, unpruned = _both_scans(model, f, w, eta, targets, horizon, phi)
+    pruned, unpruned = _both_scans(model, f, w, eta, targets, horizon, phi, convention)
     if unpruned is hz.NonFiniteIntegrand:
         event("the full scan raised")
         return
@@ -987,7 +1049,7 @@ def test_orbit_pruning_matches_the_unpruned_scan(zline, dr05, data):
         event("zero error" if res.best_error == 0.0 else
               "subnormal error" if res.best_error < sys.float_info.min else "normal error")
         if res.skipped:
-            event("skipped steps")
+            event(f"{kind}: skipped steps")
 
 
 # -- one session against fresh loads ----------------------------------------
@@ -1120,10 +1182,11 @@ def test_one_session_matches_fresh_sessions(doc, order):
 
 @pytest.mark.seeded
 def test_one_session_computes_each_translate_and_product_once(monkeypatch):
-    # Over a session set_convolve runs at most once per (E, point), and the
-    # cocycle of weight_product once per (x, factor count) that succeeds,
-    # the shifted products included: each product the weight keeps was
-    # counted.
+    # Over a session set_convolve runs at most once per (E, point), each
+    # weight product is stored once per (x, factor count), and a column of
+    # shifted products is only ever replaced by a longer one that keeps the
+    # products it held: each product the weight keeps, shifted ones
+    # included, was computed once.
     convolved = collections.Counter()
     set_convolve = hz.HypergroupModel.set_convolve
 
@@ -1131,22 +1194,38 @@ def test_one_session_computes_each_translate_and_product_once(monkeypatch):
         convolved[tuple(a), tuple(b)] += 1
         return set_convolve(self, a, b)
 
-    products = collections.Counter()
-    cocycle = operators._cocycle
+    stored = collections.Counter()
+    grown = collections.Counter()
 
-    def counted_cocycle(model, w, eta, x, count, acc, memo=None):
-        out = cocycle(model, w, eta, x, count, acc, memo)
-        if sys._getframe(1).f_code is operators.weight_product.__code__:
-            products[x, count] += 1
-        return out
+    class Products(dict):
+        def __setitem__(self, key, value):
+            stored[key] += 1
+            super().__setitem__(key, value)
+
+    class Columns(dict):
+        def __setitem__(self, key, value):
+            held = self.get(key, ())
+            assert len(value) > len(held)
+            assert all(a is b for a, b in zip(held, value))
+            grown[key] += len(value) - len(held)
+            super().__setitem__(key, value)
+
+    class Memo(collections.defaultdict):
+        def __missing__(self, key):
+            kind = {"products": Products, "columns": Columns}.get(key[0], dict)
+            entry = self[key] = kind()
+            return entry
 
     monkeypatch.setattr(hz.HypergroupModel, "set_convolve", counted_convolve)
-    monkeypatch.setattr(operators, "_cocycle", counted_cocycle)
     sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
+    sc.weight.__dict__["_memo"] = Memo()
     for command, opts in SESSION_COMMANDS:
         assert cli.run_command(sc, command, opts, 0)[1] == 0, (command, opts)
     assert convolved and set(convolved.values()) == {1}
-    assert products and set(products.values()) == {1}
-    kept = {key for memo, entries in sc.weight._memo.items()
-            if memo[0] == "products" for key in entries}
-    assert kept == set(products)
+    assert stored and set(stored.values()) == {1}
+    assert grown
+    for memo, entries in sc.weight._memo.items():
+        if memo[0] == "products":
+            assert set(entries) <= set(stored)
+        elif memo[0] == "columns":
+            assert all(grown[x] == len(column) for x, column in entries.items())

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperorlicz as hz
-from hyperorlicz import dynamics, hypergroups
+from hyperorlicz import dynamics, hypergroups, operators
 from hyperorlicz.errors import (
     EPS_PROB,
     TOL_ASSOC,
@@ -521,6 +521,47 @@ def test_factor_rows_and_orbits_match_plain_loops(data):
         assert got == want
         if isinstance(got, SparseFunction):
             assert got.values == want.values
+    _assert_runs_match_plain_loops(data, model, ref, zeta, xs, reach)
+
+
+# Weights whose products leave the float range both ways within a few
+# steps, so runs read inf, 0.0 and their NaN product.
+HUGE_WEIGHTS = (hz.geometric_weight(1e-300, 1e120), hz.geometric_weight(1e300, 1e-120),
+                hz.table_weight({0: 1e300, 1: 1e-300, -1: 1e-300}, default=1e200))
+
+
+def _assert_runs_match_plain_loops(data, model, ref, zeta, xs, reach):
+    """The run-at-a-time reads along powers of z, on a fresh weight: columns
+    grown and products sliced for every step first, then read a step at a
+    time, and each step of the operator relabelled from the one before,
+    give the plain loops' bits and errors, off the window and past the
+    float range included."""
+    w = data.draw(st.one_of(weights(), st.sampled_from(HUGE_WEIGHTS)))
+    steps = sorted(data.draw(st.sets(st.integers(0, reach), min_size=1, max_size=8)))
+    f = SparseFunction.from_dict({x: data.draw(VALUES) for x in xs})
+    for convention in ProductConvention:
+        fresh = w._replace()
+        operators._read_runs(model, fresh, zeta, xs, steps[-1], steps, convention)
+        for n in steps:
+            for read, plain in ((operators._shifted_products, ref.shifted_weight_product),
+                                (operators._weight_products, ref.weight_product)):
+                got = outcome(lambda: [_bits(v) for v in read(model, fresh, zeta, xs, n,
+                                                               convention)])
+                want = outcome(lambda: [_bits(plain(w, zeta, x, n, convention))
+                                        for x in xs])
+                assert got == want, (read.__name__, n, convention)
+            step = outcome(hz.apply_weighted_translation, model, f, fresh, zeta, n,
+                           convention)
+            if not isinstance(step, SparseFunction):
+                continue
+            got = outcome(operators._relabelled_step, model, fresh, zeta, f, step, n)
+            if got is None:
+                continue
+            want = outcome(ref.apply_weighted_translation, f, w, zeta, n + 1, convention)
+            assert got == want
+            if isinstance(got, SparseFunction):
+                assert [(x, _bits(v)) for x, v in got.values] == [
+                    (x, _bits(v)) for x, v in want.values]
 
 
 @st.composite
@@ -748,9 +789,10 @@ def test_a_unit_mass_within_tolerance_keeps_the_general_path():
 
 
 def _stored(model, w):
-    """(pair-memo entries, weight values the factor rows and orbits hold,
-    weight products the product memo holds)."""
-    factors = products = 0
+    """(pair-memo entries, weight values the factor rows, orbits and label
+    values hold, weight products the product memo and the shifted-product
+    columns hold)."""
+    factors, products = len(w._values), 0
     for key, entries in w._memo.items():
         if key[0] == "rows":
             factors += sum(map(len, entries.values()))
@@ -759,14 +801,15 @@ def _stored(model, w):
             factors += sum(len(vals) for _, vals, _, _ in states.values())
         elif key[0] == "products":
             products += len(entries)
+        elif key[0] == "columns":
+            products += sum(map(len, entries.values()))
     return len(model._pairs), factors, products
 
 
 def test_necessary_sup_stores_linearly_in_the_horizon():
     """Each step pulls E back by one more power, so a row per point would
-    hold about |E| h^2 / 2 values at horizon h; one row per orbit holds
-    about h, and the product memo one shifted product per point of E and
-    step.
+    hold about |E| h^2 / 2 values at horizon h; the weight holds w at about
+    h labels, and the columns one shifted product per point of E and step.
     Counts only: four times the horizon may at most about quadruple them."""
     stored = {}
     e = range(-4, 4)
