@@ -982,6 +982,26 @@ def test_orbit_pruning_keeps_window_overflow_skips(zline):
     assert pruned[0].skipped == tuple(range(13, 21))
 
 
+def test_orbit_scan_relabels_only_a_step_known_to_be_the_operator(zline):
+    # The scan relabels step n into step n + 1 only where that is the
+    # operator's step.  On integer_group(8), f = {-5: 1.0} stays in the
+    # window past n = 8, but z^-9 leaves it, so every step from 9 is
+    # skipped.  f = {0: 5e-324} loses its one point at n = 1, where the
+    # product underflows to 0.0, and 0.0 times w(2) = inf is NaN, so every
+    # step from 2 is skipped, though relabelling the empty step 1 would
+    # give an empty step 2.
+    model = hz.integer_group(8)
+    eta = hz.center_powers(model, 1)
+    for f, w, skipped in (
+            ({-5: 1.0}, hz.step_weight(0, 2.0, 0.5), range(9, 13)),
+            ({0: 5e-324}, hz.geometric_weight(1e-320, 1e300), range(2, 13))):
+        f = hz.SparseFunction.from_dict(f)
+        pruned, unpruned = _both_scans(model, f, w, eta, [hz.indicator([1])], 12,
+                                       hz.phi_p(2.0))
+        assert pruned == unpruned
+        assert pruned[0].skipped == tuple(skipped)
+
+
 def test_orbit_pruning_makes_fewer_norm_searches(zline, doubling_weight, monkeypatch):
     eta = hz.center_powers(zline, 1)
     witness = hz.SparseFunction.from_dict({0: 1.0, -10: 2.0**-10})
