@@ -44,10 +44,8 @@ from .operators import (
     EtaSequence,
     ProductConvention,
     Weight,
-    _read_runs,
+    _orbit_products,
     _relabelled_step,
-    _shifted_products,
-    _weight_products,
     apply_right_inverse,
     apply_weighted_translation,
     weight_product,
@@ -301,22 +299,22 @@ def _verdict(rows: Sequence[CriterionRow], ratio_goal: bool,
 
 
 def _sup_necessary_values(model: HypergroupModel, w: Weight, eta: EtaSequence,
-                          e: Sequence[int], n: int,
-                          convention: ProductConvention) -> list[float]:
+                          e: Sequence[int], n: int, convention: ProductConvention,
+                          read: Callable[[int, bool], list[float]]) -> list[float]:
     """The tracked function of the sup-vanishing criterion at the points of
     E: translate back the indicator, multiply the weight product in,
     translate forward.  Along powers of a center element both translates
     are relabellings with mass exactly 1.0, so the value at x is
-    ``shifted_weight_product(x, n)``, with the same bits, read from the
-    shifted-product columns where they reach n.  On any other
-    sequence the forward translate is summed at the points of E only, from
-    the terms ``translate`` sums there, in its order and after its window
-    checks, so the values keep their bits; a sum off E is never formed, so
-    one that would overflow there flags nothing.  On either path a value
-    at E that is not finite raises NonFiniteValue once all are computed,
-    as SparseFunction does on the translate path."""
+    ``shifted_weight_product(x, n)``, with the same bits, as ``read`` (the
+    probe's ``operators._orbit_products``) gives it.  On any other sequence
+    the forward translate is summed at the points of E only, from the terms
+    ``translate`` sums there, in its order and after its window checks, so
+    the values keep their bits; a sum off E is never formed, so one that
+    would overflow there flags nothing.  On either path a value at E that
+    is not finite raises NonFiniteValue once all are computed, as
+    SparseFunction does on the translate path."""
     if isinstance(eta, CenterPowers):
-        values = list(_shifted_products(model, w, eta, e, n, convention))
+        values = read(n, True)
     else:
         pulled = translate(model, indicator(e), eta(-n))
         weighted = SparseFunction.from_dict(
@@ -386,12 +384,9 @@ def probe_sup_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
         raise PreconditionFailed(
             "aperiodicity", "no index below the horizon separates the set")
 
-    _read_runs(model, w, eta, e, good[-1], (), convention)
-
-    def tracked(n):
-        return (_sup_necessary_values(model, w, eta, e, n, convention),)
-
-    rows = _sublevel_rows(model, e, good, ("sup_profile",), tracked)
+    read = _orbit_products(model, w, eta, e, good[-1], convention)
+    rows = _sublevel_rows(model, e, good, ("sup_profile",), lambda n: (
+        _sup_necessary_values(model, w, eta, e, n, convention, read),))
     verdict = _verdict(rows, ratio_goal=True, vanish_names=("sup_profile",))
     return CriterionReport(criterion="necessary-sup", verdict=verdict,
                            rows=rows, horizon=horizon, convention=convention)
@@ -404,7 +399,10 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
                            ) -> CriterionReport:
     """Necessary condition through two truncated series over multiplied steps:
     forward weighted-indicator integrals plus reciprocal-product integrals,
-    both over E itself.  The combined partial sums must vanish."""
+    both over E itself.  The combined partial sums must vanish.  A cutoff
+    below 1 leaves no term to sum, so it raises ValueError."""
+    if series_cutoff < 1:
+        raise ValueError(f"series_cutoff must be at least 1, got {series_cutoff}")
     e = _require_set(model, e_set)
     # The finite window gives the L^1 embedding, so it needs no check here.
     strong = strongly_aperiodic_check(model, eta, e, horizon, rs_bound)
@@ -415,18 +413,16 @@ def probe_series_necessary(model: HypergroupModel, w: Weight, eta: EtaSequence,
     # The terms depend only on the multiplied index m = s n.  A step that
     # raised is not kept: computed again, it raises the same error type.
     steps = range(strong.first_n, horizon + 1)
-    _read_runs(model, w, eta, e, series_cutoff * horizon,
-               {s * n for s in range(1, series_cutoff + 1) for n in steps}, convention)
+    read = _orbit_products(model, w, eta, e, series_cutoff * horizon, convention)
 
     @cache
     def forward_term(m):
-        values = _sup_necessary_values(model, w, eta, e, m, convention)
+        values = _sup_necessary_values(model, w, eta, e, m, convention, read)
         return sum(v * model.haar[x] for x, v in zip(e, values))
 
     @cache
     def reciprocal_term(m):
-        return sum(model.haar[x] / product for x, product in
-                   zip(e, _weight_products(model, w, eta, e, m, convention)))
+        return sum(model.haar[x] / product for x, product in zip(e, read(m, False)))
 
     # Every skipped index lies below first_n, so all indices from it are good.
     rows: list[CriterionRow] = []
@@ -503,11 +499,10 @@ def _center_report(model: HypergroupModel, w: Weight, eta: EtaSequence,
     if not good:
         raise PreconditionFailed("aperiodicity", "no separating index below horizon")
 
-    _read_runs(model, w, eta, e, good[-1], good, convention)
+    read = _orbit_products(model, w, eta, e, good[-1], convention)
 
     def tracked(n):
-        return ([1.0 / p for p in _weight_products(model, w, eta, e, n, convention)],
-                list(_shifted_products(model, w, eta, e, n, convention)))
+        return [1.0 / p for p in read(n, False)], read(n, True)
 
     @cache  # consecutive rows usually keep the same members
     def residual_norm(members):
@@ -591,7 +586,9 @@ def build_transitivity_witness(model: HypergroupModel, f: SparseFunction,
     it reads the report the weight keeps for that union, as the probe does.
     Per row the witness keeps f on the sublevel subset and adds the right
     inverse of the restricted target; both error norms use the gauge norm.
-    """
+    A k_max below 1 asks for no row, so it raises ValueError."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     e = tuple(sorted(set(f.support()) | set(g.support())))
     probe = _center_report(model, w, eta, phi, e, horizon, convention)
     if probe.verdict != "holds_empirically":
@@ -652,8 +649,10 @@ def orbit_density_probe(model: HypergroupModel, f: SparseFunction, w: Weight,
     win; the result is the one the full scan gives.  Only a skipped
     candidate whose own search would raise NonFiniteIntegrand no longer ends
     the scan.  Each step after one computed is that one relabelled where
-    ``operators._relabelled_step`` gives it.
-    """
+    ``operators._relabelled_step`` gives it.  A negative horizon has no
+    step, so it raises ValueError; horizon 0 scans f itself."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     orbit: list[tuple[int, SparseFunction | None]] = []
     point = None
     for n in range(0, horizon + 1):

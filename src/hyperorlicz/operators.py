@@ -29,33 +29,31 @@ its two operands, so the result has the bits of the loop
 ``acc = row[j] * acc`` for j from the last factor down to 0, the rounding
 of iterating the single-step operator.  The hereditary pair is the shifted
 product and the reciprocal product along powers of a center element, so it
-reads the same columns and rows.
+reads the same orbits and rows.
 
 A weight product, the one started at 1.0, is kept per (model, sequence) and
-(x, factor count) once computed, so the probes and the witness's right
-inverse of one session compute each product once; a call that raises keeps
-nothing, so computing it again raises the same error.  The step operator
-starts each product at a translated value instead, so it multiplies the
-stored factors afresh.  The weight keeps its value at each label read
-(``translated_weight`` reads it), so each label's value is computed once.
+(x, factor count) once ``weight_product`` computes it; a call that raises
+keeps nothing, so computing it again raises the same error.  The step
+operator starts each product at a translated value instead, so it
+multiplies the stored factors afresh.  The weight keeps its value at each
+label read (``translated_weight`` reads it), so each label's value is
+computed once.
 
-Along powers of z on a group the probes read a run at a time instead of
-one call per (x, n).  The shifted product at x and step n folds w at
-x z .. x z^n (x .. x z^n inclusive) left from 1.0, so it is the one at step
-n-1 times w(x z^n), the left fold ``math.prod`` makes: each x keeps one
-column of them per convention, grown one multiplication a step as far as a
-caller asks, and ``shifted_weight_product`` reads it.  The weight products
-a probe needs at x are ``math.prod`` slices of one orbit read there.  The
-step operator at n+1 is the one at n relabelled by z times w at each new
-point, the same left fold, so the orbit scan relabels.  A step whose checks
-might fail is left to the per-(x, n) call, which raises as it always has.
+Along powers of z on a group every product is w over consecutive points of
+one orbit of z, the shifted product at x and step n being the product at
+x z^n, so the probes read the orbit once per point of E and take each
+product as a ``math.prod`` slice of it, the slice ``_cocycle`` takes
+(``_orbit_products``).  The step operator at n+1 is the one at n relabelled
+by z times w at each new point, the same left fold, so the orbit scan
+relabels.  A step whose checks might fail is left to the per-(x, n) call,
+which raises as it always has.
 """
 import enum
 import math
 from collections import defaultdict
 from collections.abc import Hashable
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import NotCentral, WindowOverflow
 from .functions import SparseFunction, translate
@@ -136,12 +134,10 @@ class Weight(Checked, _WeightFields):
         ("rows", model, sequence key) maps a point to its factor row,
         ("orbits", model, z) a point to its orbit state along powers of z,
         ("products", model, sequence key) an (x, factor count) pair to its
-        weight product, ("columns", model, z, convention) a point x to its
-        shifted products at steps 0, 1, ... along powers of z on a group,
-        and ("reports", model, z) a (phi, E, horizon, convention) key to
-        the center-conditions report,
-        which ``dynamics.probe_center_conditions``, ``probe_hereditary``
-        and ``build_transitivity_witness`` read.  An entry is only ever
+        weight product, and ("reports", model, z) a (phi, E, horizon,
+        convention) key to the center-conditions report, which
+        ``dynamics.probe_center_conditions``, ``probe_hereditary`` and
+        ``build_transitivity_witness`` read.  An entry is only ever
         added, or replaced whole by one that agrees with it wherever both
         hold a value, so a reader racing a writer sees correct values."""
         return defaultdict(dict)
@@ -297,9 +293,9 @@ def _cocycle(model: HypergroupModel, w: Weight, eta: EtaSequence, x: int,
 
 
 def _orbit_span(model: HypergroupModel, w: Weight, eta: CenterPowers, x: int,
-                below: int) -> tuple[tuple[float, ...], int]:
-    """(vals, i) with vals[i - j] the value of w at x z^-j for
-    0 <= j <= below, z being eta's center element.
+                below: int, above: int = 0) -> tuple[tuple[float, ...], int]:
+    """(vals, i) with vals[i + j] the value of w at x z^j for
+    -below <= j <= above, z being eta's center element.
 
     Each orbit of z keeps one state (lo, vals, first, last): vals[k] is w at
     the point of position lo + k, where position q + 1 is the point of
@@ -329,9 +325,9 @@ def _orbit_span(model: HypergroupModel, w: Weight, eta: CenterPowers, x: int,
     orbit, q = hit
     lo, vals, first, last = orbit[0]
     start = q - below
-    if start < lo or q >= lo + len(vals):
+    if start < lo or q + above >= lo + len(vals):
         up, p = [], lo + len(vals)
-        while p <= q:
+        while p <= q + above:
             last = law(last, z)
             held = where.setdefault(last, (orbit, p))
             if held[0] is orbit:
@@ -390,106 +386,51 @@ def shifted_weight_product(model: HypergroupModel, w: Weight, eta: EtaSequence,
                            x: int, n: int,
                            convention: ProductConvention = DEFAULT_CONVENTION) -> float:
     """The step-n product evaluated at the point x shifted by the n-th
-    sequence element, which must be central; along powers of z on a group,
-    read from the column of x (``_shifted_column``)."""
+    sequence element, which must be central."""
     convention.factors(n)  # a negative step is rejected first
-    p = model.point_product(x, eta(n))
-    if not (isinstance(eta, CenterPowers) and model.group):
-        return weight_product(model, w, eta, p, n, convention)
-    # The powers up to z^n and the points x z^k between x and x z^n lie in
-    # the window, so the checks weight_product would make at p pass, and
-    # the column reaches n.
-    return _shifted_column(model, w, eta, x, n, convention)[n]
+    return weight_product(model, w, eta, model.point_product(x, eta(n)), n, convention)
 
 
-def _power_reach(eta: CenterPowers, top: int) -> int:
-    """The largest k <= top whose power eta(k) lies in the window."""
-    try:
-        eta(top)
-    except WindowOverflow:
-        return len(eta._powers) - 1
-    return top
+def _orbit_products(model: HypergroupModel, w: Weight, eta: EtaSequence,
+                    e: Sequence[int], top: int, convention: ProductConvention
+                    ) -> Callable[[int, bool], list[float]]:
+    """read(n, shifted): ``weight_product`` at each point x of e at step n,
+    or ``shifted_weight_product`` when shifted, for steps 0 <= n <= top.
 
+    Along powers of z on a group the product at x z^s and step n is w over
+    x z^(s-count+1) .. x z^s, so one ``_orbit_span`` read per point, down to
+    the first factor of the last step and up to x z^top or the window edge,
+    gives each product as the ``math.prod`` slice ``_cocycle`` takes, with
+    its bits.  A product whose checks might fail (z^n, and with it
+    z^-(count-1), or x z^n off the window, or x itself) is left to the
+    per-point call, which raises as it always has; so is every product on
+    any other sequence or model."""
+    reach, spans = -1, []
+    if isinstance(eta, CenterPowers) and model.group:
+        try:
+            eta(top)
+            reach = top
+        except WindowOverflow:  # the last power in the window
+            reach = len(eta._powers) - 1
+        below = max(convention.factors(reach) - 1, 0)
+        law, labels, z = model._law, model._labels, eta.z
+        for x in e:
+            # up: the largest j <= reach with x .. x z^j in the window, else -1
+            up, p = -1, x
+            while p in labels and up < reach:
+                up, p = up + 1, law(p, z)
+            spans.append((up, *_orbit_span(model, w, eta, x, below, up)) if up >= 0
+                         else (-1, (), 0))
 
-def _shifted_column(model: HypergroupModel, w: Weight, eta: CenterPowers, x: int,
-                    top: int, convention: ProductConvention) -> tuple[float, ...]:
-    """The shifted products at x along powers of z on a group, for steps
-    0, 1, ... up to top or to the last step whose checks pass (z^n and x z^n
-    in the window), kept per (model, z, convention, x).
-
-    Step n folds w at x z^1 .. x z^n (x z^0 .. x z^n inclusive) left from
-    1.0, so step n is step n - 1 times w(x z^n), the left fold ``math.prod``
-    makes: the column grows by one multiplication a step, and only as far
-    as a caller asks.  It is replaced whole when it grows."""
-    columns = w._memo["columns", model, eta.z, convention]
-    column = columns.get(x)
-    if column is None:
-        if x not in model._labels:
-            return ()
-        inclusive = convention is ProductConvention.INCLUSIVE
-        column = columns[x] = (w._values[x] if inclusive else 1.0,)
-    n = len(column)
-    if n <= top:
-        reach = _power_reach(eta, top)
-        law, z, labels, values = model._law, eta.z, model._labels, w._values
-        p, acc, grown = law(x, eta(n - 1)), column[-1], []
-        while n <= reach:
-            p = law(p, z)
-            if p not in labels:
-                break
-            acc *= values[p]
-            grown.append(acc)
-            n += 1
-        if grown:
-            column = columns[x] = column + tuple(grown)
-    return column
-
-
-def _read_runs(model: HypergroupModel, w: Weight, eta: EtaSequence,
-               e: Sequence[int], top: int, steps: Iterable[int],
-               convention: ProductConvention) -> None:
-    """Along powers of a center element on a group (elsewhere do nothing),
-    grow the shifted-product column of each point of e towards step top,
-    and keep its weight product at each of the steps whose checks pass:
-    those not yet kept are ``math.prod`` slices of one ``_orbit_span`` read
-    at the point, as ``_cocycle`` computes each."""
-    if not (isinstance(eta, CenterPowers) and model.group):
-        return
-    counts = sorted({c for c in map(convention.factors, steps) if c})
-    reach = _power_reach(eta, counts[-1] - 1) if counts else -1
-    products = w._memo["products", model, eta._key]
-    for x in e:
-        _shifted_column(model, w, eta, x, top, convention)
-        todo = [c for c in counts if c - 1 <= reach and (x, c) not in products]
-        if todo and x in model._labels:  # else weight_product raises
-            vals, i = _orbit_span(model, w, eta, x, todo[-1] - 1)
-            for c in todo:
-                products[x, c] = math.prod(vals[i - c + 1:i + 1], start=1.0)
-
-
-def _weight_products(model: HypergroupModel, w: Weight, eta: EtaSequence,
-                     e: Iterable[int], n: int, convention: ProductConvention
-                     ) -> Iterator[float]:
-    """``weight_product`` at each point of e in turn, the kept ones read
-    without a call."""
-    count = convention.factors(n)
-    products = w._memo.get(("products", model, eta._key), {})
-    for x in e:
-        product = products.get((x, count))
-        yield (weight_product(model, w, eta, x, n, convention)
-               if product is None else product)
-
-
-def _shifted_products(model: HypergroupModel, w: Weight, eta: CenterPowers,
-                      e: Iterable[int], n: int, convention: ProductConvention
-                      ) -> Iterator[float]:
-    """``shifted_weight_product`` at each point of e in turn, read from the
-    columns that reach n without a call."""
-    columns = w._memo.get(("columns", model, eta.z, convention), {})
-    for x in e:
-        column = columns.get(x, ())
-        yield (column[n] if n < len(column)
-               else shifted_weight_product(model, w, eta, x, n, convention))
+    def read(n, shifted):
+        product = shifted_weight_product if shifted else weight_product
+        if not 0 <= n <= reach:
+            return [product(model, w, eta, x, n, convention) for x in e]
+        count, s = convention.factors(n), n if shifted else 0
+        return [math.prod(vals[i + s - count + 1:i + s + 1], start=1.0) if s <= up
+                else product(model, w, eta, x, n, convention)
+                for x, (up, vals, i) in zip(e, spans)]
+    return read
 
 
 def apply_weighted_translation(model: HypergroupModel, f: SparseFunction, w: Weight,
@@ -519,7 +460,9 @@ def _relabelled_step(model: HypergroupModel, w: Weight, eta: EtaSequence,
     check of the step (z^(n+1) and each new point in the window) fails."""
     if not (isinstance(eta, CenterPowers) and model.group) or len(g.values) != len(f.values):
         return None
-    if _power_reach(eta, n + 1) <= n:
+    try:
+        eta(n + 1)
+    except WindowOverflow:
         return None
     labels, law, z = model._labels, model._law, eta.z
     moved = [(law(x, z), v) for x, v in g.values]

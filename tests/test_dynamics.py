@@ -126,6 +126,29 @@ def test_multiplier_bound_below_one_is_rejected():
                       lambda: hz.aperiodic_center_check(model, 1, [], 8, bound)):
             with pytest.raises(ValueError, match="rs_bound"):
                 check()
+    # Other counts below their range: with no series term every row's sum
+    # is 0.0, so a cutoff below 1 read as holding; a negative k_max sliced
+    # rows off the end of the center report, and a negative orbit horizon
+    # reported a best step it never computed.  Each raises ValueError; an
+    # orbit horizon of 0 scans f itself.
+    model = hz.integer_group(64)
+    eta = hz.center_powers(model, 1)
+    w = hz.step_weight(0, 0.5, 2.0)
+    assert hz.probe_series_necessary(model, w, eta, [0], 20, 1).verdict == "fails"
+    for cutoff in (0, -3):
+        with pytest.raises(ValueError, match="series_cutoff"):
+            hz.probe_series_necessary(model, w, eta, [0], 20, cutoff)
+    sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
+    f, g, target = (sc.functions[k] for k in ("f", "g", "target"))
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match="k_max"):
+            hz.build_transitivity_witness(sc.model, f, g, sc.weight, sc.eta, sc.phi,
+                                          k_max, sc.run.horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        hz.orbit_density_probe(sc.model, f, sc.weight, sc.eta, [target], -2, sc.phi)
+    (found,) = hz.orbit_density_probe(sc.model, f, sc.weight, sc.eta, [target], 0,
+                                      sc.phi)
+    assert found.best_n == 0 and math.isfinite(found.best_error)
 
 
 def _window_translates(model, eta, e):
@@ -498,32 +521,35 @@ def test_center_and_hereditary_track_one_pair(data):
 def test_runs_end_at_the_window_edge_and_the_next_step_raises():
     # Along powers of 1 on integer_group(20) with E = {0, 14}, the center
     # probe's last row, n = 6, reads the shifted product at 20, the window
-    # edge.  Each column grows only as far as a probe asks: 0's stops at
-    # step 6 too, though 0 + 20 still lies in the window.  Past the edge the
-    # run read falls back to the per-step call, which raises WindowOverflow,
-    # so the series probe's multiplied steps from 7 on truncate its rows,
-    # and 0's column grows to the window edge, no further.
+    # edge.  Past the edge the orbit reader falls back to the per-step call,
+    # which raises WindowOverflow, so the series probe's multiplied steps
+    # from 7 on truncate its rows.  Neither probe reads the orbit of 1 past
+    # the window edge, though the series probe's last step is 24.
     model = hz.integer_group(20)
     eta = hz.center_powers(model, 1)
     w = hz.step_weight(0, 4.0, 0.25)
     convention = hz.DEFAULT_CONVENTION
+    where = w._memo["orbits", model, 1]
+
+    def last_point():  # the highest point any orbit state of 1 holds
+        return max(orbit[0][3] for orbit, _ in where.values())
+
     report = hz.probe_center_conditions(model, w, eta, hz.phi_p(2.0), (0, 14), 6)
     assert [(row.n, row.flags) for row in report.rows] == [(n, ()) for n in range(1, 7)]
-    columns = w._memo["columns", model, 1, convention]
-    assert {x: len(column) for x, column in columns.items()} == {0: 7, 14: 7}
+    assert last_point() == 20
     fresh = hz.step_weight(0, 4.0, 0.25)
+    read = operators._orbit_products(model, w, eta, (0, 14), 7, convention)
     for n in range(7):
-        assert [v.hex() for v in operators._shifted_products(
-            model, w, eta, (0, 14), n, convention)] == [
+        assert [v.hex() for v in read(n, True)] == [
             hz.shifted_weight_product(model, fresh, eta, x, n).hex() for x in (0, 14)]
     with pytest.raises(hz.WindowOverflow):
         hz.shifted_weight_product(model, fresh, eta, 14, 7)
     with pytest.raises(hz.WindowOverflow):
-        list(operators._shifted_products(model, w, eta, (0, 14), 7, convention))
+        read(7, True)
     series = hz.probe_series_necessary(model, w, eta, (0, 14), 6, 4)
     assert [(row.n, row.flags) for row in series.rows] == [(1, ())] + [
         (n, ("series-truncated",)) for n in range(2, 7)]
-    assert {x: len(column) for x, column in columns.items()} == {0: 21, 14: 7}
+    assert last_point() == 20
 
 
 def test_hereditary_after_center_reads_the_kept_report(monkeypatch):
@@ -542,8 +568,8 @@ def test_hereditary_after_center_reads_the_kept_report(monkeypatch):
                          (dynamics, "luxemburg_norm"),
                          (operators, "weight_product"),
                          (operators, "shifted_weight_product"),
+                         (dynamics, "_orbit_products"),
                          (operators, "_cocycle"),
-                         (operators, "_shifted_column"),
                          (operators, "_orbit_span")):
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
@@ -554,10 +580,10 @@ def test_hereditary_after_center_reads_the_kept_report(monkeypatch):
     assert calls == {}
 
 
-def _frozen_sup_necessary_values(model, w, eta, e, n, convention):
+def _frozen_sup_necessary_values(model, w, eta, e, n, convention, read):
     """The sup-vanishing profile at E through both translates, the path
     every sequence took before powers of a center element read the shifted
-    product, kept as the oracle."""
+    product, kept as the oracle; the probe's orbit reader goes unused."""
     pulled = hz.translate(model, hz.indicator(e), eta(-n))
     weighted = hz.SparseFunction.from_dict(
         {x: tv * hz.weight_product(model, w, eta, x, n, convention)
@@ -641,18 +667,17 @@ def test_sup_necessary_values_along_center_powers_match_the_translate_path(data)
 
 
 def test_center_and_hereditary_keep_one_orbit_cache():
-    # The hereditary pair reads the center probe's factor rows: the weight
-    # keeps no walk of its own along an orbit.  Besides the orbits it keeps
-    # one memo of the weight products and one of the shifted-product
-    # columns, both of which both probes read, and the center probe's
-    # report.
+    # The hereditary pair reads the center probe's orbits: the weight keeps
+    # no walk of its own along an orbit.  Besides the orbits it keeps only
+    # the center probe's report, which the hereditary probe reads; the
+    # probes slice their products from the orbits and store none.
     sc = hz.load_scenario(str(SCENARIO_DIR / "doubling_shift.yaml"))
     for probe in ("center", "hereditary"):
         _, code = cli.run_command(sc, "probe", {"id": probe}, 0)
         assert code == 0, probe
     kinds = sorted(key[0] for key in sc.weight._memo)
     assert "orbit" not in kinds
-    assert kinds == ["columns", "orbits", "products", "reports"]
+    assert kinds == ["orbits", "reports"]
 
 
 def test_center_report_is_kept_per_session():
@@ -1202,11 +1227,12 @@ def test_one_session_matches_fresh_sessions(doc, order):
 
 @pytest.mark.seeded
 def test_one_session_computes_each_translate_and_product_once(monkeypatch):
-    # Over a session set_convolve runs at most once per (E, point), each
-    # weight product is stored once per (x, factor count), and a column of
-    # shifted products is only ever replaced by a longer one that keeps the
-    # products it held: each product the weight keeps, shifted ones
-    # included, was computed once.
+    # Over a session set_convolve runs at most once per (E, point), and each
+    # weight product weight_product stores (the witness's right inverse
+    # reads them) is stored once per (x, factor count), so it was computed
+    # once.  The probes slice their own products from the orbits and store
+    # none, so only the translates, the label values and those products are
+    # shared.
     convolved = collections.Counter()
     set_convolve = hz.HypergroupModel.set_convolve
 
@@ -1215,24 +1241,15 @@ def test_one_session_computes_each_translate_and_product_once(monkeypatch):
         return set_convolve(self, a, b)
 
     stored = collections.Counter()
-    grown = collections.Counter()
 
     class Products(dict):
         def __setitem__(self, key, value):
             stored[key] += 1
             super().__setitem__(key, value)
 
-    class Columns(dict):
-        def __setitem__(self, key, value):
-            held = self.get(key, ())
-            assert len(value) > len(held)
-            assert all(a is b for a, b in zip(held, value))
-            grown[key] += len(value) - len(held)
-            super().__setitem__(key, value)
-
     class Memo(collections.defaultdict):
         def __missing__(self, key):
-            kind = {"products": Products, "columns": Columns}.get(key[0], dict)
+            kind = Products if key[0] == "products" else dict
             entry = self[key] = kind()
             return entry
 
@@ -1243,9 +1260,6 @@ def test_one_session_computes_each_translate_and_product_once(monkeypatch):
         assert cli.run_command(sc, command, opts, 0)[1] == 0, (command, opts)
     assert convolved and set(convolved.values()) == {1}
     assert stored and set(stored.values()) == {1}
-    assert grown
     for memo, entries in sc.weight._memo.items():
         if memo[0] == "products":
             assert set(entries) <= set(stored)
-        elif memo[0] == "columns":
-            assert all(grown[x] == len(column) for x, column in entries.items())

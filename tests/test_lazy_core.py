@@ -531,25 +531,30 @@ HUGE_WEIGHTS = (hz.geometric_weight(1e-300, 1e120), hz.geometric_weight(1e300, 1
 
 
 def _assert_runs_match_plain_loops(data, model, ref, zeta, xs, reach):
-    """The run-at-a-time reads along powers of z, on a fresh weight: columns
-    grown and products sliced for every step first, then read a step at a
-    time, and each step of the operator relabelled from the one before,
-    give the plain loops' bits and errors, off the window and past the
-    float range included."""
+    """The orbit reader along powers of z, made on a fresh weight for the
+    largest drawn step, and each step of the operator relabelled from the
+    one before, give the bits and errors of the per-(x, n) calls on a
+    weight of their own and of the plain loops, at every drawn step and at
+    the two past the reader's last, off the window and past the float range
+    included; a negative step raises ValueError as the calls do."""
     w = data.draw(st.one_of(weights(), st.sampled_from(HUGE_WEIGHTS)))
     steps = sorted(data.draw(st.sets(st.integers(0, reach), min_size=1, max_size=8)))
     f = SparseFunction.from_dict({x: data.draw(VALUES) for x in xs})
     for convention in ProductConvention:
-        fresh = w._replace()
-        operators._read_runs(model, fresh, zeta, xs, steps[-1], steps, convention)
-        for n in steps:
-            for read, plain in ((operators._shifted_products, ref.shifted_weight_product),
-                                (operators._weight_products, ref.weight_product)):
-                got = outcome(lambda: [_bits(v) for v in read(model, fresh, zeta, xs, n,
-                                                               convention)])
-                want = outcome(lambda: [_bits(plain(w, zeta, x, n, convention))
+        fresh, plain = w._replace(), w._replace()
+        read = operators._orbit_products(model, fresh, zeta, xs, steps[-1], convention)
+        for shifted in (True, False):
+            assert outcome(read, -1, shifted) is ValueError
+        for n in steps + [steps[-1] + 1, steps[-1] + 2]:
+            for shifted, call, loop in (
+                    (True, hz.shifted_weight_product, ref.shifted_weight_product),
+                    (False, hz.weight_product, ref.weight_product)):
+                got = outcome(lambda: [_bits(v) for v in read(n, shifted)])
+                want = outcome(lambda: [_bits(call(model, plain, zeta, x, n, convention))
                                         for x in xs])
-                assert got == want, (read.__name__, n, convention)
+                assert got == want, (shifted, n, convention)
+                assert got == outcome(lambda: [_bits(loop(w, zeta, x, n, convention))
+                                               for x in xs]), (shifted, n, convention)
             step = outcome(hz.apply_weighted_translation, model, f, fresh, zeta, n,
                            convention)
             if not isinstance(step, SparseFunction):
@@ -636,12 +641,12 @@ def _bits(value):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_shifted_products_match_the_plain_product(data):
-    """On a group the shifted products along powers of z extend the stored
-    product one factor short by one factor.  Whatever order the steps
-    come in, rising by one or by several, falling, negative or past the
-    window, and after calls that raised, each must have the bits and the
-    error of the product at the shifted point, computed by weight_product
-    on a weight of its own and by the eager table."""
+    """On a group the shifted products along powers of z share the orbit
+    reads of every other product.  Whatever order the steps come in,
+    rising by one or by several, falling, negative or past the window, and
+    after calls that raised, each must have the bits and the error of the
+    product at the shifted point, computed by weight_product on a weight of
+    its own and by the eager table."""
     model, ref = data.draw(groups())
     w = data.draw(st.one_of(weights(), st.just(hz.geometric_weight(1e300, 1e8))))
     plain = w._replace()  # an equal weight with memos of its own
@@ -710,7 +715,9 @@ def test_sup_values_at_e_match_the_whole_translate(data):
     plain = w._replace()
     for n in range(0, 6):
         for convention in ProductConvention:
-            got = outcome(dynamics._sup_necessary_values, model, w, eta, e, n, convention)
+            read = operators._orbit_products(model, w, eta, e, n, convention)
+            got = outcome(dynamics._sup_necessary_values, model, w, eta, e, n, convention,
+                          read)
             want = outcome(_full_sup_values, model, plain, eta, e, n, convention)
             assert ([_bits(v) for v in got] if isinstance(got, list) else got) == (
                 [_bits(v) for v in want] if isinstance(want, list) else want)
@@ -738,7 +745,9 @@ def test_sup_values_overflowing_off_e_stay_finite():
     assert weighted.values == ((0, 0.5 + 1e-13), (1, top), (2, top))
     sums = _translate_sums(model, weighted, 1)
     assert sums[0] == math.inf and sums[2] == top
-    assert dynamics._sup_necessary_values(model, w, eta, (2,), 1, convention) == [top]
+    read = operators._orbit_products(model, w, eta, (2,), 1, convention)
+    assert dynamics._sup_necessary_values(model, w, eta, (2,), 1, convention,
+                                          read) == [top]
 
 
 def test_an_off_window_point_raises_after_the_sequence_index():
@@ -790,8 +799,7 @@ def test_a_unit_mass_within_tolerance_keeps_the_general_path():
 
 def _stored(model, w):
     """(pair-memo entries, weight values the factor rows, orbits and label
-    values hold, weight products the product memo and the shifted-product
-    columns hold)."""
+    values hold, weight products the product memo holds)."""
     factors, products = len(w._values), 0
     for key, entries in w._memo.items():
         if key[0] == "rows":
@@ -801,16 +809,15 @@ def _stored(model, w):
             factors += sum(len(vals) for _, vals, _, _ in states.values())
         elif key[0] == "products":
             products += len(entries)
-        elif key[0] == "columns":
-            products += sum(map(len, entries.values()))
     return len(model._pairs), factors, products
 
 
 def test_necessary_sup_stores_linearly_in_the_horizon():
     """Each step pulls E back by one more power, so a row per point would
     hold about |E| h^2 / 2 values at horizon h; the weight holds w at about
-    h labels, and the columns one shifted product per point of E and step.
-    Counts only: four times the horizon may at most about quadruple them."""
+    2 h labels, the orbit of 1 from E - h to E + h, and stores no product:
+    the probe slices each one from the orbit.  Counts only: four times the
+    horizon may at most about quadruple them."""
     stored = {}
     e = range(-4, 4)
     for horizon in (250, 1000):
@@ -818,7 +825,7 @@ def test_necessary_sup_stores_linearly_in_the_horizon():
         w = hz.step_weight(0, 2.0, 0.5)
         hz.probe_sup_necessary(model, w, hz.center_powers(model, 1), e, horizon)
         stored[horizon] = _stored(model, w)
-        assert 0 < stored[horizon][2] <= 2 * len(e) * horizon
+        assert 0 == stored[horizon][2] <= 2 * len(e) * horizon
     (pairs_250, factors_250, _), (pairs_1000, factors_1000, _) = stored[250], stored[1000]
     assert pairs_1000 <= 5 * max(pairs_250, 1)
     assert 0 < factors_1000 <= 5 * factors_250
