@@ -1231,8 +1231,8 @@ def test_one_session_computes_each_translate_and_product_once(monkeypatch):
     # weight product weight_product stores (the witness's right inverse
     # reads them) is stored once per (x, factor count), so it was computed
     # once.  The probes slice their own products from the orbits and store
-    # none, so only the translates, the label values and those products are
-    # shared.
+    # none, so only the translates, the label values, the orbits and those
+    # products are shared.
     convolved = collections.Counter()
     set_convolve = hz.HypergroupModel.set_convolve
 
